@@ -58,7 +58,7 @@ def main() -> None:
     print(f"== warm replay == {counters}")
     assert counters["solved"] == 0, "warm cache must perform zero SDP solves"
 
-    # Session state never leaked into the deprecated process-global counters.
+    # Session state never leaked into the process-default counters.
     from repro.sdp import solve_counters
 
     print(f"process-default counters (untouched): {solve_counters()}")

@@ -151,7 +151,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         seed=args.seed,
         relaxation=args.relaxation,
         backend=args.backend,
-        array_backend=args.array_backend,
         fleet=args.fleet,
         fleet_priority=args.fleet_priority,
         params=params or None,
@@ -159,15 +158,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     engine = VerificationEngine(options)
     relax_note = f", relaxation={options.relaxation}" if options.relaxation else ""
     backend_note = f", backend={options.backend}" if options.backend else ""
-    array_note = f", array-backend={options.array_backend}" \
-        if options.array_backend else ""
     fleet_note = f", fleet={options.fleet}" if options.fleet else ""
     if params:
         fleet_note += ", params=" + ",".join(
             f"{key}={params[key]:g}" for key in sorted(params))
     print(f"verifying {', '.join(scenarios)} "
           f"(jobs={options.jobs}, cache={'on' if options.use_cache else 'off'}"
-          f"{relax_note}{backend_note}{array_note}{fleet_note})")
+          f"{relax_note}{backend_note}{fleet_note})")
     report = engine.run(scenarios)
 
     for outcome in report.outcomes:
@@ -261,7 +258,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         job_timeout=args.timeout,
         relaxation=args.relaxation,
         backend=args.backend,
-        array_backend=args.array_backend,
         fleet=args.fleet,
         fleet_priority=args.fleet_priority,
         grid=grid or None,
@@ -355,7 +351,6 @@ def cmd_submit(args: argparse.Namespace) -> int:
         "seed": args.seed,
         "relaxation": args.relaxation,
         "backend": args.backend,
-        "array_backend": args.array_backend,
     }
     priority = args.priority if args.priority is not None \
         else PRIORITY_INTERACTIVE
@@ -465,13 +460,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "default) or projection (alternating "
                                "projections); recorded in the JSON report "
                                "and part of the certificate-cache key")
-    p_verify.add_argument("--array-backend", default=None,
-                          choices=["auto", "numpy", "cupy", "torch"],
-                          help="array namespace of the solver hot loops: "
-                               "numpy (reference), cupy/torch (GPU tensor "
-                               "adapters, used when importable) or auto "
-                               "(accelerator when usable, else numpy); "
-                               "default: the solver's own auto resolution")
     p_verify.add_argument("--relaxation", default=None,
                           choices=["dsos", "sdsos", "chordal", "sos", "auto"],
                           help="Gram-cone relaxation of every certificate: "
@@ -533,9 +521,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--backend", default=None,
                          choices=["admm", "projection"],
                          help="conic solver backend of every probe solve")
-    p_sweep.add_argument("--array-backend", default=None,
-                         choices=["auto", "numpy", "cupy", "torch"],
-                         help="array namespace of the solver hot loops")
     p_sweep.add_argument("--fleet", default=None, metavar="HOST:PORT",
                          help="execute point shards on a running fleet "
                               "master instead of a local pool")
@@ -627,9 +612,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_submit.add_argument("--backend", default=None,
                           choices=["admm", "projection"],
                           help="conic solver backend of every job")
-    p_submit.add_argument("--array-backend", default=None,
-                          choices=["auto", "numpy", "cupy", "torch"],
-                          help="array namespace of the solver hot loops")
     p_submit.add_argument("--relaxation", default=None,
                           choices=["dsos", "sdsos", "chordal", "sos", "auto"],
                           help="Gram-cone relaxation override")

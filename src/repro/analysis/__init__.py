@@ -1,4 +1,4 @@
-"""Analysis utilities: level-set projections, falsification, timing."""
+"""Analysis utilities: level-set projections and falsification."""
 
 from .projection import ProjectionGrid, project_sublevel_set, project_union
 from .falsification import (
@@ -9,7 +9,6 @@ from .falsification import (
     run_falsification,
     simulate_relay_abstraction,
 )
-from .timing import StageTimer
 
 __all__ = [
     "ProjectionGrid",
@@ -21,5 +20,4 @@ __all__ = [
     "check_certificate_decrease_along_trajectories",
     "random_initial_states",
     "run_falsification",
-    "StageTimer",
 ]

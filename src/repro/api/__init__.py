@@ -15,9 +15,8 @@ counters, RNG seed, default relaxation, timing hooks), and
 
 Sessions are isolated: two sessions in one process — different caches,
 backends, relaxations — can verify concurrently from a thread pool without
-sharing counters or cache entries.  The historical module-global calls
-(``repro.sdp.set_solve_cache`` and friends) keep working as deprecated
-shims over the process-default session state.
+sharing counters or cache entries.  Calls made without a session use the
+process-default :class:`~repro.sdp.context.SolveContext`.
 
 Re-exported building blocks: the :class:`~repro.sdp.context.SolveContext`
 that a session wraps, the shared :class:`~repro.core.config.StageConfig`

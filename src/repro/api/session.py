@@ -14,9 +14,8 @@ Two sessions in one process are fully isolated: they can verify different
 (or the same) scenarios concurrently from a thread pool with different
 caches, backends and relaxations, and neither observes the other's counters
 or cache entries.  This is the supported public surface for embedding the
-verifier in services; the module-global accessors
-(:func:`repro.sdp.set_solve_cache`, :func:`repro.sdp.reset_solve_counters`)
-are deprecated shims over the process-default session state.
+verifier in services; calls made without a session use the
+process-default :class:`~repro.sdp.context.SolveContext`.
 """
 
 from __future__ import annotations
@@ -55,10 +54,6 @@ class VerificationSession:
     solver_settings:
         Default keyword settings merged under every solve's explicit
         settings.
-    array_backend:
-        Array namespace of the solver hot loops (``"auto"``, ``"numpy"``,
-        ``"cupy"`` or ``"torch"``; see :mod:`repro.sdp.backend`).  ``None``
-        leaves the solver default (``"auto"``) in charge.
     cache / cache_dir:
         Certificate cache: either a ready cache object (``get``/``put``
         protocol) or a directory path for a persistent on-disk
@@ -94,7 +89,6 @@ class VerificationSession:
                  seed: int = 0,
                  timing_hook: Optional[TimingHook] = None,
                  name: str = "session",
-                 array_backend: Optional[str] = None,
                  fleet: Optional[str] = None):
         if cache is not None and cache_dir is not None:
             raise ValueError("pass either cache= or cache_dir=, not both")
@@ -108,8 +102,7 @@ class VerificationSession:
         self.name = name
         self.context = SolveContext(backend=backend,
                                     solver_settings=solver_settings,
-                                    cache=cache, name=name,
-                                    array_backend=array_backend)
+                                    cache=cache, name=name)
         self.relaxation = relaxation
         self.seed = int(seed)
         self.timing_hook = timing_hook
@@ -123,11 +116,6 @@ class VerificationSession:
     def backend(self) -> Union[str, object, None]:
         """The session's default solver backend (``None`` = registry default)."""
         return self.context.backend
-
-    @property
-    def array_backend(self) -> Optional[str]:
-        """The session's array-namespace override (``None`` = solver default)."""
-        return self.context.array_backend
 
     @property
     def cache(self) -> Optional[object]:
@@ -227,8 +215,8 @@ class VerificationSession:
         """Run scenarios on a fleet master; returns the engine-report JSON.
 
         The fleet executes the jobs on its workers against its shared
-        certificate cache, applying this session's relaxation, backend,
-        array-backend and seed configuration to every job.  ``fleet``
+        certificate cache, applying this session's relaxation, backend
+        and seed configuration to every job.  ``fleet``
         overrides the address the session was constructed with; ``watch``
         receives one event dict per job transition as it streams in.
         Blocks until the aggregate report arrives.
@@ -245,7 +233,6 @@ class VerificationSession:
             "seed": self.seed,
             "relaxation": self.relaxation,
             "backend": backend,
-            "array_backend": self.array_backend,
         }
         client = FleetClient(address)
         done = client.submit(
@@ -282,7 +269,6 @@ class VerificationSession:
             jobs=int(jobs),
             relaxation=relaxation or self.relaxation,
             backend=backend,
-            array_backend=self.array_backend,
             fleet=fleet or self.fleet,
             grid=grid, samples=samples, seed=seed,
             resume=resume, shard_size=shard_size,

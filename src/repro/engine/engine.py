@@ -86,11 +86,6 @@ class EngineOptions:
     # None keeps the registry default.  Recorded in the JSON report; enters
     # the certificate-cache key, so distinct backends never share entries.
     backend: Optional[str] = None
-    # Array namespace of the solver hot loops ("auto" | "numpy" | "cupy" |
-    # "torch"; see repro.sdp.backend).  None keeps the solver default
-    # ("auto").  An explicit choice is recorded in the JSON report and, like
-    # backend, enters the cache key through the solver settings.
-    array_backend: Optional[str] = None
     # "host:port" of a fleet master (see repro.fleet).  When set, jobs are
     # executed by the fleet's workers through a DistributedExecutor instead
     # of a local process pool; `jobs` then bounds how many jobs this engine
@@ -261,8 +256,7 @@ def _execute_job(payload: Dict[str, object],
         cache_dir = payload.get("cache_dir")
         cache = CertificateCache(cache_dir) if payload.get("use_cache") else None
     context = SolveContext(backend=payload.get("backend"), cache=cache,
-                           name=f"job:{payload.get('scenario')}/{payload.get('step')}",
-                           array_backend=payload.get("array_backend"))
+                           name=f"job:{payload.get('scenario')}/{payload.get('step')}")
     try:
         step = payload["step"]
         if step == STEP_SWEEP:
@@ -305,7 +299,6 @@ def _execute_job(payload: Dict[str, object],
         # stats at all.
         "cache_stats": (cache.stats.as_dict()
                         if getattr(cache, "stats", None) is not None else {}),
-        "array_backend_stats": context.array_backend_stats(),
     }
 
 
@@ -393,7 +386,6 @@ class _ScenarioDriver:
             "seed": options.seed,
             "relaxation": options.relaxation,
             "backend": options.backend,
-            "array_backend": options.array_backend,
             "params": options.params,
         }
         if spec.step == STEP_LEVELSET:
@@ -419,7 +411,6 @@ class _ScenarioDriver:
             data=data,
             counters=dict(outcome.get("counters", {})),
             cache_stats=dict(outcome.get("cache_stats", {})),
-            array_backend_stats=dict(outcome.get("array_backend_stats", {})),
             relaxation=data.get("relaxation"),
         )
 
@@ -491,38 +482,6 @@ class EngineReport:
     def all_match_expected(self) -> bool:
         return all(outcome.matches_expected for outcome in self.outcomes)
 
-    @property
-    def array_backend(self) -> str:
-        """The array namespace the run's solver hot loops executed on.
-
-        The explicit ``EngineOptions.array_backend`` when one was configured;
-        otherwise the name observed in the jobs' solver telemetry (the
-        ``"auto"`` resolution), falling back to ``"auto"`` for runs that
-        performed no solves at all.
-        """
-        if self.options.array_backend is not None:
-            return self.options.array_backend
-        observed = sorted(self.array_backend_stats())
-        if len(observed) == 1:
-            return observed[0]
-        return "auto"
-
-    def array_backend_stats(self) -> Dict[str, Dict[str, float]]:
-        """Per-array-backend iterations/sec aggregated over every job."""
-        totals: Dict[str, Dict[str, float]] = {}
-        for outcome in self.outcomes:
-            for job in outcome.jobs:
-                for name, entry in job.array_backend_stats.items():
-                    agg = totals.setdefault(
-                        name, {"solves": 0, "iterations": 0, "seconds": 0.0})
-                    agg["solves"] += int(entry.get("solves", 0))
-                    agg["iterations"] += int(entry.get("iterations", 0))
-                    agg["seconds"] += float(entry.get("seconds", 0.0))
-        for entry in totals.values():
-            entry["iterations_per_second"] = \
-                entry["iterations"] / max(entry["seconds"], 1e-12)
-        return totals
-
     def outcome(self, scenario: str) -> ScenarioOutcome:
         for entry in self.outcomes:
             if entry.scenario == scenario:
@@ -538,8 +497,6 @@ class EngineReport:
                 "seed": self.options.seed,
                 "relaxation": self.options.relaxation,
                 "backend": self.options.backend or DEFAULT_BACKEND,
-                "array_backend": self.array_backend,
-                "array_backend_stats": self.array_backend_stats(),
                 "wall_seconds": self.wall_seconds,
                 "counters": dict(self.counters),
                 "cache_stats": dict(self.cache_stats),
@@ -563,12 +520,6 @@ class EngineReport:
                 f"Certificate cache: {cache['hits']}/{cache['lookups']} lookups "
                 f"hit ({100.0 * cache['hit_rate']:.1f}%), "
                 f"{cache['writes']} write(s)")
-        stats = self.array_backend_stats()
-        if stats:
-            lines.append("Array backends: " + ", ".join(
-                f"{name} ({entry['iterations_per_second']:.0f} it/s over "
-                f"{int(entry['solves'])} solve(s))"
-                for name, entry in sorted(stats.items())))
         lines.append("")
         for outcome in self.outcomes:
             verdict = "MATCH" if outcome.matches_expected else "MISMATCH"

@@ -72,9 +72,6 @@ class JobResult:
     data: Dict[str, object] = field(default_factory=dict)
     counters: Dict[str, int] = field(default_factory=dict)
     cache_stats: Dict[str, int] = field(default_factory=dict)
-    #: Per-array-backend solver throughput (name -> {"solves", "iterations",
-    #: "seconds", "iterations_per_second"}); empty for jobs without solves.
-    array_backend_stats: Dict[str, Dict[str, float]] = field(default_factory=dict)
     #: Gram-cone relaxation that actually certified this step ("dsos",
     #: "sdsos" or "sos"); ``None`` for steps without conic certificates.
     relaxation: Optional[str] = None
@@ -91,6 +88,4 @@ class JobResult:
             "relaxation": self.relaxation,
             "counters": dict(self.counters),
             "cache_stats": dict(self.cache_stats),
-            "array_backend_stats": {name: dict(entry) for name, entry
-                                    in self.array_backend_stats.items()},
         }

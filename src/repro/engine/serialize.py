@@ -184,7 +184,6 @@ def job_result_to_wire(result: JobResult) -> Dict[str, object]:
         "data": to_jsonable(result.data),
         "counters": {str(k): int(v) for k, v in result.counters.items()},
         "cache_stats": {str(k): int(v) for k, v in result.cache_stats.items()},
-        "array_backend_stats": to_jsonable(result.array_backend_stats),
     }
 
 
@@ -205,9 +204,6 @@ def job_result_from_wire(data: Dict[str, object]) -> JobResult:
                   for k, v in dict(data.get("counters", {})).items()},
         cache_stats={str(k): int(v)
                      for k, v in dict(data.get("cache_stats", {})).items()},
-        array_backend_stats={
-            str(name): {str(k): float(v) for k, v in entry.items()}
-            for name, entry in dict(data.get("array_backend_stats", {})).items()},
     )
 
 
@@ -253,7 +249,7 @@ def solver_result_from_wire(data: Dict[str, object]) -> SolverResult:
 #: same job submitted against any cache configuration computes the same
 #: certificates, which is what makes the master's job memo sound.
 _FINGERPRINT_FIELDS = ("scenario", "step", "mode", "seed", "relaxation",
-                       "backend", "array_backend", "certificate",
+                       "backend", "certificate",
                        "certificates", "levels")
 
 
@@ -277,9 +273,8 @@ def memo_outcome(stored: Dict[str, object]) -> Dict[str, object]:
     A job answered from the master's memo performed **zero** solves; its
     counters must say exactly what a re-dispatched warm-cache execution
     would have said: every solve the original run performed (or itself
-    replayed) becomes a cache hit, the cache stats record pure hits, and no
-    array backend ran.  Status, detail, artifact data and relaxation are
-    replayed verbatim.
+    replayed) becomes a cache hit and the cache stats record pure hits.
+    Status, detail, artifact data and relaxation are replayed verbatim.
     """
     counters: Dict[str, int] = {"solved": 0, "cache_hit": 0}
     for key, value in dict(stored.get("counters", {})).items():
@@ -294,7 +289,6 @@ def memo_outcome(stored: Dict[str, object]) -> Dict[str, object]:
     outcome["counters"] = counters
     outcome["cache_stats"] = ({"hits": lookups, "misses": 0, "writes": 0,
                                "corrupted": 0} if stats else {})
-    outcome["array_backend_stats"] = {}
     outcome["seconds"] = 0.0
     return outcome
 

@@ -457,7 +457,6 @@ class FleetMaster:
             seed=int(request.get("seed", 0)),
             relaxation=request.get("relaxation"),
             backend=request.get("backend"),
-            array_backend=request.get("array_backend"),
         )
 
         def emit(event: Dict[str, object]) -> None:

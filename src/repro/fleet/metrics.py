@@ -55,7 +55,6 @@ def engine_metrics(payload: Dict[str, object]) -> Dict[str, object]:
         "stages": stages,
         "jobs": {"total": sum(jobs_by_status.values()),
                  "by_status": jobs_by_status},
-        "array_backends": dict(engine.get("array_backend_stats", {})),
         "wall_seconds": float(engine.get("wall_seconds", 0.0)),
     }
 
@@ -110,10 +109,6 @@ def _samples(metrics: Dict[str, object]) -> List[Tuple[str, Optional[Dict[str, s
     workers = metrics.get("workers")
     if isinstance(workers, dict):
         samples.append(("workers_connected", None, workers.get("connected", 0)))
-    for name, entry in sorted(dict(metrics.get("array_backends", {})).items()):
-        samples.append(("solver_iterations_per_second",
-                        {"array_backend": name},
-                        entry.get("iterations_per_second", 0.0)))
     if "wall_seconds" in metrics:
         samples.append(("wall_seconds", None, metrics["wall_seconds"]))
     return samples

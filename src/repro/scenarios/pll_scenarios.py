@@ -82,19 +82,18 @@ def _pll_options(spec: ScenarioSpec, model: PLLVerificationModel, *,
     )
 
 
-def _point_parameters(base: PLLParameters, overrides: Dict[str, float],
-                      name: str) -> PLLParameters:
+def _pinned_parameters(base: PLLParameters, pinned: Dict[str, float],
+                       name: str) -> PLLParameters:
     """Pin every interval of a Table 1 column to a concrete point.
 
-    Defaults to interval centres; ``overrides`` substitutes absolute values
-    for named constants.  This is the sweep-axis analogue of
-    :func:`_corner_parameters` — a point in the design space rather than a
-    vertex of the interval box.
+    Constants named in ``pinned`` take the given absolute value; every other
+    constant sits at its interval centre.  Sweep points, process corners and
+    degraded components are all such points of the design space.
     """
     values = {}
     for pname, interval in base.named_intervals().items():
-        if pname in overrides:
-            values[pname] = Interval.point(float(overrides[pname]))
+        if pname in pinned:
+            values[pname] = Interval.point(float(pinned[pname]))
         else:
             values[pname] = Interval.point(interval.center)
     return PLLParameters(
@@ -133,7 +132,7 @@ def _build_pll3(spec: ScenarioSpec) -> ScenarioProblem:
     # (and therefore its certificate-cache keys) are untouched.
     parameters = None
     if spec.parameters:
-        parameters = _point_parameters(
+        parameters = _pinned_parameters(
             PLLParameters.third_order_paper(), dict(spec.parameters),
             name="third_order_swept")
     model = build_third_order_model(
@@ -163,33 +162,6 @@ def _build_pll3_uncertain(spec: ScenarioSpec) -> ScenarioProblem:
     return ScenarioProblem.from_pll_model(model, options, falsification_count=4)
 
 
-def _corner_parameters(base: PLLParameters, corner: Dict[str, str],
-                       name: str) -> PLLParameters:
-    """Collapse selected intervals of a Table 1 column to one corner.
-
-    ``corner`` maps parameter names to ``"lower"``/``"upper"``; everything
-    else is pinned to its nominal (interval centre).  This turns the interval
-    design into one concrete process corner for a corner-sweep scenario.
-    """
-    values = {}
-    for pname, interval in base.named_intervals().items():
-        side = corner.get(pname)
-        if side == "lower":
-            values[pname] = Interval.point(interval.lower)
-        elif side == "upper":
-            values[pname] = Interval.point(interval.upper)
-        else:
-            values[pname] = Interval.point(interval.center)
-    return PLLParameters(
-        order=base.order,
-        c1=values["c1"], c2=values["c2"], r=values["r"],
-        f_ref=values["f_ref"], k_vco=values["k_vco"], i_p=values["i_p"],
-        divider=values["divider"],
-        c3=values.get("c3"), r2=values.get("r2"),
-        f_free=base.f_free, name=name,
-    )
-
-
 @register_scenario(
     name="pll3_slow_corner",
     description="3rd-order PLL at the slowest Table 1 process corner "
@@ -199,9 +171,10 @@ def _corner_parameters(base: PLLParameters, corner: Dict[str, str],
     tags=("pll", "corner-sweep"),
 )
 def _build_pll3_slow_corner(spec: ScenarioSpec) -> ScenarioProblem:
-    parameters = _corner_parameters(
-        PLLParameters.third_order_paper(),
-        {"i_p": "lower", "c2": "upper", "divider": "upper"},
+    base = PLLParameters.third_order_paper()
+    parameters = _pinned_parameters(
+        base,
+        {"i_p": base.i_p.lower, "c2": base.c2.upper, "divider": base.divider.upper},
         name="third_order_slow_corner",
     )
     model = build_third_order_model(
@@ -223,15 +196,8 @@ def _build_pll3_slow_corner(spec: ScenarioSpec) -> ScenarioProblem:
 )
 def _build_pll3_weak_pump(spec: ScenarioSpec) -> ScenarioProblem:
     base = PLLParameters.third_order_paper()
-    degraded = _corner_parameters(base, {}, name="third_order_weak_pump")
-    nominal_ip = base.i_p.center
-    degraded = PLLParameters(
-        order=3, c1=degraded.c1, c2=degraded.c2, r=degraded.r,
-        f_ref=degraded.f_ref, k_vco=degraded.k_vco,
-        i_p=Interval.point(0.4 * nominal_ip),
-        divider=degraded.divider, f_free=base.f_free,
-        name="third_order_weak_pump",
-    )
+    degraded = _pinned_parameters(base, {"i_p": 0.4 * base.i_p.center},
+                                  name="third_order_weak_pump")
     model = build_third_order_model(
         parameters=degraded,
         region=RegionOfInterest(voltage_bound=3.0, phase_bound=1.5),

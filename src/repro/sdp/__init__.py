@@ -4,13 +4,6 @@ Standard form: ``minimize c^T x  s.t.  A x = b,  x in K`` with
 ``K = R^free x R_+^nonneg x PSD blocks`` (svec coordinates).
 """
 
-from .backend import (
-    ARRAY_BACKENDS,
-    ArrayBackend,
-    BackendUnavailableError,
-    available_array_backends,
-    resolve_array_backend,
-)
 from .cones import (
     ConeDims,
     cone_violation,
@@ -50,8 +43,6 @@ from .solver import (
     get_solve_cache,
     make_solver,
     register_backend,
-    reset_solve_counters,
-    set_solve_cache,
     solve_cache_key,
     solve_conic_problem,
     solve_conic_problems,
@@ -59,11 +50,6 @@ from .solver import (
 )
 
 __all__ = [
-    "ARRAY_BACKENDS",
-    "ArrayBackend",
-    "BackendUnavailableError",
-    "available_array_backends",
-    "resolve_array_backend",
     "ConeDims",
     "svec",
     "smat",
@@ -112,8 +98,6 @@ __all__ = [
     "solve_conic_problem",
     "solve_conic_problems",
     "solve_counters",
-    "reset_solve_counters",
-    "set_solve_cache",
     "get_solve_cache",
     "solve_cache_key",
     "canonical_solver_options",

@@ -21,14 +21,13 @@ feasibility problems.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
 
-from .backend import resolve_array_backend
+from .backend import NUMPY_BACKEND
 from .cones import project_onto_cone
 from .problem import ConicProblem
 from .result import SolveHistory, SolverResult, SolverStatus
@@ -99,38 +98,6 @@ class ADMMSettings:
     infeasibility_min_iteration: int = 300
     infeasibility_rel_change: float = 1e-3
     infeasibility_streak: int = 2
-    #: Array namespace of the iteration loop: ``"auto"`` (an accelerator when
-    #: one is usable, NumPy otherwise), ``"numpy"``, ``"cupy"`` or ``"torch"``.
-    #: Problems, warm starts and results stay NumPy; iterates live on the
-    #: selected backend and cross the boundary once per solve.
-    array_backend: str = "auto"
-    #: Asynchronous batch mode (:class:`~repro.sdp.batch.BatchADMMSolver`
-    #: only): converged/stalled problems retire from the stacked projection
-    #: immediately via active-set compaction, and residual/termination
-    #: bookkeeping runs every ``staleness_bound`` iterations instead of every
-    #: iteration — individual problems may therefore run up to
-    #: ``staleness_bound`` iterations past their synchronous stopping point
-    #: (bounded staleness), with statuses unchanged.
-    async_mode: bool = False
-    staleness_bound: int = 25
-
-
-# Positional construction predates the array-backend/async knobs; it still
-# works (the new fields sit at the end of the dataclass) but is fragile
-# against future growth, so steer callers to keywords.
-_ADMM_SETTINGS_INIT = ADMMSettings.__init__
-
-
-def _admm_settings_init(self, *args, **kwargs):
-    if args:
-        warnings.warn(
-            "positional ADMMSettings arguments are deprecated; pass settings "
-            "by keyword (ADMMSettings(max_iterations=..., rho=...))",
-            DeprecationWarning, stacklevel=2)
-    _ADMM_SETTINGS_INIT(self, *args, **kwargs)
-
-
-ADMMSettings.__init__ = _admm_settings_init
 
 
 class ADMMConicSolver:
@@ -168,7 +135,6 @@ class ADMMConicSolver:
         c = problem.c
         A = problem.A.tocsc()
         b = problem.b
-        xb = resolve_array_backend(settings.array_backend)
 
         rho = settings.rho
         # KKT matrix [[rho I, A^T], [A, -reg I]]; refactorised when rho changes.
@@ -176,7 +142,7 @@ class ADMMConicSolver:
             upper = sp.hstack([current_rho * sp.identity(n, format="csc"), A.T])
             lower = sp.hstack([A, -settings.kkt_regularization * sp.identity(m, format="csc")])
             kkt = sp.vstack([upper, lower]).tocsc()
-            return xb.kkt_factor(kkt)
+            return NUMPY_BACKEND.kkt_factor(kkt)
 
         try:
             lu = factorize(rho)
@@ -189,18 +155,16 @@ class ADMMConicSolver:
 
         initial = unpack_warm_start(warm_start, n)
         if initial is not None:
-            x, z, u = (xb.from_host(part) for part in initial)
+            x, z, u = initial
         else:
-            x = xb.zeros(n)
-            z = xb.zeros(n)
-            u = xb.zeros(n)
-        c_dev = xb.from_host(c)
-        b_dev = xb.from_host(b)
+            x = np.zeros(n)
+            z = np.zeros(n)
+            u = np.zeros(n)
         # Persistent right-hand-side buffer: the only per-iteration allocation
         # left on the x-update path is the triangular solve's own output.  The
         # lower block is the constant b, written once.
-        rhs = xb.empty(n + m)
-        rhs[n:] = b_dev
+        rhs = np.empty(n + m)
+        rhs[n:] = b
         history = SolveHistory()
         status = SolverStatus.MAX_ITERATIONS
         # Stall detection: track the best primal residual seen so far and when it
@@ -219,23 +183,23 @@ class ADMMConicSolver:
             rhs_x[:] = z
             rhs_x -= u
             rhs_x *= rho
-            rhs_x -= c_dev
+            rhs_x -= c
             sol = lu.solve(rhs)
             x = sol[:n]
             x_relaxed = alpha * x + (1.0 - alpha) * z
             z_prev = z
-            z = project_onto_cone(x_relaxed + u, dims, backend=xb)
+            z = project_onto_cone(x_relaxed + u, dims)
             u = u + x_relaxed - z
 
-            primal_residual = xb.vec_norm(x - z)
-            dual_residual = rho * xb.vec_norm(z - z_prev)
-            scale_primal = max(xb.vec_norm(x), xb.vec_norm(z), 1.0)
-            scale_dual = max(rho * xb.vec_norm(u), 1.0)
+            primal_residual = float(np.linalg.norm(x - z))
+            dual_residual = rho * float(np.linalg.norm(z - z_prev))
+            scale_primal = max(float(np.linalg.norm(x)), float(np.linalg.norm(z)), 1.0)
+            scale_dual = max(rho * float(np.linalg.norm(u)), 1.0)
             eps_primal = settings.eps_abs * sqrt_n + settings.eps_rel * scale_primal
             eps_dual = settings.eps_abs * sqrt_n + settings.eps_rel * scale_dual
 
             if iteration % settings.history_stride == 0 or iteration == 1:
-                history.record(primal_residual, dual_residual, xb.vec_dot(c_dev, x))
+                history.record(primal_residual, dual_residual, float(c @ x))
 
             if primal_residual < best_primal * settings.stall_improvement:
                 best_primal_at = iteration
@@ -282,12 +246,8 @@ class ADMMConicSolver:
                     lu = factorize(rho)
 
         # Report the cone-feasible iterate z (it satisfies the cone exactly and
-        # Ax = b approximately through x ≈ z); iterates cross back to the host
-        # exactly once, here at the ConicProblem boundary.
-        x_host = xb.to_host(x)
-        z_host = xb.to_host(z)
-        u_host = xb.to_host(u)
-        candidate = z_host
+        # Ax = b approximately through x ≈ z).
+        candidate = z
         equality_residual = original.equality_residual(candidate)
         violation = original.cone_violation(candidate)
         objective = original.objective_value(candidate)
@@ -300,7 +260,7 @@ class ADMMConicSolver:
             status=status,
             x=candidate,
             objective=objective,
-            primal_residual=float(np.linalg.norm(x_host - z_host)),
+            primal_residual=float(np.linalg.norm(x - z)),
             dual_residual=float(dual_residual),
             equality_residual=equality_residual,
             cone_violation=violation,
@@ -311,10 +271,8 @@ class ADMMConicSolver:
                 "history": history,
                 "scaled": scaling is not None,
                 "warm_started": initial is not None,
-                "array_backend": xb.name,
-                "iterations_per_second": iteration / max(solve_time, 1e-12),
-                "warm_start_data": {"x": x_host.copy(), "z": z_host.copy(),
-                                    "u": u_host.copy()},
+                "warm_start_data": {"x": x.copy(), "z": z.copy(),
+                                    "u": u.copy()},
             },
         )
         if settings.verbose:  # pragma: no cover - logging only

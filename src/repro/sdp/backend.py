@@ -1,523 +1,31 @@
-"""Pluggable array backends for the conic-solver hot loops.
+"""The dense and sparse factorisation kernels of the conic-solver hot loops.
 
-The ADMM inner loop is dominated by dense array work — stacked ``eigh`` cone
-projections, residual reductions, iterate updates — that is expressible in
-the Python array-API style against *any* conforming namespace.  An
-:class:`ArrayBackend` owns exactly that surface:
-
-* array creation (``zeros`` / ``empty`` / ``full`` / ``asarray``) on the
-  backend's device in float64,
-* device↔host transfer (``to_host`` / ``from_host``) at the
-  :class:`~repro.sdp.problem.ConicProblem` boundary — problems, warm starts
-  and results stay plain NumPy, iterates live on the device,
-* the batched symmetric eigendecomposition (``eigh``) behind the stacked
-  PSD projection,
-* per-problem reductions (``row_norms``) over ``(batch, n)`` iterate
-  blocks, and
-* the sparse KKT factorisation dispatch (``kkt_factor``).  Sparse LU stays
-  a SciPy/host concern on every backend today; non-NumPy backends pay one
-  device→host→device round trip per x-update while the projections and
-  residual work stay on the device.  (CuPy's ``cupyx`` sparse LU is used
-  when it is importable, keeping the whole loop on the GPU.)
-
-The NumPy implementation is the reference and always available; the CuPy and
-torch adapters are *discovered lazily* — importing this module never imports
-them — and selected through ``ADMMSettings.array_backend``:
-
-``"auto"``
-    CuPy with a usable GPU if importable, else torch with CUDA if
-    importable, else NumPy.  A CPU-only torch install is deliberately *not*
-    auto-selected (it benchmarks slower than NumPy on this workload); ask
-    for it explicitly with ``array_backend="torch"``.
-``"numpy"`` / ``"cupy"`` / ``"torch"``
-    That backend, or :class:`BackendUnavailableError` if its library is
-    missing.
-
-Backends are stateless singletons: ``resolve_array_backend`` returns the
-same instance per name, so index-table caches keyed on the backend are
-stable for the life of the process.
+Every stacked ``eigh`` of the PSD cone projection and every KKT
+factorisation of the ADMM and alternating-projection solvers goes through
+the one :data:`NUMPY_BACKEND` instance, so a profiler or a test can observe
+exactly those calls by wrapping the two :class:`NumpyBackend` methods.
 """
 
 from __future__ import annotations
-
-from typing import Dict, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-__all__ = [
-    "ArrayBackend",
-    "NumpyBackend",
-    "CupyBackend",
-    "TorchBackend",
-    "BackendUnavailableError",
-    "ARRAY_BACKENDS",
-    "available_array_backends",
-    "resolve_array_backend",
-]
-
-#: Names accepted by ``ADMMSettings.array_backend`` / ``--array-backend``.
-ARRAY_BACKENDS = ("auto", "numpy", "cupy", "torch")
+__all__ = ["NumpyBackend", "NUMPY_BACKEND"]
 
 
-class BackendUnavailableError(RuntimeError):
-    """Requested array backend cannot be used (library missing or no device)."""
+class NumpyBackend:
+    """LAPACK stacked ``eigh`` and SciPy SuperLU, the solvers' two kernels."""
 
-
-class ArrayBackend:
-    """Interface of one array namespace the solver hot loops run against.
-
-    Subclasses provide the primitive set below; everything else in the
-    iteration loops is ordinary arithmetic on the backend's arrays
-    (operators, slicing, boolean masks), which all supported namespaces
-    share.  ``to_host`` on small per-problem vectors is the designated way
-    to get control-flow decisions (convergence, retirement) back to Python.
-    """
-
-    #: Registry name ("numpy", "cupy", "torch").
-    name: str = "abstract"
-    #: True when arrays live off the host (transfers at the boundary are real).
-    device: bool = False
-
-    # -- creation / transfer -------------------------------------------------
-    def from_host(self, array: np.ndarray):
-        raise NotImplementedError
-
-    def index_from_host(self, array: np.ndarray):
-        """Transfer an integer index table (kept integral for fancy indexing)."""
-        raise NotImplementedError
-
-    def to_host(self, array) -> np.ndarray:
-        raise NotImplementedError
-
-    def copy(self, array):
-        """A fresh backend array with the same contents."""
-        raise NotImplementedError
-
-    def zeros(self, shape):
-        raise NotImplementedError
-
-    def empty(self, shape):
-        raise NotImplementedError
-
-    def full(self, shape, value: float):
-        raise NotImplementedError
-
-    # -- dense kernels -------------------------------------------------------
-    def eigh(self, matrices):
+    def eigh(self, matrices: np.ndarray):
         """Eigendecomposition of a stack of symmetric matrices."""
-        raise NotImplementedError
-
-    def clip_min(self, array, minimum: float):
-        """Elementwise ``max(array, minimum)``."""
-        raise NotImplementedError
-
-    def maximum(self, a, b):
-        raise NotImplementedError
-
-    def hypot(self, a, b):
-        raise NotImplementedError
-
-    def where(self, cond, a, b):
-        raise NotImplementedError
-
-    def sqrt(self, a):
-        raise NotImplementedError
-
-    def abs(self, a):
-        raise NotImplementedError
-
-    def row_norms(self, block) -> "np.ndarray":
-        """Euclidean norm of every row of a ``(batch, n)`` block (device array)."""
-        raise NotImplementedError
-
-    def row_dots(self, a, b):
-        """Per-row inner products of two ``(batch, n)`` blocks (device array)."""
-        raise NotImplementedError
-
-    def vec_norm(self, vector) -> float:
-        """Euclidean norm of a 1-D backend array, as a host float."""
-        raise NotImplementedError
-
-    def vec_dot(self, a, b) -> float:
-        """Inner product of two 1-D backend arrays, as a host float."""
-        raise NotImplementedError
-
-    # -- sparse dispatch -----------------------------------------------------
-    def kkt_factor(self, kkt: sp.spmatrix) -> "KKTFactorization":
-        """LU-factorise a (host, sparse) KKT matrix for repeated solves.
-
-        The returned factorisation's ``solve`` consumes and produces *backend*
-        arrays of shape ``(N,)`` or ``(N, nrhs)``; the implementation decides
-        where the triangular solves actually run.
-        """
-        raise NotImplementedError
-
-    def matvec(self, matrix: sp.spmatrix, vector):
-        """``matrix @ vector`` for a host sparse matrix and a backend vector."""
-        return self.from_host(matrix @ self.to_host(vector))
-
-    # ------------------------------------------------------------------
-    def describe(self) -> str:
-        return f"{self.name} (device={'yes' if self.device else 'host'})"
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging convenience
-        return f"ArrayBackend({self.name!r})"
-
-
-class KKTFactorization:
-    """A factorised KKT system: ``solve(rhs)`` on backend arrays."""
-
-    def solve(self, rhs):  # pragma: no cover - interface
-        raise NotImplementedError
-
-
-class _HostLU(KKTFactorization):
-    """SciPy ``splu`` wrapper that moves non-NumPy operands through the host."""
-
-    __slots__ = ("_lu", "_backend")
-
-    def __init__(self, lu, backend: ArrayBackend):
-        self._lu = lu
-        self._backend = backend
-
-    def solve(self, rhs):
-        host = self._backend.to_host(rhs)
-        solution = self._lu.solve(host)
-        return self._backend.from_host(solution)
-
-
-class NumpyBackend(ArrayBackend):
-    """The reference backend: host NumPy arrays, SciPy sparse LU."""
-
-    name = "numpy"
-    device = False
-
-    def from_host(self, array: np.ndarray):
-        return np.asarray(array, dtype=float)
-
-    def index_from_host(self, array: np.ndarray):
-        return np.asarray(array, dtype=np.int64)
-
-    def to_host(self, array) -> np.ndarray:
-        return np.asarray(array)
-
-    def copy(self, array):
-        return np.array(array, copy=True)
-
-    def zeros(self, shape):
-        return np.zeros(shape)
-
-    def empty(self, shape):
-        return np.empty(shape)
-
-    def full(self, shape, value: float):
-        return np.full(shape, float(value))
-
-    def eigh(self, matrices):
         return np.linalg.eigh(matrices)
 
-    def clip_min(self, array, minimum: float):
-        return np.clip(array, minimum, None)
+    def kkt_factor(self, kkt: sp.spmatrix) -> spla.SuperLU:
+        """LU-factorise a sparse KKT matrix; ``solve(rhs)`` on the result."""
+        return spla.splu(kkt.tocsc())
 
-    def maximum(self, a, b):
-        return np.maximum(a, b)
 
-    def hypot(self, a, b):
-        return np.hypot(a, b)
-
-    def where(self, cond, a, b):
-        return np.where(cond, a, b)
-
-    def sqrt(self, a):
-        return np.sqrt(a)
-
-    def abs(self, a):
-        return np.abs(a)
-
-    def row_norms(self, block) -> np.ndarray:
-        # einsum: one fused multiply-reduce pass, less dispatch than
-        # norm(axis=1) and no (batch, n) temporary.
-        return np.sqrt(np.einsum("ij,ij->i", block, block))
-
-    def row_dots(self, a, b):
-        return np.einsum("ij,ij->i", a, b)
-
-    def vec_norm(self, vector) -> float:
-        return float(np.linalg.norm(vector))
-
-    def vec_dot(self, a, b) -> float:
-        return float(a @ b)
-
-    def kkt_factor(self, kkt: sp.spmatrix) -> KKTFactorization:
-        class _Direct(KKTFactorization):
-            __slots__ = ("_lu",)
-
-            def __init__(self, lu):
-                self._lu = lu
-
-            def solve(self, rhs):
-                return self._lu.solve(np.asarray(rhs))
-
-        return _Direct(spla.splu(kkt.tocsc()))
-
-    def matvec(self, matrix: sp.spmatrix, vector):
-        return matrix @ vector
-
-
-class CupyBackend(ArrayBackend):
-    """CuPy adapter: iterates and projections on the GPU.
-
-    The KKT solve uses ``cupyx.scipy.sparse.linalg.splu`` when available so
-    the whole iteration stays on the device; otherwise it round-trips
-    through SciPy on the host.
-    """
-
-    name = "cupy"
-    device = True
-
-    def __init__(self):
-        try:
-            import cupy  # noqa: PLC0415 - lazy adapter import
-        except ImportError as exc:  # pragma: no cover - depends on environment
-            raise BackendUnavailableError(
-                "array_backend='cupy' requested but cupy is not importable"
-            ) from exc
-        try:
-            ndev = cupy.cuda.runtime.getDeviceCount()
-        except Exception as exc:  # pragma: no cover - no driver / no GPU
-            raise BackendUnavailableError(
-                f"cupy is installed but no CUDA device is usable: {exc}"
-            ) from exc
-        if ndev <= 0:  # pragma: no cover - no GPU
-            raise BackendUnavailableError("cupy is installed but found no CUDA device")
-        self._cp = cupy
-        try:  # pragma: no cover - depends on environment
-            from cupyx.scipy.sparse import csc_matrix as cp_csc
-            from cupyx.scipy.sparse.linalg import splu as cp_splu
-            self._cp_csc, self._cp_splu = cp_csc, cp_splu
-        except Exception:  # pragma: no cover
-            self._cp_csc = self._cp_splu = None
-
-    # pragma-free simple delegations; exercised only when a GPU is present.
-    def from_host(self, array):  # pragma: no cover - needs GPU
-        return self._cp.asarray(np.asarray(array, dtype=float))
-
-    def index_from_host(self, array):  # pragma: no cover - needs GPU
-        return self._cp.asarray(np.asarray(array, dtype=np.int64))
-
-    def to_host(self, array):  # pragma: no cover - needs GPU
-        return self._cp.asnumpy(array)
-
-    def copy(self, array):  # pragma: no cover - needs GPU
-        return array.copy()
-
-    def zeros(self, shape):  # pragma: no cover - needs GPU
-        return self._cp.zeros(shape, dtype=self._cp.float64)
-
-    def empty(self, shape):  # pragma: no cover - needs GPU
-        return self._cp.empty(shape, dtype=self._cp.float64)
-
-    def full(self, shape, value):  # pragma: no cover - needs GPU
-        return self._cp.full(shape, float(value), dtype=self._cp.float64)
-
-    def eigh(self, matrices):  # pragma: no cover - needs GPU
-        return self._cp.linalg.eigh(matrices)
-
-    def clip_min(self, array, minimum):  # pragma: no cover - needs GPU
-        return self._cp.clip(array, minimum, None)
-
-    def maximum(self, a, b):  # pragma: no cover - needs GPU
-        return self._cp.maximum(a, b)
-
-    def hypot(self, a, b):  # pragma: no cover - needs GPU
-        return self._cp.hypot(a, b)
-
-    def where(self, cond, a, b):  # pragma: no cover - needs GPU
-        return self._cp.where(cond, a, b)
-
-    def sqrt(self, a):  # pragma: no cover - needs GPU
-        return self._cp.sqrt(a)
-
-    def abs(self, a):  # pragma: no cover - needs GPU
-        return self._cp.abs(a)
-
-    def row_norms(self, block):  # pragma: no cover - needs GPU
-        return self._cp.sqrt(self._cp.einsum("ij,ij->i", block, block))
-
-    def row_dots(self, a, b):  # pragma: no cover - needs GPU
-        return self._cp.einsum("ij,ij->i", a, b)
-
-    def vec_norm(self, vector):  # pragma: no cover - needs GPU
-        return float(self._cp.linalg.norm(vector))
-
-    def vec_dot(self, a, b):  # pragma: no cover - needs GPU
-        return float(a @ b)
-
-    def kkt_factor(self, kkt):  # pragma: no cover - needs GPU
-        if self._cp_splu is not None:
-            try:
-                return _CupyLU(self._cp_splu(self._cp_csc(kkt.tocsc())))
-            except Exception:
-                pass  # singular-structure corner cases: fall back to host LU
-        return _HostLU(spla.splu(kkt.tocsc()), self)
-
-
-class _CupyLU(KKTFactorization):  # pragma: no cover - needs GPU
-    __slots__ = ("_lu",)
-
-    def __init__(self, lu):
-        self._lu = lu
-
-    def solve(self, rhs):
-        return self._lu.solve(rhs)
-
-
-class TorchBackend(ArrayBackend):
-    """Torch adapter (float64): CUDA when available, CPU tensors otherwise.
-
-    On CPU this mostly measures torch's dispatch overhead against NumPy —
-    useful for parity testing (the ``backend-matrix`` CI job) — while CUDA
-    moves the stacked projections and residual work onto the GPU.
-    """
-
-    name = "torch"
-    device = True
-
-    def __init__(self):
-        try:
-            import torch  # noqa: PLC0415 - lazy adapter import
-        except ImportError as exc:
-            raise BackendUnavailableError(
-                "array_backend='torch' requested but torch is not importable"
-            ) from exc
-        self._torch = torch
-        self._device = torch.device("cuda") if torch.cuda.is_available() \
-            else torch.device("cpu")
-        self.device = self._device.type != "cpu"
-
-    def from_host(self, array):
-        host = np.ascontiguousarray(np.asarray(array, dtype=np.float64))
-        return self._torch.from_numpy(host).to(self._device)
-
-    def index_from_host(self, array):
-        host = np.ascontiguousarray(np.asarray(array, dtype=np.int64))
-        return self._torch.from_numpy(host).to(self._device)
-
-    def to_host(self, array):
-        return array.detach().cpu().numpy()
-
-    def copy(self, array):
-        return array.clone()
-
-    def zeros(self, shape):
-        return self._torch.zeros(shape, dtype=self._torch.float64,
-                                 device=self._device)
-
-    def empty(self, shape):
-        return self._torch.empty(shape, dtype=self._torch.float64,
-                                 device=self._device)
-
-    def full(self, shape, value):
-        return self._torch.full(shape, float(value), dtype=self._torch.float64,
-                                device=self._device)
-
-    def eigh(self, matrices):
-        return self._torch.linalg.eigh(matrices)
-
-    def clip_min(self, array, minimum):
-        return self._torch.clamp_min(array, minimum)
-
-    def maximum(self, a, b):
-        if not self._torch.is_tensor(b):
-            b = self._torch.as_tensor(b, dtype=a.dtype, device=a.device)
-        return self._torch.maximum(a, b)
-
-    def hypot(self, a, b):
-        return self._torch.hypot(a, b)
-
-    def where(self, cond, a, b):
-        if not self._torch.is_tensor(a):
-            a = self._torch.as_tensor(a, dtype=self._torch.float64,
-                                      device=self._device)
-        if not self._torch.is_tensor(b):
-            b = self._torch.as_tensor(b, dtype=self._torch.float64,
-                                      device=self._device)
-        return self._torch.where(cond, a, b)
-
-    def sqrt(self, a):
-        return self._torch.sqrt(a)
-
-    def abs(self, a):
-        return self._torch.abs(a)
-
-    def row_norms(self, block):
-        return self._torch.sqrt(self._torch.einsum("ij,ij->i", block, block))
-
-    def row_dots(self, a, b):
-        return self._torch.einsum("ij,ij->i", a, b)
-
-    def vec_norm(self, vector) -> float:
-        return float(self._torch.linalg.vector_norm(vector))
-
-    def vec_dot(self, a, b) -> float:
-        return float(self._torch.dot(a, b))
-
-    def kkt_factor(self, kkt):
-        return _HostLU(spla.splu(kkt.tocsc()), self)
-
-
-# ----------------------------------------------------------------------
-_INSTANCES: Dict[str, ArrayBackend] = {}
-
-
-def _instantiate(name: str) -> ArrayBackend:
-    if name == "numpy":
-        return NumpyBackend()
-    if name == "cupy":
-        return CupyBackend()
-    if name == "torch":
-        return TorchBackend()
-    raise KeyError(
-        f"unknown array backend {name!r}; expected one of {ARRAY_BACKENDS}")
-
-
-def resolve_array_backend(name: Optional[str] = None) -> ArrayBackend:
-    """The singleton backend for ``name`` (``None`` / ``"auto"`` resolve).
-
-    ``"auto"`` prefers an accelerator when one is actually usable and falls
-    back to NumPy otherwise, so the default configuration is always safe.
-    Raises :class:`BackendUnavailableError` for an explicit backend whose
-    library (or device) is missing, and ``KeyError`` for an unknown name.
-    """
-    name = (name or "auto").lower()
-    if name not in ARRAY_BACKENDS:
-        raise KeyError(
-            f"unknown array backend {name!r}; expected one of {ARRAY_BACKENDS}")
-    if name == "auto":
-        for candidate in ("cupy", "torch"):
-            try:
-                backend = resolve_array_backend(candidate)
-            except BackendUnavailableError:
-                continue
-            if backend.device:  # only auto-pick real accelerators
-                return backend
-        return resolve_array_backend("numpy")
-    backend = _INSTANCES.get(name)
-    if backend is None:
-        backend = _instantiate(name)
-        _INSTANCES[name] = backend
-    return backend
-
-
-def available_array_backends() -> Tuple[str, ...]:
-    """The backend names usable in this process (always includes numpy)."""
-    names = []
-    for name in ("numpy", "cupy", "torch"):
-        try:
-            resolve_array_backend(name)
-        except BackendUnavailableError:
-            continue
-        names.append(name)
-    return tuple(names)
+#: The instance every solver loop calls through.
+NUMPY_BACKEND = NumpyBackend()

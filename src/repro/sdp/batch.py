@@ -8,11 +8,7 @@ the per-iteration Python and LAPACK dispatch overhead ``B`` times over.
 :class:`BatchADMMSolver` advances all ``B`` problems through the same
 operator-splitting iteration as :class:`~repro.sdp.admm.ADMMConicSolver`:
 
-* the iterates live in ``(B, n)`` row-contiguous arrays on the configured
-  :class:`~repro.sdp.backend.ArrayBackend` (``ADMMSettings.array_backend``),
-  so each problem's row is contiguous and the identical loop runs on NumPy,
-  CuPy or torch tensors; problems and results stay NumPy and cross the
-  device boundary once per batch;
+* the iterates live in ``(B, n)`` row-contiguous arrays, one problem per row;
 * the x-update is one sparse solve for the whole active set: when all active
   problems share the same ``A`` and ``rho`` (parameter sweeps in ``b``) a
   single cached ``splu`` factorisation handles the batch as a multi-RHS
@@ -22,25 +18,8 @@ operator-splitting iteration as :class:`~repro.sdp.admm.ADMMConicSolver`:
 * the z-update projects all PSD blocks of all problems through one stacked
   ``eigh`` (:func:`~repro.sdp.cones.project_onto_cone_many`);
 * residuals, tolerances, stall detection and adaptive-``rho`` updates are
-  vectorised per problem.
-
-Two scheduling modes decide what happens when problems finish early:
-
-**Synchronous** (default): every iteration gathers the active columns out of
-the full batch state, checks every termination criterion, and drops finished
-problems from the active index — the schedule every existing test pins.
-
-**Asynchronous bounded-staleness** (``ADMMSettings.async_mode``): the state
-is *physically compacted* to the live problems, so retired rows cost nothing
-at all (no gather/scatter traffic over dead state), and the termination
-bookkeeping — residual reductions, convergence/infeasibility/stall checks,
-history snapshots — runs every ``staleness_bound`` iterations instead of
-every iteration.  Between checks the per-problem epochs advance freely, so a
-problem may run up to ``staleness_bound`` iterations past its synchronous
-stopping point before it retires (bounded staleness in the sense of the
-asynchronous approximate distributed ADMM analyses); statuses are unchanged
-because every retirement decision evaluates the same criteria on the same
-residual definitions.
+  vectorised per problem, and finished problems leave the active set while
+  their state rows keep their last iterate.
 
 There is **no cross-problem coupling**: each problem follows exactly the
 iteration it would follow in a standalone :class:`ADMMConicSolver.solve`, so
@@ -58,7 +37,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .admm import ADMMConicSolver, ADMMSettings, WarmStart, unpack_warm_start
-from .backend import resolve_array_backend
+from .backend import NUMPY_BACKEND
 from .cones import project_onto_cone_many
 from .problem import ConicProblem
 from .result import SolveHistory, SolverResult, SolverStatus
@@ -81,16 +60,11 @@ def _block_diag_csc(blocks: List[sp.csc_matrix], size: int) -> sp.csc_matrix:
     return sp.csc_matrix((data, indices, indptr), shape=(total, total))
 
 
-def _due(iteration: int, last: int, interval: int) -> bool:
-    """Has a multiple of ``interval`` passed since the event at ``last``?
-
-    The async loop only looks at the world every ``staleness_bound``
-    iterations; interval-based events (adaptive rho, plateau snapshots) fire
-    on the first check at-or-after each multiple of their interval, which
-    coincides with the synchronous schedule whenever ``staleness_bound``
-    divides the interval (the default 25 divides 100).
-    """
-    return (iteration // interval) > (last // interval)
+def row_norms(block: np.ndarray) -> np.ndarray:
+    """Euclidean norm of every row of a ``(batch, n)`` block."""
+    # einsum: one fused multiply-reduce pass, less dispatch than
+    # norm(axis=1) and no (batch, n) temporary.
+    return np.sqrt(np.einsum("ij,ij->i", block, block))
 
 
 class BatchADMMSolver:
@@ -156,8 +130,6 @@ class BatchADMMSolver:
         if any(entry[2].num_constraints != m for entry in prepped[1:]):
             return self._solve_serial(problems, warm_starts)
 
-        xb = resolve_array_backend(settings.array_backend)
-
         # Deduplicate coefficient matrices: problems differing only in b (or
         # in nothing) share one KKT factorisation and one multi-RHS solve.
         batch = len(prepped)
@@ -191,26 +163,25 @@ class BatchADMMSolver:
             cache_key = (group, rho_value)
             lu = lu_cache.get(cache_key)
             if lu is None:
-                lu = xb.kkt_factor(kkt_block(group, rho_value))
+                lu = NUMPY_BACKEND.kkt_factor(kkt_block(group, rho_value))
                 lu_cache[cache_key] = lu
             return lu
 
         def build_epoch(cols: np.ndarray):
-            """LU + workspace for the problems in ``cols``.
+            """``(lu, shared)`` for the problems in ``cols``.
 
-            Returns ``(lu, shared, failed_cols)``: ``lu`` is ``None`` exactly
-            when some per-problem factorisation failed (``failed_cols``) or
-            when only the assembled block-diagonal failed (empty
-            ``failed_cols`` — the caller falls back to serial solves).
+            ``lu`` is ``None`` when a factorisation failed: the per-problem
+            culprits are then recorded in ``numerical_failures``, and when
+            every per-problem KKT is healthy only the assembled block-diagonal
+            failed (the caller falls back to serial solves).
             """
             groups_rhos = [(int(group_of[col]), float(rho[col])) for col in cols]
             shared = len(set(groups_rhos)) == 1
-            failed: List[int] = []
             try:
                 if shared:
-                    return get_lu(*groups_rhos[0]), True, failed
-                return xb.kkt_factor(_block_diag_csc(
-                    [kkt_block(g, r) for g, r in groups_rhos], n + m)), False, failed
+                    return get_lu(*groups_rhos[0]), True
+                return NUMPY_BACKEND.kkt_factor(_block_diag_csc(
+                    [kkt_block(g, r) for g, r in groups_rhos], n + m)), False
             except RuntimeError:  # pragma: no cover - singular KKT
                 for col, (g, r) in zip(cols, groups_rhos):
                     try:
@@ -219,31 +190,23 @@ class BatchADMMSolver:
                         numerical_failures[int(col)] = \
                             f"KKT factorization failed: {exc}"
                         statuses[int(col)] = SolverStatus.NUMERICAL_ERROR
-                return None, shared, failed
+                return None, shared
 
-        # Row-contiguous (B, n) state on the backend's device; each problem is
-        # one row.  Problems/warm starts are host NumPy and cross over here.
-        C_host = np.zeros((batch, n))
-        B_host = np.zeros((batch, m))
-        X_host = np.zeros((batch, n))
-        Z_host = np.zeros((batch, n))
-        U_host = np.zeros((batch, n))
+        # Row-contiguous (B, n) state; each problem is one row.
+        C = np.zeros((batch, n))
+        B = np.zeros((batch, m))
+        X = np.zeros((batch, n))
+        Z = np.zeros((batch, n))
+        U = np.zeros((batch, n))
         warm_flags = np.zeros(batch, dtype=bool)
         for col, (i, _, scaled, _) in enumerate(prepped):
-            C_host[col] = scaled.c
-            B_host[col] = scaled.b
+            C[col] = scaled.c
+            B[col] = scaled.b
             initial = unpack_warm_start(warm_starts[i], n)
             if initial is not None:
-                X_host[col], Z_host[col], U_host[col] = initial
+                X[col], Z[col], U[col] = initial
                 warm_flags[col] = True
-        C_dev = xb.from_host(C_host)
-        B_dev = xb.from_host(B_host)
-        X = xb.from_host(X_host)
-        Z = xb.from_host(Z_host)
-        U = xb.from_host(U_host)
 
-        # Per-problem termination bookkeeping stays on the host: these are
-        # (B,)-sized vectors driving Python-level control flow.
         rho = np.full(batch, float(settings.rho))
         alpha = settings.over_relaxation
         sqrt_n = float(np.sqrt(n))
@@ -251,109 +214,37 @@ class BatchADMMSolver:
         best_primal_at = np.zeros(batch, dtype=np.int64)
         primal_snapshot = np.full(batch, np.inf)
         frozen_streak = np.zeros(batch, dtype=np.int64)
-        last_primal = np.full(batch, np.nan)
         last_dual = np.full(batch, np.nan)
         statuses: List[SolverStatus] = [SolverStatus.MAX_ITERATIONS] * batch
         final_iteration = np.full(batch, settings.max_iterations, dtype=np.int64)
         histories = [SolveHistory() for _ in range(batch)]
         numerical_failures: Dict[int, str] = {}
 
-        shared = _SharedLoopState(
-            xb=xb, settings=settings, dims=dims, n=n, m=m, batch=batch,
-            build_epoch=build_epoch, rho=rho, alpha=alpha, sqrt_n=sqrt_n,
-            best_primal=best_primal, best_primal_at=best_primal_at,
-            primal_snapshot=primal_snapshot, frozen_streak=frozen_streak,
-            last_primal=last_primal, last_dual=last_dual, statuses=statuses,
-            final_iteration=final_iteration, histories=histories,
-            numerical_failures=numerical_failures,
-        )
-        if settings.async_mode:
-            finals = self._run_async(shared, C_dev, B_dev, X, Z, U)
-        else:
-            finals = self._run_sync(shared, C_dev, B_dev, X, Z, U)
-        if finals is None:
-            # An assembled block-diagonal factorisation failed even though
-            # every per-problem KKT is healthy: preserve the per-problem
-            # parity guarantee by solving serially.
-            return self._solve_serial(problems, warm_starts)  # pragma: no cover
-        X_fin, Z_fin, U_fin, work = finals
-
-        elapsed = time.perf_counter() - start
-        for col, (i, original, _, scaling) in enumerate(prepped):
-            if col in numerical_failures:
-                results[i] = SolverResult(
-                    status=SolverStatus.NUMERICAL_ERROR,
-                    info={"reason": numerical_failures[col]},
-                    solve_time=elapsed,
-                )
-                continue
-            candidate = Z_fin[col].copy()
-            status = statuses[col]
-            if status == SolverStatus.OPTIMAL and np.allclose(original.c, 0.0):
-                status = SolverStatus.FEASIBLE
-            results[i] = SolverResult(
-                status=status,
-                x=candidate,
-                objective=original.objective_value(candidate),
-                primal_residual=float(np.linalg.norm(X_fin[col] - Z_fin[col])),
-                dual_residual=float(last_dual[col]),
-                equality_residual=original.equality_residual(candidate),
-                cone_violation=original.cone_violation(candidate),
-                iterations=int(final_iteration[col]),
-                solve_time=elapsed,
-                info={
-                    "rho_final": float(rho[col]),
-                    "history": histories[col],
-                    "scaled": scaling is not None,
-                    "warm_started": bool(warm_flags[col]),
-                    "warm_start_data": {"x": X_fin[col].copy(), "z": candidate.copy(),
-                                        "u": U_fin[col].copy()},
-                    "batch_size": batch,
-                    "batch_index": col,
-                    "batch_wall_time": elapsed,
-                    "array_backend": xb.name,
-                    "async_mode": settings.async_mode,
-                    "batch_iterations_per_second": work / max(elapsed, 1e-12),
-                },
-            )
-            if settings.verbose:  # pragma: no cover - logging only
-                print(f"[batch-admm {col + 1}/{batch}] {results[i].summary()}")
-        return results  # type: ignore[return-value]
-
-    # ------------------------------------------------------------------
-    def _run_sync(self, s: "_SharedLoopState", C_dev, B_dev, X, Z, U):
-        """The synchronous schedule: masked gathers over the full batch state.
-
-        Checks every termination criterion every iteration; finished problems
-        leave the active index but their state rows stay in place (their last
-        iterate is the final answer).  This is numerically identical to the
-        historical column-major implementation — the state layout is the
-        transpose of the same memory, and every arithmetic expression keeps
-        its evaluation order.
-        """
-        xb, settings = s.xb, s.settings
-        n, m = s.n, s.m
-        active = np.arange(s.batch)
+        # Every termination criterion is checked every iteration; finished
+        # problems leave the active index but their state rows stay in place
+        # (their last iterate is the final answer).
+        active = np.arange(batch)
         epoch_key: Optional[tuple] = None
         epoch_lu = None
         epoch_shared = False
-        act_dev = rho_dev = C_act = W = None
-        work = 0
+        rho_act = C_act = W = None
 
         for iteration in range(1, settings.max_iterations + 1):
             if active.size == 0:
                 break
 
             # x-update: one sparse solve for the whole active set.
-            current_key = (active.tobytes(), s.rho[active].tobytes())
+            current_key = (active.tobytes(), rho[active].tobytes())
             if current_key != epoch_key:
-                epoch_lu, epoch_shared, _ = s.build_epoch(active)
+                epoch_lu, epoch_shared = build_epoch(active)
                 if epoch_lu is None:
-                    failed = [c for c in active if c in s.numerical_failures]
+                    failed = [c for c in active if c in numerical_failures]
                     if not failed:  # pragma: no cover - block-diag-only failure
-                        return None
+                        # Every per-problem KKT is healthy: preserve the
+                        # per-problem parity guarantee by solving serially.
+                        return self._solve_serial(problems, warm_starts)
                     for col in failed:
-                        s.final_iteration[col] = iteration
+                        final_iteration[col] = iteration
                     active = active[~np.isin(active, failed)]
                     epoch_key = None
                     if active.size == 0:
@@ -361,50 +252,43 @@ class BatchADMMSolver:
                     continue
                 epoch_key = current_key
                 k = active.size
-                act_dev = xb.index_from_host(active)
-                rho_dev = xb.from_host(s.rho[active][:, None])
-                C_act = C_dev[act_dev]
-                W = xb.empty((k, n + m))
-                W[:, n:] = B_dev[act_dev]
+                rho_act = rho[active][:, None]
+                C_act = C[active]
+                W = np.empty((k, n + m))
+                W[:, n:] = B[active]
             k = active.size
-            work += k
-            W[:, :n] = rho_dev * (Z[act_dev] - U[act_dev]) - C_act
+            W[:, :n] = rho_act * (Z[active] - U[active]) - C_act
             if epoch_shared:
                 x_act = epoch_lu.solve(W.T)[:n].T
             else:
                 sol = epoch_lu.solve(W.reshape(-1))
                 x_act = sol.reshape((k, n + m))[:, :n]
-            X[act_dev] = x_act
+            X[active] = x_act
 
             act = active
-            z_prev = Z[act_dev]
-            x_relaxed = alpha_combine(s.alpha, x_act, z_prev)
-            z_new = project_onto_cone_many(x_relaxed + U[act_dev], s.dims,
-                                           backend=xb)
-            Z[act_dev] = z_new
-            U[act_dev] = U[act_dev] + x_relaxed - z_new
+            z_prev = Z[act]
+            x_relaxed = alpha * x_act + (1.0 - alpha) * z_prev
+            z_new = project_onto_cone_many(x_relaxed + U[act], dims)
+            Z[act] = z_new
+            U[act] = U[act] + x_relaxed - z_new
 
-            primal = xb.to_host(xb.row_norms(x_act - z_new))
-            dual = s.rho[act] * xb.to_host(xb.row_norms(z_new - z_prev))
-            scale_primal = np.maximum(np.maximum(
-                xb.to_host(xb.row_norms(x_act)),
-                xb.to_host(xb.row_norms(z_new))), 1.0)
-            scale_dual = np.maximum(
-                s.rho[act] * xb.to_host(xb.row_norms(U[act_dev])), 1.0)
-            eps_primal = settings.eps_abs * s.sqrt_n + settings.eps_rel * scale_primal
-            eps_dual = settings.eps_abs * s.sqrt_n + settings.eps_rel * scale_dual
-            s.last_primal[act] = primal
-            s.last_dual[act] = dual
+            primal = row_norms(x_act - z_new)
+            dual = rho[act] * row_norms(z_new - z_prev)
+            scale_primal = np.maximum(np.maximum(row_norms(x_act), row_norms(z_new)), 1.0)
+            scale_dual = np.maximum(rho[act] * row_norms(U[act]), 1.0)
+            eps_primal = settings.eps_abs * sqrt_n + settings.eps_rel * scale_primal
+            eps_dual = settings.eps_abs * sqrt_n + settings.eps_rel * scale_dual
+            last_dual[act] = dual
 
             if iteration % settings.history_stride == 0 or iteration == 1:
-                objectives = xb.to_host(xb.row_dots(C_act, x_act))
+                objectives = np.einsum("ij,ij->i", C_act, x_act)
                 for position, col in enumerate(act):
-                    s.histories[col].record(primal[position], dual[position],
-                                            float(objectives[position]))
+                    histories[col].record(primal[position], dual[position],
+                                          float(objectives[position]))
 
-            improved = primal < s.best_primal[act] * settings.stall_improvement
-            s.best_primal_at[act[improved]] = iteration
-            s.best_primal[act] = np.minimum(s.best_primal[act], primal)
+            improved = primal < best_primal[act] * settings.stall_improvement
+            best_primal_at[act[improved]] = iteration
+            best_primal[act] = np.minimum(best_primal[act], primal)
 
             converged = (primal <= eps_primal) & (dual <= eps_dual)
 
@@ -416,24 +300,24 @@ class BatchADMMSolver:
                     iteration % settings.infeasibility_interval == 0:
                 if iteration >= settings.infeasibility_min_iteration:
                     frozen = (primal > 100.0 * eps_primal) & (dual < primal) \
-                        & (np.abs(primal - s.primal_snapshot[act])
+                        & (np.abs(primal - primal_snapshot[act])
                            <= settings.infeasibility_rel_change * primal)
-                    s.frozen_streak[act] = np.where(frozen, s.frozen_streak[act] + 1, 0)
+                    frozen_streak[act] = np.where(frozen, frozen_streak[act] + 1, 0)
                 else:
-                    s.frozen_streak[act] = 0
-                s.primal_snapshot[act] = primal
+                    frozen_streak[act] = 0
+                primal_snapshot[act] = primal
                 frozen_fire = (~converged) & \
-                    (s.frozen_streak[act] >= settings.infeasibility_streak)
+                    (frozen_streak[act] >= settings.infeasibility_streak)
 
             stalled = (~converged) & (~frozen_fire) \
-                & ((iteration - s.best_primal_at[act]) > settings.stall_window) \
+                & ((iteration - best_primal_at[act]) > settings.stall_window) \
                 & (primal > 100.0 * eps_primal)
             for col in act[converged]:
-                s.statuses[col] = SolverStatus.OPTIMAL
-                s.final_iteration[col] = iteration
+                statuses[col] = SolverStatus.OPTIMAL
+                final_iteration[col] = iteration
             for col in act[frozen_fire | stalled]:
-                s.statuses[col] = SolverStatus.INFEASIBLE_SUSPECTED
-                s.final_iteration[col] = iteration
+                statuses[col] = SolverStatus.INFEASIBLE_SUSPECTED
+                final_iteration[col] = iteration
             keep = ~(converged | frozen_fire | stalled)
             active = act[keep]
 
@@ -441,203 +325,53 @@ class BatchADMMSolver:
                     and active.size:
                 primal_keep = primal[keep]
                 dual_keep = dual[keep]
-                raise_rho = (primal_keep > 10.0 * dual_keep) & (s.rho[active] < 1e6)
+                raise_rho = (primal_keep > 10.0 * dual_keep) & (rho[active] < 1e6)
                 lower_rho = (~raise_rho) & (dual_keep > 10.0 * primal_keep) \
-                    & (s.rho[active] > 1e-6)
+                    & (rho[active] > 1e-6)
                 cols_up = active[raise_rho]
                 if cols_up.size:
-                    s.rho[cols_up] *= 2.0
-                    up_dev = xb.index_from_host(cols_up)
-                    U[up_dev] = U[up_dev] / 2.0
+                    rho[cols_up] *= 2.0
+                    U[cols_up] = U[cols_up] / 2.0
                 cols_down = active[lower_rho]
                 if cols_down.size:
-                    s.rho[cols_down] /= 2.0
-                    down_dev = xb.index_from_host(cols_down)
-                    U[down_dev] = U[down_dev] * 2.0
+                    rho[cols_down] /= 2.0
+                    U[cols_down] = U[cols_down] * 2.0
 
-        return xb.to_host(X), xb.to_host(Z), xb.to_host(U), work
-
-    # ------------------------------------------------------------------
-    def _run_async(self, s: "_SharedLoopState", C_dev, B_dev, X, Z, U):
-        """The asynchronous bounded-staleness schedule.
-
-        The live problems are *compacted* into dense state blocks (no masked
-        gathers over retired rows), and every reduction that exists only to
-        decide termination runs once per ``staleness_bound`` iterations.
-        Between checks the update sweeps are pure: two in-place triads, one
-        multi-RHS back-substitution and one stacked projection — per-iteration
-        allocations on the NumPy path are just the two solver outputs.
-        """
-        xb, settings = s.xb, s.settings
-        n, m = s.n, s.m
-        stride = max(1, int(settings.staleness_bound))
-        idx = np.arange(s.batch)  # compacted row -> original problem column
-        X_fin = np.zeros((s.batch, n))
-        Z_fin = np.zeros((s.batch, n))
-        U_fin = np.zeros((s.batch, n))
-        dirty = True
-        epoch_lu = None
-        epoch_shared = False
-        rho_dev = W = XR = ZB = None
-        last_infeas = 0
-        last_rho = 0
-        work = 0
-        iteration = 0
-
-        while iteration < settings.max_iterations and idx.size:
-            iteration += 1
-            if dirty:
-                epoch_lu, epoch_shared, _ = s.build_epoch(idx)
-                if epoch_lu is None:
-                    failed_mask = np.asarray(
-                        [int(col) in s.numerical_failures for col in idx])
-                    if not failed_mask.any():  # pragma: no cover
-                        return None
-                    s.final_iteration[idx[failed_mask]] = iteration
-                    keep_dev = xb.index_from_host(np.flatnonzero(~failed_mask))
-                    X, Z, U = X[keep_dev], Z[keep_dev], U[keep_dev]
-                    C_dev, B_dev = C_dev[keep_dev], B_dev[keep_dev]
-                    idx = idx[~failed_mask]
-                    iteration -= 1  # nothing advanced this pass
-                    continue
-                k = idx.size
-                rho_dev = xb.from_host(s.rho[idx][:, None])
-                W = xb.empty((k, n + m))
-                W[:, n:] = B_dev
-                XR = xb.empty((k, n))
-                ZB = xb.empty((k, n))
-                dirty = False
-            k = idx.size
-            work += k
-            check = iteration % stride == 0 or iteration == settings.max_iterations
-
-            Wx = W[:, :n]
-            Wx[:] = Z
-            Wx -= U
-            Wx *= rho_dev
-            Wx -= C_dev
-            if epoch_shared:
-                X = epoch_lu.solve(W.T)[:n].T
-            else:
-                X = epoch_lu.solve(W.reshape(-1)).reshape((k, n + m))[:, :n]
-            XR[:] = X
-            XR *= s.alpha
-            ZB[:] = Z
-            ZB *= (1.0 - s.alpha)
-            XR += ZB  # XR = alpha * x + (1 - alpha) * z
-            ZB[:] = XR
-            ZB += U
-            z_new = project_onto_cone_many(ZB, s.dims, backend=xb)
-            U += XR
-            U -= z_new
-            z_prev, Z = Z, z_new
-
-            if not check:
+        elapsed = time.perf_counter() - start
+        for col, (i, original, _, scaling) in enumerate(prepped):
+            if col in numerical_failures:
+                results[i] = SolverResult(
+                    status=SolverStatus.NUMERICAL_ERROR,
+                    info={"reason": numerical_failures[col]},
+                    solve_time=elapsed,
+                )
                 continue
-
-            primal = xb.to_host(xb.row_norms(X - Z))
-            dual = s.rho[idx] * xb.to_host(xb.row_norms(Z - z_prev))
-            scale_primal = np.maximum(np.maximum(
-                xb.to_host(xb.row_norms(X)), xb.to_host(xb.row_norms(Z))), 1.0)
-            scale_dual = np.maximum(s.rho[idx] * xb.to_host(xb.row_norms(U)), 1.0)
-            eps_primal = settings.eps_abs * s.sqrt_n + settings.eps_rel * scale_primal
-            eps_dual = settings.eps_abs * s.sqrt_n + settings.eps_rel * scale_dual
-            s.last_primal[idx] = primal
-            s.last_dual[idx] = dual
-
-            objectives = xb.to_host(xb.row_dots(C_dev, X))
-            for position, col in enumerate(idx):
-                s.histories[col].record(primal[position], dual[position],
-                                        float(objectives[position]))
-
-            improved = primal < s.best_primal[idx] * settings.stall_improvement
-            s.best_primal_at[idx[improved]] = iteration
-            s.best_primal[idx] = np.minimum(s.best_primal[idx], primal)
-
-            converged = (primal <= eps_primal) & (dual <= eps_dual)
-
-            frozen_fire = np.zeros(k, dtype=bool)
-            if settings.infeasibility_detection and \
-                    _due(iteration, last_infeas, settings.infeasibility_interval):
-                last_infeas = iteration
-                if iteration >= settings.infeasibility_min_iteration:
-                    frozen = (primal > 100.0 * eps_primal) & (dual < primal) \
-                        & (np.abs(primal - s.primal_snapshot[idx])
-                           <= settings.infeasibility_rel_change * primal)
-                    s.frozen_streak[idx] = np.where(frozen, s.frozen_streak[idx] + 1, 0)
-                else:
-                    s.frozen_streak[idx] = 0
-                s.primal_snapshot[idx] = primal
-                frozen_fire = (~converged) & \
-                    (s.frozen_streak[idx] >= settings.infeasibility_streak)
-
-            stalled = (~converged) & (~frozen_fire) \
-                & ((iteration - s.best_primal_at[idx]) > settings.stall_window) \
-                & (primal > 100.0 * eps_primal)
-            for col in idx[converged]:
-                s.statuses[col] = SolverStatus.OPTIMAL
-                s.final_iteration[col] = iteration
-            for col in idx[frozen_fire | stalled]:
-                s.statuses[col] = SolverStatus.INFEASIBLE_SUSPECTED
-                s.final_iteration[col] = iteration
-            keep = ~(converged | frozen_fire | stalled)
-
-            if settings.adaptive_rho and keep.any() and \
-                    _due(iteration, last_rho, settings.rho_update_interval):
-                last_rho = iteration
-                survivors = idx[keep]
-                primal_keep = primal[keep]
-                dual_keep = dual[keep]
-                raise_rho = (primal_keep > 10.0 * dual_keep) & (s.rho[survivors] < 1e6)
-                lower_rho = (~raise_rho) & (dual_keep > 10.0 * primal_keep) \
-                    & (s.rho[survivors] > 1e-6)
-                if raise_rho.any():
-                    s.rho[survivors[raise_rho]] *= 2.0
-                    rows = xb.index_from_host(np.flatnonzero(keep)[raise_rho])
-                    U[rows] = U[rows] / 2.0
-                    dirty = True
-                if lower_rho.any():
-                    s.rho[survivors[lower_rho]] /= 2.0
-                    rows = xb.index_from_host(np.flatnonzero(keep)[lower_rho])
-                    U[rows] = U[rows] * 2.0
-                    dirty = True
-
-            if not keep.all():
-                # Retiring problems leave the device now; the survivors are
-                # compacted so the next epoch's sweeps touch live rows only.
-                retired = np.flatnonzero(~keep)
-                ret_dev = xb.index_from_host(retired)
-                X_fin[idx[~keep]] = xb.to_host(X[ret_dev])
-                Z_fin[idx[~keep]] = xb.to_host(Z[ret_dev])
-                U_fin[idx[~keep]] = xb.to_host(U[ret_dev])
-                keep_dev = xb.index_from_host(np.flatnonzero(keep))
-                X, Z, U = X[keep_dev], Z[keep_dev], U[keep_dev]
-                C_dev, B_dev = C_dev[keep_dev], B_dev[keep_dev]
-                idx = idx[keep]
-                dirty = True
-
-        if idx.size:
-            X_fin[idx] = xb.to_host(X)
-            Z_fin[idx] = xb.to_host(Z)
-            U_fin[idx] = xb.to_host(U)
-        return X_fin, Z_fin, U_fin, work
-
-
-def alpha_combine(alpha: float, x, z):
-    """Over-relaxed combination ``alpha * x + (1 - alpha) * z``."""
-    return alpha * x + (1.0 - alpha) * z
-
-
-class _SharedLoopState:
-    """Bookkeeping shared by the synchronous and asynchronous loop bodies."""
-
-    __slots__ = (
-        "xb", "settings", "dims", "n", "m", "batch", "build_epoch", "rho",
-        "alpha", "sqrt_n", "best_primal", "best_primal_at", "primal_snapshot",
-        "frozen_streak", "last_primal", "last_dual", "statuses",
-        "final_iteration", "histories", "numerical_failures",
-    )
-
-    def __init__(self, **fields):
-        for name in self.__slots__:
-            setattr(self, name, fields[name])
+            candidate = Z[col].copy()
+            status = statuses[col]
+            if status == SolverStatus.OPTIMAL and np.allclose(original.c, 0.0):
+                status = SolverStatus.FEASIBLE
+            results[i] = SolverResult(
+                status=status,
+                x=candidate,
+                objective=original.objective_value(candidate),
+                primal_residual=float(np.linalg.norm(X[col] - Z[col])),
+                dual_residual=float(last_dual[col]),
+                equality_residual=original.equality_residual(candidate),
+                cone_violation=original.cone_violation(candidate),
+                iterations=int(final_iteration[col]),
+                solve_time=elapsed,
+                info={
+                    "rho_final": float(rho[col]),
+                    "history": histories[col],
+                    "scaled": scaling is not None,
+                    "warm_started": bool(warm_flags[col]),
+                    "warm_start_data": {"x": X[col].copy(), "z": candidate.copy(),
+                                        "u": U[col].copy()},
+                    "batch_size": batch,
+                    "batch_index": col,
+                    "batch_wall_time": elapsed,
+                },
+            )
+            if settings.verbose:  # pragma: no cover - logging only
+                print(f"[batch-admm {col + 1}/{batch}] {results[i].summary()}")
+        return results  # type: ignore[return-value]

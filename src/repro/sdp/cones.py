@@ -15,16 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from .backend import ArrayBackend, resolve_array_backend
+from .backend import NUMPY_BACKEND
 
 SQRT2 = float(np.sqrt(2.0))
-
-#: The reference backend every cone operation defaults to.
-_NUMPY_BACKEND = resolve_array_backend("numpy")
 
 
 def svec_dim(order: int) -> int:
@@ -167,39 +164,7 @@ def project_psd_svec(vector: np.ndarray, order: int) -> Tuple[np.ndarray, float]
     return svec(projected), float(eigenvalues.min()) if eigenvalues.size else 0.0
 
 
-# ----------------------------------------------------------------------
-# Backend-resident index tables.  The svec/gather tables are tiny host
-# arrays; device backends need them transferred once, not per projection.
-# Backends are process singletons, so keying on the backend name is stable.
-# ----------------------------------------------------------------------
-_DEVICE_TRIU: Dict[Tuple[str, int], tuple] = {}
-_DEVICE_GATHER: Dict[Tuple[str, ConeDims], tuple] = {}
-
-
-def _device_triu(xb: ArrayBackend, order: int):
-    """(rows, cols, scale) svec tables of one order, on ``xb``'s device."""
-    key = (xb.name, order)
-    tables = _DEVICE_TRIU.get(key)
-    if tables is None:
-        rows, cols, scale = _triu_cache(order)
-        tables = (xb.index_from_host(rows), xb.index_from_host(cols),
-                  xb.from_host(scale))
-        _DEVICE_TRIU[key] = tables
-    return tables
-
-
-def _device_gather_groups(xb: ArrayBackend, dims: ConeDims):
-    """The per-order PSD gather tables of ``dims``, on ``xb``'s device."""
-    key = (xb.name, dims)
-    groups = _DEVICE_GATHER.get(key)
-    if groups is None:
-        groups = tuple((order, xb.index_from_host(gather))
-                       for order, gather in _psd_block_groups(dims))
-        _DEVICE_GATHER[key] = groups
-    return groups
-
-
-def _project_psd2_batch(vectors, backend: Optional[ArrayBackend] = None):
+def _project_psd2_batch(vectors: np.ndarray):
     """Closed-form PSD projection of ``(k, 3)`` svecs of 2x2 blocks.
 
     A symmetric 2x2 matrix ``[[a, c], [c, b]]`` has eigenvalues ``m ± r``
@@ -211,95 +176,63 @@ def _project_psd2_batch(vectors, backend: Optional[ArrayBackend] = None):
     dominated by per-block LAPACK overhead, while this formula is a handful
     of vectorised array operations.
     """
-    xb = backend or _NUMPY_BACKEND
     a = vectors[:, 0]
     c = vectors[:, 1] / SQRT2
     b = vectors[:, 2]
     mean = 0.5 * (a + b)
-    radius = xb.hypot(0.5 * (a - b), c)
+    radius = np.hypot(0.5 * (a - b), c)
     lo = mean - radius
     hi = mean + radius
-    lo_clip = xb.clip_min(lo, 0.0)
-    hi_clip = xb.clip_min(hi, 0.0)
+    lo_clip = np.clip(lo, 0.0, None)
+    hi_clip = np.clip(hi, 0.0, None)
     # P = w * M + shift * I with w = (hi+ - lo+) / (hi - lo); a zero radius
     # means a spherical matrix, whose projection is plain eigenvalue clipping
     # (w = 0, shift = clip(mean)).
-    weight = xb.where(radius > 0.0,
-                      (hi_clip - lo_clip) / xb.where(radius > 0.0, 2.0 * radius, 1.0),
+    weight = np.where(radius > 0.0,
+                      (hi_clip - lo_clip) / np.where(radius > 0.0, 2.0 * radius, 1.0),
                       0.0)
     shift = lo_clip - weight * lo
-    projected = xb.empty((vectors.shape[0], 3))
+    projected = np.empty((vectors.shape[0], 3))
     projected[:, 0] = weight * a + shift
     projected[:, 1] = weight * c * SQRT2
     projected[:, 2] = weight * b + shift
     return projected, lo
 
 
-def _smat_many_backend(xb: ArrayBackend, vectors, order: int):
-    """Backend-generic :func:`smat_many` on device svecs."""
-    rows, cols, scale = _device_triu(xb, order)
-    values = vectors / scale
-    matrices = xb.zeros((vectors.shape[0], order, order))
-    matrices[:, rows, cols] = values
-    matrices[:, cols, rows] = values
-    return matrices
-
-
-def _svec_many_backend(xb: ArrayBackend, matrices, order: int):
-    """Backend-generic :func:`svec_many` on device matrix stacks."""
-    rows, cols, scale = _device_triu(xb, order)
-    return 0.5 * (matrices[:, rows, cols] + matrices[:, cols, rows]) * scale
-
-
-def _project_psd_batch(vectors, order: int,
-                       backend: Optional[ArrayBackend] = None):
+def _project_psd_batch(vectors: np.ndarray, order: int):
     """Project ``(k, svec_dim)`` svecs onto the PSD cone with one stacked eigh.
 
     Returns the projected svecs and the per-block minimum eigenvalues.
     Order-2 blocks bypass LAPACK entirely through the closed-form
-    :func:`_project_psd2_batch`.  ``backend`` selects the array namespace;
-    the default (NumPy) path is unchanged and arrays stay wherever the
-    backend keeps them — no transfers happen here.
+    :func:`_project_psd2_batch`.
     """
-    xb = backend or _NUMPY_BACKEND
-    if backend is None:
-        vectors = np.asarray(vectors, dtype=float)
+    vectors = np.asarray(vectors, dtype=float)
     if order == 2:
-        return _project_psd2_batch(vectors, xb)
-    matrices = _smat_many_backend(xb, vectors, order)
-    eigenvalues, eigenvectors = xb.eigh(matrices)
-    clipped = xb.clip_min(eigenvalues, 0.0)
+        return _project_psd2_batch(vectors)
+    matrices = smat_many(vectors, order)
+    eigenvalues, eigenvectors = NUMPY_BACKEND.eigh(matrices)
+    clipped = np.clip(eigenvalues, 0.0, None)
     projected = (eigenvectors * clipped[:, None, :]) @ eigenvectors.swapaxes(1, 2)
-    return _svec_many_backend(xb, projected, order), eigenvalues[:, 0]
+    return svec_many(projected, order), eigenvalues[:, 0]
 
 
-def project_onto_cone(vector, dims: ConeDims,
-                      backend: Optional[ArrayBackend] = None):
-    """Euclidean projection of ``vector`` onto ``K``.
-
-    With a ``backend``, ``vector`` is that backend's array and the projection
-    runs entirely on its device (the return value too).
-    """
-    xb = backend or _NUMPY_BACKEND
-    if backend is None or isinstance(vector, np.ndarray):
-        vector = np.asarray(vector, dtype=float)
-        if backend is not None:
-            vector = xb.from_host(vector)
+def project_onto_cone(vector: np.ndarray, dims: ConeDims) -> np.ndarray:
+    """Euclidean projection of ``vector`` onto ``K``."""
+    vector = np.asarray(vector, dtype=float)
     if vector.shape[0] != dims.total:
         raise ValueError(
             f"vector length {vector.shape[0]} does not match cone dimension {dims.total}"
         )
-    out = xb.copy(vector)
+    out = np.array(vector, copy=True)
     nonneg_slice = slice(dims.free, dims.free + dims.nonneg)
-    out[nonneg_slice] = xb.clip_min(vector[nonneg_slice], 0.0)
-    for order, gather in _device_gather_groups(xb, dims):
-        projected, _ = _project_psd_batch(vector[gather], order, xb)
+    out[nonneg_slice] = np.clip(vector[nonneg_slice], 0.0, None)
+    for order, gather in _psd_block_groups(dims):
+        projected, _ = _project_psd_batch(vector[gather], order)
         out[gather] = projected
     return out
 
 
-def project_onto_cone_many(points, dims: ConeDims,
-                           backend: Optional[ArrayBackend] = None):
+def project_onto_cone_many(points: np.ndarray, dims: ConeDims) -> np.ndarray:
     """Batched :func:`project_onto_cone` for a ``(B, total)`` array of points.
 
     All PSD blocks of all batch members that share a matrix order are
@@ -307,28 +240,20 @@ def project_onto_cone_many(points, dims: ConeDims,
     ADMM engine, where ``B`` structurally identical problems advance in one
     iteration loop.  Row ``i`` of the result equals
     ``project_onto_cone(points[i], dims)``.
-
-    ``backend`` selects the array namespace; device inputs stay on the
-    device end to end.  Host (NumPy) inputs are accepted on any backend and
-    transferred in, which keeps the function drop-in for existing callers.
     """
-    xb = backend or _NUMPY_BACKEND
-    if backend is None or isinstance(points, np.ndarray):
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        if backend is not None:
-            points = xb.from_host(points)
+    points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.shape[1] != dims.total:
         raise ValueError(
             f"point length {points.shape[1]} does not match cone dimension {dims.total}"
         )
-    out = xb.copy(points)
+    out = np.array(points, copy=True)
     nonneg_slice = slice(dims.free, dims.free + dims.nonneg)
-    out[:, nonneg_slice] = xb.clip_min(points[:, nonneg_slice], 0.0)
+    out[:, nonneg_slice] = np.clip(points[:, nonneg_slice], 0.0, None)
     batch = points.shape[0]
-    for order, gather in _device_gather_groups(xb, dims):
+    for order, gather in _psd_block_groups(dims):
         k = gather.shape[0]
         stacked = points[:, gather].reshape(batch * k, svec_dim(order))
-        projected, _ = _project_psd_batch(stacked, order, xb)
+        projected, _ = _project_psd_batch(stacked, order)
         out[:, gather] = projected.reshape(batch, k, svec_dim(order))
     return out
 

@@ -10,10 +10,9 @@ process* without clobbering each other's counters or sharing cache entries.
 
 The module-level functions of :mod:`repro.sdp.solver`
 (:func:`~repro.sdp.solver.solve_conic_problem`,
-:func:`~repro.sdp.solver.solve_counters`, …) remain as thin shims over the
-process-default context returned by :func:`default_context`, so pre-existing
-call sites keep working unchanged; new code should pass a context (usually
-via :class:`repro.api.VerificationSession`) instead.
+:func:`~repro.sdp.solver.solve_counters`, …) take an explicit ``context=``
+and fall back to the process-default context returned by
+:func:`default_context` without one.
 
 All counter updates are guarded by a per-context lock: concurrent solves
 from a thread pool never lose increments.
@@ -48,12 +47,6 @@ def aggregate_compile_counters() -> Dict[str, int]:
         return dict(_AGGREGATE_COMPILE_COUNTERS)
 
 
-def reset_aggregate_compile_counters() -> None:
-    with _AGGREGATE_COMPILE_LOCK:
-        for key in BASE_COMPILE_COUNTERS:
-            _AGGREGATE_COMPILE_COUNTERS[key] = 0
-
-
 class SolveContext:
     """Owns everything ambient about conic solving.
 
@@ -70,12 +63,6 @@ class SolveContext:
         Optional solve-result cache — any object with ``get(key) ->
         Optional[SolverResult]`` and ``put(key, result)``, e.g. a
         :class:`repro.engine.cache.CertificateCache`.
-    array_backend:
-        Default array namespace of the solver hot loops (``"auto"``,
-        ``"numpy"``, ``"cupy"`` or ``"torch"``; see
-        :mod:`repro.sdp.backend`).  ``None`` leaves the solver's own default
-        (``"auto"``) in charge; an explicit per-solve
-        ``array_backend=`` setting wins over the context's.
 
     Caching policy (unchanged from the historical module-global cache):
     EVERY terminal result is cached, including failure statuses — in this
@@ -88,17 +75,14 @@ class SolveContext:
     def __init__(self, backend: Union[str, object, None] = None,
                  solver_settings: Optional[Dict[str, object]] = None,
                  cache: Optional[object] = None,
-                 name: str = "context",
-                 array_backend: Optional[str] = None):
+                 name: str = "context"):
         self.name = name
         self.backend = backend
         self.solver_settings: Dict[str, object] = dict(solver_settings or {})
         self.cache = cache
-        self.array_backend = array_backend
         self._lock = threading.Lock()
         self._solve_counters: Dict[str, int] = {k: 0 for k in BASE_SOLVE_COUNTERS}
         self._compile_counters: Dict[str, int] = {k: 0 for k in BASE_COMPILE_COUNTERS}
-        self._array_backend_stats: Dict[str, Dict[str, float]] = {}
 
     # ------------------------------------------------------------------
     # Counters (thread-safe)
@@ -124,43 +108,6 @@ class SolveContext:
         with _AGGREGATE_COMPILE_LOCK:
             _AGGREGATE_COMPILE_COUNTERS[event] = \
                 _AGGREGATE_COMPILE_COUNTERS.get(event, 0) + amount
-
-    def _record_backend_stats(self, result: SolverResult) -> None:
-        """Accumulate iteration-throughput telemetry per array backend.
-
-        Backends report which array namespace ran their hot loop in
-        ``result.info["array_backend"]``; results lacking it (external or
-        cached results) are skipped.  Batch results share one wall clock, so
-        each member contributes its per-problem share of the batch time.
-        """
-        info = getattr(result, "info", None) or {}
-        name = info.get("array_backend")
-        if not name:
-            return
-        seconds = float(result.solve_time or 0.0)
-        batch_size = info.get("batch_size")
-        if batch_size:
-            seconds /= float(batch_size)
-        with self._lock:
-            entry = self._array_backend_stats.setdefault(
-                name, {"solves": 0, "iterations": 0, "seconds": 0.0})
-            entry["solves"] += 1
-            entry["iterations"] += int(result.iterations or 0)
-            entry["seconds"] += seconds
-
-    def array_backend_stats(self) -> Dict[str, Dict[str, float]]:
-        """Per-array-backend throughput telemetry of this context's solves.
-
-        Maps backend name to ``{"solves", "iterations", "seconds",
-        "iterations_per_second"}`` accumulated over every uncached solve.
-        """
-        with self._lock:
-            stats = {name: dict(entry)
-                     for name, entry in self._array_backend_stats.items()}
-        for entry in stats.values():
-            entry["iterations_per_second"] = \
-                entry["iterations"] / max(entry["seconds"], 1e-12)
-        return stats
 
     def solve_counters(self) -> Dict[str, int]:
         """Snapshot of this context's conic solve counters."""
@@ -211,8 +158,6 @@ class SolveContext:
             resolved_settings = {**self.solver_settings, **settings}
         else:
             resolved_settings = dict(settings)
-        if self.array_backend is not None:
-            resolved_settings.setdefault("array_backend", self.array_backend)
         # Normalise to the settings the backend actually consumes, so cache
         # keys (and the solve itself) ignore knobs another backend owns.
         resolved_settings = effective_solver_settings(resolved_backend,
@@ -246,7 +191,6 @@ class SolveContext:
                 return cached
         result = solve_single_uncached(problem, backend, warm_start, settings)
         self.record_solve_event("solved", problem.layout_kind)
-        self._record_backend_stats(result)
         if cache is not None and key is not None:
             cache.put(key, result)
         return result
@@ -292,8 +236,6 @@ class SolveContext:
             solved = solve_batch_uncached(sub_problems, backend, sub_starts, settings)
             for problem in sub_problems:
                 self.record_solve_event("solved", problem.layout_kind)
-            for result in solved:
-                self._record_backend_stats(result)
             for i, result in zip(pending, solved):
                 results[i] = result
                 if cache is not None and keys[i] is not None:

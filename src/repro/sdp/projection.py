@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .admm import WarmStart, unpack_warm_start
-from .backend import resolve_array_backend
+from .backend import NUMPY_BACKEND
 from .cones import project_onto_cone
 from .problem import ConicProblem
 from .result import SolverResult, SolverStatus
@@ -35,9 +35,6 @@ class ProjectionSettings:
     scale_problem: bool = True
     stall_window: int = 2000
     verbose: bool = False
-    #: Array namespace of the projection loop (same semantics as
-    #: :attr:`repro.sdp.admm.ADMMSettings.array_backend`).
-    array_backend: str = "auto"
 
 
 class AlternatingProjectionSolver:
@@ -73,24 +70,22 @@ class AlternatingProjectionSolver:
         n = problem.num_variables
         m = problem.num_constraints
         dims = problem.dims
-        xb = resolve_array_backend(self.settings.array_backend)
 
         if m > 0:
             gram = (A @ A.T + self.settings.regularization * sp.identity(m)).tocsc()
-            gram_lu = xb.kkt_factor(gram)
-            b_dev = xb.from_host(b)
+            gram_lu = NUMPY_BACKEND.kkt_factor(gram)
             AT = A.T.tocsr()
 
             def project_affine(point):
-                residual = xb.matvec(A, point) - b_dev
-                correction = xb.matvec(AT, gram_lu.solve(residual))
+                residual = A @ point - b
+                correction = AT @ gram_lu.solve(residual)
                 return point - correction
         else:
             def project_affine(point):
                 return point
 
         initial = unpack_warm_start(warm_start, n)
-        x = xb.from_host(initial[1]) if initial is not None else xb.zeros(n)
+        x = initial[1] if initial is not None else np.zeros(n)
         best_gap = np.inf
         best_gap_at = 0
         status = SolverStatus.MAX_ITERATIONS
@@ -98,8 +93,8 @@ class AlternatingProjectionSolver:
         tolerance = self.settings.tolerance * np.sqrt(max(n, 1))
         for iteration in range(1, self.settings.max_iterations + 1):
             x_affine = project_affine(x)
-            x_cone = project_onto_cone(x_affine, dims, backend=xb)
-            gap = xb.vec_norm(x_affine - x_cone)
+            x_cone = project_onto_cone(x_affine, dims)
+            gap = float(np.linalg.norm(x_affine - x_cone))
             x = x_cone
             if gap < best_gap * 0.99:
                 best_gap = gap
@@ -111,7 +106,6 @@ class AlternatingProjectionSolver:
                 status = SolverStatus.INFEASIBLE_SUSPECTED
                 break
 
-        x = xb.to_host(x)
         equality_residual = original.equality_residual(x)
         violation = original.cone_violation(x)
         return SolverResult(
@@ -126,7 +120,6 @@ class AlternatingProjectionSolver:
             solve_time=time.perf_counter() - start,
             info={
                 "backend": "alternating_projection",
-                "array_backend": xb.name,
                 "warm_started": initial is not None,
                 "warm_start_data": {"x": x.copy(), "z": x.copy(),
                                     "u": np.zeros(n)},

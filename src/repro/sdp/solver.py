@@ -7,10 +7,8 @@ numerical engine without touching the verification code.
 Cross-cutting solver state — the result cache, the solve counters, backend
 defaults — lives in a :class:`~repro.sdp.context.SolveContext`.  The
 functions here accept an explicit ``context=``; when omitted they fall back
-to the process-default context, which is what the deprecated module-level
-state accessors (:func:`set_solve_cache`, :func:`reset_solve_counters`)
-manipulate.  New code should hold its own context (usually through
-:class:`repro.api.VerificationSession`) instead of mutating the default one.
+to the process-default context.  Code that needs its own cache or counters
+holds its own context (usually through :class:`repro.api.VerificationSession`).
 """
 
 from __future__ import annotations
@@ -18,7 +16,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import inspect
-import warnings
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from ..utils import get_logger
@@ -88,38 +85,6 @@ def solve_counters(context: Optional[object] = None) -> Dict[str, int]:
     from .context import default_context
 
     return (context or default_context()).solve_counters()
-
-
-def reset_solve_counters() -> None:
-    """Deprecated: reset the *default* context's solve counters.
-
-    Session-scoped code never needs this — a fresh
-    :class:`~repro.sdp.context.SolveContext` starts at zero.
-    """
-    warnings.warn(
-        "reset_solve_counters() mutates process-global state; create a "
-        "SolveContext (or repro.api.VerificationSession) instead",
-        DeprecationWarning, stacklevel=2)
-    from .context import default_context
-
-    default_context().reset_solve_counters()
-
-
-def set_solve_cache(cache: Optional[object]) -> Optional[object]:
-    """Deprecated: install (or clear, with ``None``) the default context's cache.
-
-    Returns the previously installed cache so callers can restore it.  New
-    code should pass ``cache=`` to a :class:`~repro.sdp.context.SolveContext`
-    or :class:`repro.api.VerificationSession` instead of mutating the
-    process-wide default.
-    """
-    warnings.warn(
-        "set_solve_cache() mutates process-global state; create a "
-        "SolveContext (or repro.api.VerificationSession) with cache= instead",
-        DeprecationWarning, stacklevel=2)
-    from .context import default_context
-
-    return default_context().set_cache(cache)
 
 
 def get_solve_cache(context: Optional[object] = None) -> Optional[object]:

@@ -9,7 +9,6 @@ from .program import (
     SOSProgramError,
     SOSSolution,
     compile_counters,
-    reset_compile_counters,
 )
 from .parametric import (MultiParametricSOSProgram, ParametricProgramError,
                          ParametricSOSProgram)
@@ -38,7 +37,6 @@ __all__ = [
     "MultiParametricSOSProgram",
     "ParametricProgramError",
     "compile_counters",
-    "reset_compile_counters",
     "SOSConstraint",
     "SOSCertificate",
     "EqualityConstraint",

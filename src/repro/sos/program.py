@@ -17,7 +17,6 @@ paper; here it is a self-contained pure-Python implementation.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Mapping, Optional, Tuple, Union
@@ -69,20 +68,6 @@ def compile_counters(context: Optional[SolveContext] = None) -> Dict[str, int]:
     from ..sdp.context import aggregate_compile_counters
 
     return aggregate_compile_counters()
-
-
-def reset_compile_counters(context: Optional[SolveContext] = None) -> None:
-    if context is not None:
-        context.reset_compile_counters()
-        return
-    warnings.warn(
-        "reset_compile_counters() without a context mutates process-global "
-        "state; create a SolveContext (or repro.api.VerificationSession) "
-        "instead", DeprecationWarning, stacklevel=2)
-    from ..sdp.context import reset_aggregate_compile_counters
-
-    reset_aggregate_compile_counters()
-    default_context().reset_compile_counters()
 
 
 @dataclass(frozen=True)

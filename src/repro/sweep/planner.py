@@ -56,7 +56,6 @@ class SweepOptions:
     job_timeout: Optional[float] = None
     relaxation: Optional[str] = None    # None keeps the family's ladder
     backend: Optional[str] = None
-    array_backend: Optional[str] = None
     fleet: Optional[str] = None
     fleet_priority: int = 0
     # Family reshaping (CLI --grid/--samples/--seed):
@@ -176,7 +175,6 @@ class SweepRunner:
             "use_cache": options.use_cache,
             "cache_dir": options.cache_dir,
             "backend": options.backend,
-            "array_backend": options.array_backend,
         }
 
     def _run_job(self, payload: Dict[str, object]) -> Dict[str, object]:
@@ -276,7 +274,6 @@ class SweepRunner:
             "jobs": options.jobs,
             "fleet": options.fleet,
             "backend": options.backend,
-            "array_backend": options.array_backend,
             "use_cache": options.use_cache,
             "shards": len(shards),
             "resumed_points": resumed,

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.analysis import (
-    StageTimer,
     project_sublevel_set,
     project_union,
     random_initial_states,
@@ -94,16 +93,6 @@ class TestFalsification:
 
 
 class TestTimerAndLogging:
-    def test_stage_timer_accumulates(self):
-        timer = StageTimer()
-        with timer.measure("step"):
-            sum(range(1000))
-        with timer.measure("step"):
-            sum(range(1000))
-        assert timer.total("step") > 0
-        assert timer.grand_total() == pytest.approx(timer.total("step"))
-        assert dict(timer.rows())["step"] == pytest.approx(timer.total("step"))
-
     def test_logging_helpers(self):
         logger = get_logger("unit")
         assert logger.name == "repro.unit"

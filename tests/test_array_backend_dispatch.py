@@ -1,12 +1,9 @@
-"""Array-backend dispatch equivalence tests.
+"""Solver dispatch tests.
 
-The pluggable array namespace (``repro.sdp.backend``) must be invisible in
-the results: selecting ``array_backend="numpy"`` explicitly, letting
-``"auto"`` resolve, or not configuring a backend at all must produce the
-same certificates, statuses and solve counters; the asynchronous
-bounded-staleness batch schedule must agree with the synchronous one on
-every status.  (``tests/test_array_backend.py`` covers the polynomial
-array evaluation layer — a different subsystem that predates this one.)
+``make_solver`` and ``solve_conic_problems`` route every solve into the one
+NumPy ADMM loop (serial or batched): the routes must agree with each other
+and with a directly constructed solver, and settings no built-in backend
+knows are rejected.
 """
 
 import warnings
@@ -15,18 +12,12 @@ import numpy as np
 import pytest
 
 from repro.core.inclusion import ParametricInclusionFamily
-from repro.pll import build_third_order_model
 from repro.polynomial import Polynomial, VariableVector, make_variables
 from repro.sdp import (
-    ARRAY_BACKENDS,
     ADMMConicSolver,
     ADMMSettings,
-    BackendUnavailableError,
-    BatchADMMSolver,
     SolveContext,
-    available_array_backends,
     make_solver,
-    resolve_array_backend,
     solve_conic_problems,
 )
 
@@ -52,87 +43,47 @@ def _ladder(count):
     ])
 
 
-class TestBackendResolution:
-    def test_numpy_always_available(self):
-        names = available_array_backends()
-        assert "numpy" in names
-        assert set(names) <= {"numpy", "cupy", "torch"}
-
-    def test_explicit_numpy(self):
-        xb = resolve_array_backend("numpy")
-        assert xb.name == "numpy"
-        assert xb.device is False
-
-    def test_auto_resolves_to_something_usable(self):
-        xb = resolve_array_backend("auto")
-        assert xb.name in available_array_backends()
-        # resolution is a cached singleton
-        assert resolve_array_backend("auto") is xb
-
-    def test_unknown_name_raises_key_error(self):
-        with pytest.raises(KeyError):
-            resolve_array_backend("tensorflow")
-
-    def test_missing_adapter_raises_backend_unavailable(self):
-        for name in ("cupy", "torch"):
-            if name in available_array_backends():
-                continue
-            with pytest.raises(BackendUnavailableError):
-                resolve_array_backend(name)
-
-    def test_settings_accept_every_registered_name(self):
-        for name in ARRAY_BACKENDS:
-            assert ADMMSettings(array_backend=name).array_backend == name
-
-
 class TestNumpyParityWithReference:
-    """Explicit ``array_backend="numpy"`` must be a no-op vs the default."""
+    """Independent routes into the NumPy loop give bit-identical results."""
 
     def test_solve_conic_problems_results_and_counters(self):
-        family = _ball_family()
-        problems = family.bind_many(_ladder(12))
+        problems = _ball_family().bind_many(_ladder(12))
 
         reference_ctx = SolveContext(name="reference")
-        explicit_ctx = SolveContext(name="explicit", array_backend="numpy")
+        replay_ctx = SolveContext(name="replay")
         reference = solve_conic_problems(problems, context=reference_ctx,
                                          max_iterations=4000)
-        explicit = solve_conic_problems(problems, context=explicit_ctx,
-                                        max_iterations=4000)
-        assert explicit_ctx.solve_counters() == reference_ctx.solve_counters()
-        for ref, got in zip(reference, explicit):
+        replay = solve_conic_problems(problems, context=replay_ctx,
+                                      max_iterations=4000)
+        assert replay_ctx.solve_counters() == reference_ctx.solve_counters()
+        assert reference_ctx.solve_counters()["solved"] == len(problems)
+        for ref, got in zip(reference, replay):
             assert got.status == ref.status
             assert got.iterations == ref.iterations
-            np.testing.assert_allclose(got.objective, ref.objective,
-                                       atol=1e-10)
-            if ref.x is not None:
-                np.testing.assert_allclose(got.x, ref.x, atol=1e-10)
-        assert explicit[0].info["array_backend"] == "numpy"
-        stats = explicit_ctx.array_backend_stats()
-        assert "numpy" in stats and stats["numpy"]["solves"] == len(problems)
+            assert got.objective == ref.objective
+            np.testing.assert_array_equal(got.x, ref.x)
+        assert replay[0].info["batch_size"] == len(problems)
 
     def test_serial_admm_identical_iterates(self):
-        problems = _ball_family().bind_many([1.0, 6.0])
-        for problem in problems:
+        """The registry route builds the same solver as direct construction."""
+        for problem in _ball_family().bind_many([1.0, 6.0]):
             ref = ADMMConicSolver(ADMMSettings(max_iterations=3000)).solve(problem)
-            got = ADMMConicSolver(ADMMSettings(
-                max_iterations=3000, array_backend="numpy")).solve(problem)
+            got = make_solver("admm", max_iterations=3000).solve(problem)
             assert got.status == ref.status
             assert got.iterations == ref.iterations
-            np.testing.assert_allclose(got.x, ref.x, atol=1e-10)
+            np.testing.assert_array_equal(got.x, ref.x)
 
 
 class TestBatchMatchesPerProblem:
-    """Acceptance: >=64 binds, batch == per-problem on every backend."""
+    """Acceptance: >=64 binds, batch == per-problem solves."""
 
-    @pytest.mark.parametrize("backend_name", available_array_backends())
-    def test_batch_of_64_binds_matches_serial(self, backend_name):
+    def test_batch_of_64_binds_matches_serial(self):
         family = _ball_family(cone="dd")  # LP cones keep the serial pass fast
         problems = family.bind_many(_ladder(64))
-        settings = dict(max_iterations=4000, array_backend=backend_name)
         batch = solve_conic_problems(problems,
                                      context=SolveContext(name="batch64"),
-                                     **settings)
-        serial_solver = ADMMConicSolver(ADMMSettings(**settings))
+                                     max_iterations=4000)
+        serial_solver = ADMMConicSolver(ADMMSettings(max_iterations=4000))
         for problem, got in zip(problems, batch):
             ref = serial_solver.solve(problem)
             assert got.status == ref.status
@@ -140,66 +91,19 @@ class TestBatchMatchesPerProblem:
                                        atol=1e-10)
 
 
-class TestAsyncSyncParity:
-    def test_pll3_levelset_family_statuses(self):
-        """Async bounded-staleness == sync statuses on the pll3 ladder.
-
-        The level-set family of the third-order PLL: sublevel sets of a
-        quadratic in the model's own state variables, constrained to the
-        model's operating box — the same family the pipeline's K-section
-        probes, bound across the full feasible/infeasible ladder.
-        """
-        model = build_third_order_model(uncertainty="none")
-        xv = model.state_variables
-        V = Polynomial.zero(xv)
-        for i, v in enumerate(xv):
-            pv = Polynomial.from_variable(v, xv)
-            V = V + float(1.0 + 0.25 * i) * pv * pv
-        family = ParametricInclusionFamily(V, V - 2.0, multiplier_degree=2)
-        family.compile()
-        problems = family.bind_many(np.linspace(0.1, 4.0, 64))
-
-        sync = BatchADMMSolver(ADMMSettings(max_iterations=4000)) \
-            .solve_batch(problems)
-        async_ = BatchADMMSolver(ADMMSettings(max_iterations=4000,
-                                              async_mode=True)) \
-            .solve_batch(problems)
-        assert [r.status for r in async_] == [r.status for r in sync]
-        assert async_[0].info["async_mode"] is True
-        assert sync[0].info["async_mode"] is False
-
-    def test_async_iteration_counts_stay_within_staleness_bound(self):
-        problems = _ball_family().bind_many(_ladder(16))
-        bound = 10
-        sync = BatchADMMSolver(ADMMSettings(max_iterations=4000)) \
-            .solve_batch(problems)
-        async_ = BatchADMMSolver(ADMMSettings(
-            max_iterations=4000, async_mode=True, staleness_bound=bound)) \
-            .solve_batch(problems)
-        for ref, got in zip(sync, async_):
-            assert got.status == ref.status
-            # retirement only happens at check boundaries, so a problem runs
-            # at most one staleness window past its synchronous stopping point
-            assert ref.iterations <= got.iterations <= ref.iterations + bound
-
-
 class TestDeprecationHygiene:
-    def test_positional_admm_settings_warn_but_work(self):
-        with pytest.warns(DeprecationWarning,
-                          match="positional ADMMSettings arguments"):
-            settings = ADMMSettings(2000, 2.5)
-        assert settings.max_iterations == 2000
-        assert settings.rho == 2.5
-
     def test_keyword_admm_settings_do_not_warn(self):
         with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            ADMMSettings(max_iterations=2000, rho=2.5,
-                         array_backend="numpy", async_mode=True)
+            warnings.simplefilter("error")
+            ADMMSettings(max_iterations=2000, rho=2.5)
 
     def test_make_solver_type_error_lists_new_knobs(self):
-        with pytest.raises(TypeError) as excinfo:
-            make_solver("admm", definitely_not_a_knob=1)
-        message = str(excinfo.value)
-        for knob in ("array_backend", "async_mode", "staleness_bound"):
+        # The removed array-namespace and asynchronous-batch knobs are now
+        # unknown to every backend; the error lists the knobs that exist.
+        for knob, value in (("array_backend", "numpy"), ("async_mode", True),
+                            ("staleness_bound", 25)):
+            with pytest.raises(TypeError) as excinfo:
+                make_solver("admm", **{knob: value})
+            message = str(excinfo.value)
             assert knob in message
+            assert "max_iterations" in message and "rho" in message

@@ -18,6 +18,7 @@ from repro.sdp import (
     BatchADMMSolver,
     ConeDims,
     ConicProblemBuilder,
+    SolveContext,
     SolverStatus,
     project_onto_cone,
     project_onto_cone_many,
@@ -29,7 +30,6 @@ from repro.sos import (
     SemialgebraicSet,
     SOSProgram,
     compile_counters,
-    reset_compile_counters,
 )
 
 
@@ -143,13 +143,15 @@ class TestParametricSOSProgram:
 
     def test_bind_performs_no_recompilation(self, ball_inclusion):
         _, V, outer = ball_inclusion
-        family = ParametricInclusionFamily(V, outer, multiplier_degree=2)
+        context = SolveContext()
+        family = ParametricInclusionFamily(V, outer, multiplier_degree=2,
+                                           context=context)
         family.compile()
         assert family.family.num_structure_compiles == 3  # 2 probes + affinity
-        reset_compile_counters()
+        context.reset_compile_counters()
         certificates = family.check_levels([1.0, 2.0, 3.0, 4.5],
                                            max_iterations=6000)
-        assert compile_counters()["full"] == 0
+        assert compile_counters(context)["full"] == 0
         assert family.family.num_binds == 4
         assert [c.holds for c in certificates] == [True, True, True, False]
 

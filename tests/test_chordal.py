@@ -27,7 +27,7 @@ from repro.sdp import (
     solve_conic_problem,
     svec_dim,
 )
-from repro.sdp import cones as cones_module
+from repro.sdp.backend import NumpyBackend
 from repro.sdp.context import SolveContext
 from repro.sos import SOSProgram
 from repro.sos.parametric import ParametricSOSProgram
@@ -192,25 +192,22 @@ class TestCliqueTree:
 # ----------------------------------------------------------------------
 # Mixed-size bucketed projection (one stacked eigh per distinct order)
 # ----------------------------------------------------------------------
-class _CountingBackend:
-    """Delegating proxy around an ArrayBackend that records eigh calls."""
+@pytest.fixture()
+def eigh_calls(monkeypatch):
+    """Shapes of every stacked eigh the cone projection makes."""
+    calls = []
+    original = NumpyBackend.eigh
 
-    def __init__(self, inner):
-        self._inner = inner
-        self.eigh_calls = []
+    def counting_eigh(self, matrices):
+        calls.append(tuple(np.shape(matrices)))
+        return original(self, matrices)
 
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
-
-    def eigh(self, matrices):
-        self.eigh_calls.append(tuple(np.shape(matrices)))
-        return self._inner.eigh(matrices)
+    monkeypatch.setattr(NumpyBackend, "eigh", counting_eigh)
+    return calls
 
 
 class TestBucketedMixedSizeProjection:
-    def test_one_eigh_per_distinct_order(self, monkeypatch):
-        counting = _CountingBackend(cones_module._NUMPY_BACKEND)
-        monkeypatch.setattr(cones_module, "_NUMPY_BACKEND", counting)
+    def test_one_eigh_per_distinct_order(self, eigh_calls):
         dims = ConeDims(free=2, nonneg=3, psd=(3, 5, 3, 5, 4))
         total = dims.total
         rng = np.random.default_rng(0)
@@ -218,8 +215,8 @@ class TestBucketedMixedSizeProjection:
         projected = project_onto_cone_many(points, dims)
         # Orders 3, 4 and 5 each take exactly ONE stacked eigh, regardless of
         # how many blocks share the order or how the orders interleave.
-        assert len(counting.eigh_calls) == 3
-        batch_shapes = sorted(counting.eigh_calls)
+        assert len(eigh_calls) == 3
+        batch_shapes = sorted(eigh_calls)
         # 2 blocks of order 3 and 5 across 6 points -> 12 stacked matrices.
         assert batch_shapes == [(6, 4, 4), (12, 3, 3), (12, 5, 5)]
         # And the result matches the per-block reference projection.
@@ -236,13 +233,11 @@ class TestBucketedMixedSizeProjection:
             offset += width
         np.testing.assert_allclose(projected, expected, atol=1e-9)
 
-    def test_order_two_blocks_use_closed_form_not_eigh(self, monkeypatch):
-        counting = _CountingBackend(cones_module._NUMPY_BACKEND)
-        monkeypatch.setattr(cones_module, "_NUMPY_BACKEND", counting)
+    def test_order_two_blocks_use_closed_form_not_eigh(self, eigh_calls):
         dims = ConeDims(free=0, nonneg=0, psd=(2, 2, 2))
         points = np.random.default_rng(1).normal(size=(4, dims.total))
         project_onto_cone_many(points, dims)
-        assert counting.eigh_calls == []
+        assert eigh_calls == []
 
 
 # ----------------------------------------------------------------------

@@ -12,13 +12,11 @@ from repro.engine import CertificateCache
 from repro.engine.cache import default_cache_dir
 from repro.polynomial import Polynomial, VariableVector, make_variables
 from repro.sdp import (
+    SolveContext,
     SolverResult,
     SolverStatus,
     canonical_solver_options,
-    reset_solve_counters,
-    set_solve_cache,
     solve_cache_key,
-    solve_counters,
 )
 from repro.sos import SOSProgram
 
@@ -158,56 +156,45 @@ class TestCacheKeys:
 
 class TestSolveCacheIntegration:
     def test_hit_miss_and_bypass(self, cache, tiny_program):
-        previous = set_solve_cache(cache)
-        try:
-            reset_solve_counters()
-            tiny_program.solve()
-            counters = solve_counters()
-            assert counters["solved"] == 1 and counters["cache_hit"] == 0
-            # Solve counters are additionally keyed by cone-layout kind.
-            assert counters["solved:psd"] == 1
+        context = SolveContext(cache=cache)
+        tiny_program.solve(context=context)
+        counters = context.solve_counters()
+        assert counters["solved"] == 1 and counters["cache_hit"] == 0
+        # Solve counters are additionally keyed by cone-layout kind.
+        assert counters["solved:psd"] == 1
 
-            # A structurally identical program is served from the cache.
-            variables = VariableVector(make_variables("x", "y"))
-            x = Polynomial.from_variable(variables[0], variables)
-            y = Polynomial.from_variable(variables[1], variables)
-            clone = SOSProgram("clone")
-            clone.add_sos_constraint(x * x + 2.0 * y * y + 1.0, name="c")
-            solution = clone.solve()
-            assert solution.is_success
-            counters = solve_counters()
-            assert counters["solved"] == 1 and counters["cache_hit"] == 1
-            assert counters["cache_hit:psd"] == 1
+        # A structurally identical program is served from the cache.
+        variables = VariableVector(make_variables("x", "y"))
+        x = Polynomial.from_variable(variables[0], variables)
+        y = Polynomial.from_variable(variables[1], variables)
+        clone = SOSProgram("clone", context=context)
+        clone.add_sos_constraint(x * x + 2.0 * y * y + 1.0, name="c")
+        solution = clone.solve()
+        assert solution.is_success
+        counters = context.solve_counters()
+        assert counters["solved"] == 1 and counters["cache_hit"] == 1
+        assert counters["cache_hit:psd"] == 1
 
-            # Bypassing the cache solves again.
-            set_solve_cache(None)
-            clone2 = SOSProgram("clone2")
-            clone2.add_sos_constraint(x * x + 2.0 * y * y + 1.0, name="c")
-            clone2.solve()
-            assert solve_counters()["solved"] == 2
-        finally:
-            set_solve_cache(previous)
-            reset_solve_counters()
+        # Bypassing the cache solves again.
+        context.set_cache(None)
+        clone2 = SOSProgram("clone2", context=context)
+        clone2.add_sos_constraint(x * x + 2.0 * y * y + 1.0, name="c")
+        clone2.solve()
+        assert context.solve_counters()["solved"] == 2
 
     def test_cached_result_reused_across_cache_instances(self, tmp_path,
                                                          tiny_program):
         """Key stability on disk: a fresh cache object over the same directory
         serves the results written by another instance (as worker processes
         sharing one cache directory do)."""
-        first = CertificateCache(tmp_path / "shared")
-        previous = set_solve_cache(first)
-        try:
-            reset_solve_counters()
-            tiny_program.solve()
-            set_solve_cache(CertificateCache(tmp_path / "shared"))
-            variables = VariableVector(make_variables("x", "y"))
-            x = Polynomial.from_variable(variables[0], variables)
-            y = Polynomial.from_variable(variables[1], variables)
-            clone = SOSProgram("clone")
-            clone.add_sos_constraint(x * x + 2.0 * y * y + 1.0, name="c")
-            clone.solve()
-            counters = solve_counters()
-            assert counters["solved"] == 1 and counters["cache_hit"] == 1
-        finally:
-            set_solve_cache(previous)
-            reset_solve_counters()
+        context = SolveContext(cache=CertificateCache(tmp_path / "shared"))
+        tiny_program.solve(context=context)
+        context.set_cache(CertificateCache(tmp_path / "shared"))
+        variables = VariableVector(make_variables("x", "y"))
+        x = Polynomial.from_variable(variables[0], variables)
+        y = Polynomial.from_variable(variables[1], variables)
+        clone = SOSProgram("clone", context=context)
+        clone.add_sos_constraint(x * x + 2.0 * y * y + 1.0, name="c")
+        clone.solve()
+        counters = context.solve_counters()
+        assert counters["solved"] == 1 and counters["cache_hit"] == 1

@@ -17,7 +17,7 @@ import pytest
 from repro.core import InevitabilityVerifier, VerificationStatus
 from repro.engine import CertificateCache, EngineOptions, VerificationEngine
 from repro.scenarios import build_problem
-from repro.sdp import reset_solve_counters, set_solve_cache, solve_counters
+from repro.sdp import SolveContext
 from repro.sos import compile_counters
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -85,15 +85,11 @@ class TestPll3Acceptance:
     def test_engine_matches_direct_api(self, cold_run, cache_dir):
         """Engine results must equal a direct InevitabilityVerifier run."""
         problem = build_problem("pll3")
-        previous = set_solve_cache(CertificateCache(cache_dir))
-        try:
-            reset_solve_counters()
-            report = InevitabilityVerifier(problem, problem.options).verify()
-            # The direct run replays the same SDPs the engine solved.
-            assert solve_counters()["solved"] == 0
-        finally:
-            set_solve_cache(previous)
-            reset_solve_counters()
+        context = SolveContext(cache=CertificateCache(cache_dir))
+        report = InevitabilityVerifier(problem, problem.options,
+                                       context=context).verify()
+        # The direct run replays the same SDPs the engine solved.
+        assert context.solve_counters()["solved"] == 0
         engine_report = cold_run.outcome("pll3").report
         assert report.property_one.status is engine_report.property_one.status
         direct_levels = report.property_one.invariant.summary_rows()

@@ -227,11 +227,6 @@ def _random_job_result(rng: np.random.Generator, index: int) -> JobResult:
                 "cache_hit": int(rng.integers(0, 50))}
     for layout in rng.choice(layouts, size=rng.integers(0, 3), replace=False):
         counters[f"solved:{layout}"] = int(rng.integers(0, 50))
-    backend_stats = {}
-    for name in ("numpy", "torch")[: rng.integers(0, 3)]:
-        backend_stats[name] = {"solves": float(rng.integers(0, 9)),
-                               "iterations": float(rng.integers(0, 999)),
-                               "seconds": float(rng.random())}
     return JobResult(
         job_id=f"scenario{index}/step",
         scenario=f"scenario{index}",
@@ -246,7 +241,6 @@ def _random_job_result(rng: np.random.Generator, index: int) -> JobResult:
         cache_stats={"hits": int(rng.integers(0, 9)),
                      "misses": int(rng.integers(0, 9)),
                      "writes": int(rng.integers(0, 9)), "corrupted": 0},
-        array_backend_stats=backend_stats,
         relaxation=None if rng.random() < 0.3 else str(
             rng.choice(["sos", "sdsos", "dsos"])),
     )
@@ -279,7 +273,7 @@ class TestSerialization:
             iterations=321, solve_time=0.125,
             info={"history": history, "scaled": True,
                   "warm_start_data": {"x": x, "z": x * 2, "u": x * 3},
-                  "array_backend": "numpy"})
+                  "rho_final": 2.0})
         wire = json.loads(json.dumps(solver_result_to_wire(result)))
         back = solver_result_from_wire(wire)
         assert back.status is result.status
@@ -325,8 +319,7 @@ class TestJobMemo:
         base = {"scenario": "vanderpol", "step": "lyapunov", "seed": 0}
         for field, value in [("scenario", "buck"), ("step", "levelset"),
                              ("seed", 1), ("relaxation", "dsos"),
-                             ("backend", "projection"),
-                             ("array_backend", "numpy")]:
+                             ("backend", "projection")]:
             assert payload_fingerprint(dict(base, **{field: value})) != \
                 payload_fingerprint(base), field
 
@@ -337,15 +330,13 @@ class TestJobMemo:
                                "solved:psd": 3, "solved:sdd": 1,
                                "cache_hit:psd": 1},
                   "cache_stats": {"hits": 1, "misses": 4, "writes": 4,
-                                  "corrupted": 0},
-                  "array_backend_stats": {"numpy": {"solves": 4}}}
+                                  "corrupted": 0}}
         replay = memo_outcome(stored)
         # Every solve the original performed (or replayed) is now a hit.
         assert replay["counters"] == {"solved": 0, "cache_hit": 5,
                                       "cache_hit:psd": 4, "cache_hit:sdd": 1}
         assert replay["cache_stats"] == {"hits": 5, "misses": 0,
                                          "writes": 0, "corrupted": 0}
-        assert replay["array_backend_stats"] == {}
         assert replay["seconds"] == 0.0
         assert replay["status"] == "ok" and replay["data"] == stored["data"]
         assert stored["counters"]["solved"] == 4  # input not mutated

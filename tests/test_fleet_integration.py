@@ -188,7 +188,7 @@ class TestRemoteCache:
         stored = SolverResult(status=SolverStatus.OPTIMAL,
                               x=rng.standard_normal(11),
                               objective=1.5, iterations=12, solve_time=0.01,
-                              info={"array_backend": "numpy"})
+                              info={"rho_final": 2.0})
         writer = RemoteCacheClient(fleet.address)
         reader = RemoteCacheClient(fleet.address)
         try:

@@ -20,14 +20,13 @@ from hypothesis import given, settings, strategies as st
 from repro.polynomial import Polynomial, VariableVector, make_variables
 from repro.sdp import (
     ConicProblemBuilder,
+    SolveContext,
     cone_for_relaxation,
     make_gram_block,
     normalize_gram_cone,
     project_psd_svec,
     relaxation_ladder,
-    reset_solve_counters,
     smat,
-    solve_counters,
     svec,
     svec_dim,
 )
@@ -307,19 +306,17 @@ class TestConeLayoutCacheHygiene:
 
     def test_solve_counters_keyed_by_layout_kind(self):
         poly = _quadratic_form(M_DD)
-        reset_solve_counters()
-        try:
-            for cone in ("dd", "sdd", "psd"):
-                program = SOSProgram(name=f"k_{cone}", default_cone=cone)
-                program.add_sos_constraint(poly, name="c")
-                program.solve(max_iterations=4000)
-            counters = solve_counters()
-            assert counters["solved"] == 3
-            assert counters["solved:dd"] == 1
-            assert counters["solved:sdd"] == 1
-            assert counters["solved:psd"] == 1
-        finally:
-            reset_solve_counters()
+        context = SolveContext()
+        for cone in ("dd", "sdd", "psd"):
+            program = SOSProgram(name=f"k_{cone}", default_cone=cone,
+                                 context=context)
+            program.add_sos_constraint(poly, name="c")
+            program.solve(max_iterations=4000)
+        counters = context.solve_counters()
+        assert counters["solved"] == 3
+        assert counters["solved:dd"] == 1
+        assert counters["solved:sdd"] == 1
+        assert counters["solved:psd"] == 1
 
     def test_raw_problem_layout_kind_defaults(self):
         builder = ConicProblemBuilder()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.inevitability import InevitabilityOptions
+from repro.pll import PLLParameters
 from repro.scenarios import (
     ScenarioProblem,
     all_scenarios,
@@ -17,6 +18,7 @@ from repro.scenarios import (
     scenario_names,
 )
 from repro.scenarios.registry import _REGISTRY
+from repro.utils import Interval
 
 
 class TestRegistry:
@@ -111,6 +113,30 @@ class TestProblems:
         nominal = build_problem("pll3").pll_model.parameters.i_p.center
         weak = build_problem("pll3_weak_pump").pll_model.parameters.i_p.center
         assert weak == pytest.approx(0.4 * nominal)
+
+    def test_pinned_parameters_match_the_per_scenario_constructions(self):
+        """The shared pinning helper rebuilds exactly the constants each PLL
+        scenario constructed by hand, so conic data and cache keys stay put."""
+        base = PLLParameters.third_order_paper()
+
+        def point(name, **values):
+            pinned = {key: Interval.point(values.get(key, interval.center))
+                      for key, interval in base.named_intervals().items()}
+            return PLLParameters(order=3, f_free=base.f_free, name=name, **pinned)
+
+        swept_ip = 0.8 * base.i_p.center
+        expected = {
+            "pll3": point("third_order_swept", i_p=swept_ip),
+            "pll3_slow_corner": point(
+                "third_order_slow_corner", i_p=base.i_p.lower,
+                c2=base.c2.upper, divider=base.divider.upper),
+            "pll3_weak_pump": point("third_order_weak_pump",
+                                    i_p=0.4 * base.i_p.center),
+        }
+        params = {"pll3": {"i_p": swept_ip}}
+        for name, parameters in expected.items():
+            built = build_problem(name, params=params.get(name)).pll_model.parameters
+            assert built == parameters, name
 
     def test_bounds_mismatch_rejected(self):
         system = build_vanderpol_system()
