@@ -27,11 +27,13 @@ from repro.core import (
     LyapunovSynthesisOptions,
     LevelSetMaximizer,
 )
+from repro.core.inevitability import levelset_domain_for
 from repro.pll import (
     RegionOfInterest,
     build_fourth_order_model,
     build_third_order_model,
 )
+from repro.scenarios import ScenarioProblem
 
 
 def print_rows(title, header, rows):
@@ -44,14 +46,34 @@ def print_rows(title, header, rows):
 
 
 # ---------------------------------------------------------------------------
-# Machine-readable benchmark output: benches call ``record_bench`` and the
-# session-finish hook writes everything to ``benchmarks/BENCH_table2.json`` so
-# the performance trajectory is tracked across PRs (CI uploads the file as a
-# build artifact).
+# Machine-readable benchmark output: every bench writes
+# ``benchmarks/BENCH_<name>.json`` through ``write_bench``, so the performance
+# trajectory is tracked across PRs (CI uploads the files as build artifacts).
+# Table 2 benches call ``record_bench`` and the session-finish hook merges
+# their records into ``BENCH_table2.json``.
 # ---------------------------------------------------------------------------
-BENCH_JSON_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                               "BENCH_table2.json")
+BENCH_DIR = os.path.dirname(os.path.abspath(__file__))
 _BENCH_RECORDS = {}
+
+
+def bench_path(name):
+    return os.path.join(BENCH_DIR, f"BENCH_{name}.json")
+
+
+def write_bench(name, schema, body):
+    """Write ``body`` to ``BENCH_<name>.json`` with the common header."""
+    document = {
+        "schema": schema,
+        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
+        "python": sys.version.split()[0],
+        "platform": platform.platform(),
+        **body,
+    }
+    path = bench_path(name)
+    with open(path, "w") as handle:
+        json.dump(document, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    print(f"\n[bench] wrote {path}")
 
 
 def record_bench(key, payload):
@@ -67,24 +89,14 @@ def pytest_sessionfinish(session, exitstatus):
     # rest of the trajectory file.
     records = {}
     try:
-        with open(BENCH_JSON_PATH) as handle:
+        with open(bench_path("table2")) as handle:
             previous = json.load(handle)
         if isinstance(previous.get("records"), dict):
             records.update(previous["records"])
     except (OSError, ValueError):
         pass
     records.update(_BENCH_RECORDS)
-    document = {
-        "schema": "bench-table2/v1",
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
-        "python": sys.version.split()[0],
-        "platform": platform.platform(),
-        "records": records,
-    }
-    with open(BENCH_JSON_PATH, "w") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(f"\n[bench] wrote {BENCH_JSON_PATH}")
+    write_bench("table2", "bench-table2/v1", {"records": records})
 
 
 def benchmark_lyapunov_options(**overrides):
@@ -147,17 +159,23 @@ def fourth_order_report(fourth_order_model):
     return verifier.verify()
 
 
+def levelset_domains(model, modes):
+    """Each mode's level-set domain under the benchmark pipeline options."""
+    problem = ScenarioProblem.from_pll_model(
+        model, benchmark_pipeline_options()).fill_option_defaults()
+    return {mode: levelset_domain_for(problem, problem.options, mode)
+            for mode in modes}
+
+
 def invariant_or_fallback(report, model):
     """Use the pipeline's attractive invariant, or a fallback built from the
     synthesised (possibly only approximately validated) certificates so the
     figure benches always have level sets to project."""
     if report.property_one.invariant is not None:
         return report.property_one.invariant
-    lyapunov = report.property_one.lyapunov
-    if lyapunov is not None and lyapunov.certificates:
-        certificates = {name: cert.certificate
-                        for name, cert in lyapunov.certificates.items()}
-        domains = {name: cert.domain for name, cert in lyapunov.certificates.items()}
+    certificates = report.property_one.certificates
+    if certificates:
+        domains = levelset_domains(model, certificates)
         maximizer = LevelSetMaximizer(LevelSetOptions(
             bisection_tolerance=0.1, max_bisection_iterations=8,
             initial_upper_bound=5.0, solver_settings=dict(max_iterations=3000)))

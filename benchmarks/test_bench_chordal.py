@@ -30,10 +30,6 @@ monolithic PSD projection on this stage, and the certified level matches the
 monolithic optimum.  Results land in ``benchmarks/BENCH_chordal.json``.
 """
 
-import json
-import os
-import platform
-import sys
 import time
 
 import numpy as np
@@ -45,10 +41,8 @@ from repro.polynomial import Polynomial
 from repro.scenarios import build_problem
 from repro.sdp import project_onto_cone_many, solve_conic_problem
 
-from conftest import print_rows
+from conftest import print_rows, write_bench
 
-BENCH_JSON_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                               "BENCH_chordal.json")
 
 SCENARIO = "pll4_deg4"
 BISECTION_ITERATIONS = 8
@@ -161,11 +155,7 @@ def test_bench_chordal_pll4_levelset(benchmark):
          ("certified level gap", f"{level_gap:.4f}")],
     )
 
-    document = {
-        "schema": "bench-chordal/v1",
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
-        "python": sys.version.split()[0],
-        "platform": platform.platform(),
+    write_bench("chordal", "bench-chordal/v1", {
         "scenario": SCENARIO,
         "certificate": "structured sparse degree-4 chain template",
         "multiplier_support": "diagonal",
@@ -173,11 +163,7 @@ def test_bench_chordal_pll4_levelset(benchmark):
         "cones": records,
         "projection_speedup": speedup,
         "certified_level_gap": level_gap,
-    }
-    with open(BENCH_JSON_PATH, "w") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(f"\n[bench] wrote {BENCH_JSON_PATH}")
+    })
 
     # The chordal lowering must actually decompose the order-35 Gram block
     # (a dense pattern would collapse back to one clique) ...

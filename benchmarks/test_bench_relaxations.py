@@ -22,10 +22,6 @@ hardware-meaningful win (and grows with the Gram order).  The results land
 in ``benchmarks/BENCH_relaxations.json``.
 """
 
-import json
-import os
-import platform
-import sys
 import time
 
 import numpy as np
@@ -38,10 +34,8 @@ from repro.exceptions import CertificateError
 from repro.scenarios import build_problem
 from repro.sdp import project_onto_cone_many
 
-from conftest import print_rows
+from conftest import print_rows, write_bench
 
-BENCH_JSON_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                               "BENCH_relaxations.json")
 
 RELAXATIONS = ("dsos", "sdsos", "sos")
 
@@ -153,11 +147,7 @@ def test_bench_relaxations_pll3_levelset(benchmark):
          ("speedup", f"{speedup:.2f}x")],
     )
 
-    document = {
-        "schema": "bench-relaxations/v1",
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
-        "python": sys.version.split()[0],
-        "platform": platform.platform(),
+    write_bench("relaxations", "bench-relaxations/v1", {
         "scenario": "pll3",
         "stages": records,
         "projection": {
@@ -165,11 +155,7 @@ def test_bench_relaxations_pll3_levelset(benchmark):
             "sos_seconds": projection["sos"],
             "speedup": speedup,
         },
-    }
-    with open(BENCH_JSON_PATH, "w") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(f"\n[bench] wrote {BENCH_JSON_PATH}")
+    })
 
     # DSOS is expected to fail on pll3 (that is what the auto ladder is
     # for); SDSOS and SOS must both deliver the invariant's level sets, and

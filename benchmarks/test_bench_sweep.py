@@ -27,18 +27,14 @@ the bench's tmp dir so the run is hermetic; it is reported separately from
 the per-point throughput.
 """
 
-import json
-import os
-import platform
-import sys
 import time
 
 import pytest
 
 from repro.sweep import SweepOptions, SweepRunner, get_sweep_family
 
-BENCH_JSON_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                               "BENCH_sweep.json")
+from conftest import write_bench
+
 
 FAMILY = "pll3_ip_ladder"
 POINTS = 200
@@ -88,11 +84,7 @@ def test_bench_sweep_degradation_ladder(benchmark, tmp_path):
     print(f"SDP solves         : {run['counters'].get('solved', 0)} "
           f"({run['counters'].get('cache_hit', 0)} cache hits)")
 
-    document = {
-        "schema": "bench-sweep/v1",
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
-        "python": sys.version.split()[0],
-        "platform": platform.platform(),
+    write_bench("sweep", "bench-sweep/v1", {
         "family": FAMILY,
         "points": POINTS,
         "jobs": 1,
@@ -105,11 +97,7 @@ def test_bench_sweep_degradation_ladder(benchmark, tmp_path):
         "compiles_per_family": total_parametric,
         "solves": run["counters"].get("solved", 0),
         "cache": run["cache"],
-    }
-    with open(BENCH_JSON_PATH, "w") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(f"\n[bench] wrote {BENCH_JSON_PATH}")
+    })
 
     # The structural claim: one shard pays at most one parametric compile
     # per rung structure and never falls back to per-point rebuilds on the

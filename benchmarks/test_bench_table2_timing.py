@@ -24,7 +24,7 @@ from repro.exceptions import CertificateError
 from repro.polynomial import Monomial
 from repro.sdp import ConicProblemBuilder
 
-from conftest import print_rows, record_bench
+from conftest import levelset_domains, print_rows, record_bench
 
 
 def _rows_for(report):
@@ -187,12 +187,10 @@ def test_bench_table2_levelset_batched_vs_serial(third_order_report, third_order
     infeasibility detection.  Certified levels must match within the
     bisection tolerance; the wall-clock speedup is recorded, not asserted.
     """
-    lyapunov = third_order_report.property_one.lyapunov
-    if lyapunov is None or not lyapunov.certificates:
+    certificates = third_order_report.property_one.certificates
+    if not certificates:
         pytest.skip("no Lyapunov certificates synthesised at benchmark budget")
-    certificates = {name: cert.certificate
-                    for name, cert in lyapunov.certificates.items()}
-    domains = {name: cert.domain for name, cert in lyapunov.certificates.items()}
+    domains = levelset_domains(third_order_model, certificates)
     bounds = third_order_model.state_bounds()
 
     tolerance = 0.05

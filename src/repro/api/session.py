@@ -192,10 +192,9 @@ class VerificationSession:
         :meth:`verify` — so the same session configuration drives both entry
         points identically; an explicit ``options`` object is used verbatim.
         """
-        explicit = options is not None
-        options = options if explicit else getattr(problem, "options", None)
-        if not explicit and options is not None and self.relaxation is not None:
-            options = copy.deepcopy(options)
+        if options is None and self.relaxation is not None \
+                and getattr(problem, "options", None) is not None:
+            options = copy.deepcopy(problem.options)
             options.apply_relaxation(self.relaxation)
         return InevitabilityVerifier(problem, options, context=self.context)
 
@@ -310,36 +309,31 @@ def verify(scenario: str,
     """Verify one registered scenario in-process under a session.
 
     The stable public facade: builds the scenario problem from the registry
-    (honouring the session's relaxation override), runs the full
-    Lyapunov → level-set → advection/escape pipeline under the session's
-    solve context, feeds each step timing to the session's timing hook, and
-    returns the :class:`~repro.core.report.VerificationReport`.
+    (honouring the session's relaxation override), runs its job DAG — the
+    same jobs as ``repro verify --jobs 1``, falsification cross-check
+    included — in the calling thread under the session's solve context,
+    feeds each step timing to the session's timing hook, and returns the
+    :class:`~repro.core.report.VerificationReport`.
 
-    Unlike ``python -m repro verify`` / the
-    :class:`~repro.engine.VerificationEngine`, this runs everything inline in
-    the calling thread — which is exactly what makes it composable: several
-    sessions can call :func:`verify` concurrently from a thread pool, each
-    against its own cache/backend/relaxation, with bit-identical results to
-    the serial runs.  (The engine's extra falsification cross-check and
-    process-pool scheduling remain engine features.)
+    Running inline is what makes it composable: several sessions can call
+    :func:`verify` concurrently from a thread pool, each against its own
+    cache/backend/relaxation, with bit-identical results to the serial
+    runs.  Process-pool and fleet scheduling remain
+    :class:`~repro.engine.VerificationEngine` features.
     """
     from ..scenarios import build_problem
 
     session = session or VerificationSession()
     problem = build_problem(scenario, relaxation=session.relaxation)
-    if options is not None:
-        # An explicit options object wins over everything the registry or the
-        # session configured — the caller asked for precisely this pipeline.
-        # Deep-copied, because the pipeline fills scenario-specific defaults
-        # (e.g. the S-procedure domain box) into the options it runs with;
-        # the caller's object must stay reusable across scenarios.
-        problem.options = copy.deepcopy(options)
-    if problem.options.lyapunov.domain_boxes is None:
-        problem.options.lyapunov.domain_boxes = problem.state_bounds()
-    verifier = InevitabilityVerifier(problem, problem.options,
-                                     context=session.context)
+    # An explicit options object wins over everything the registry or the
+    # session configured — the caller asked for precisely this pipeline.
+    # Deep-copied, because the pipeline fills scenario-specific defaults
+    # (e.g. the S-procedure domain box) into the options it runs with; the
+    # caller's object must stay reusable across scenarios.
+    verifier = InevitabilityVerifier(
+        problem, copy.deepcopy(options) if options is not None else None,
+        context=session.context)
     report = verifier.verify()
-    report.options_summary.setdefault("scenario", scenario)
     report.options_summary["session"] = session.name
     if session.backend is not None:
         report.options_summary["backend"] = session.backend \

@@ -1,20 +1,24 @@
 """End-to-end inevitability verification (the paper's methodology, §3).
 
-The :class:`InevitabilityVerifier` chains the four stages of the paper:
+The paper proves inevitability with one chain of steps:
 
 1. multiple Lyapunov certificate synthesis (Property 1, Theorem 1/2),
 2. level-curve maximisation producing the attractive invariant ``X1``,
 3. bounded advection of the outer set ``X2`` per pumping mode (Algorithm 1),
-4. escape-certificate search for modes where advection stays inconclusive,
+4. escape-certificate search for modes where advection stays inconclusive.
 
-and produces a :class:`~repro.core.report.VerificationReport` with the
-per-step timing breakdown of Table 2.
+That chain is the job DAG of :mod:`repro.engine.engine`; this module holds
+the per-step helpers its jobs call, the aggregated options, and
+:class:`InevitabilityVerifier`, which runs the DAG in-process and returns the
+:class:`~repro.core.report.VerificationReport` with the per-step timing
+breakdown of Table 2.
 """
 
 from __future__ import annotations
 
+import functools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Sequence, Tuple
 
 
@@ -22,38 +26,20 @@ from ..exceptions import CertificateError
 from ..pll.model import MODE_IDLE, PLLVerificationModel
 from ..sdp import RELAXATIONS, SolveContext, cone_for_relaxation, relaxation_ladder
 from ..sos import SemialgebraicSet
-from ..utils import get_logger
 from .advection import AdvectionOptions, run_bounded_advection
 from .attractive import AttractiveInvariant
 from .escape import EscapeCertificateSynthesizer, EscapeOptions, escape_region_from_advection
 from .inclusion import check_sublevel_inclusion
-from .levelset import LevelSetMaximizer, LevelSetOptions
-from .lyapunov import LyapunovResult, LyapunovSynthesisOptions, MultipleLyapunovSynthesizer
-from .properties import (
-    ModePropertyTwoResult,
-    PropertyOneResult,
-    PropertyTwoResult,
-    VerificationStatus,
-)
-from .report import (
-    STEP_ADVECTION,
-    STEP_ATTRACTIVE_INVARIANT,
-    STEP_ESCAPE,
-    STEP_MAX_LEVEL_CURVES,
-    STEP_SET_INCLUSION,
-    VerificationReport,
-    join_relaxations,
-)
-
-LOGGER = get_logger("core.inevitability")
+from .levelset import LevelSetOptions
+from .lyapunov import LyapunovSynthesisOptions, MultipleLyapunovSynthesizer
+from .properties import ModePropertyTwoResult, VerificationStatus
+from .report import VerificationReport
 
 
 def advection_mode_names(options: "InevitabilityOptions", system) -> Tuple[str, ...]:
-    """Modes whose outer-set advection is required by Property 2.
-
-    Shared by :class:`InevitabilityVerifier` and the job engine so both
-    always select the same modes: an explicit ``advection_modes`` override,
-    else every mode except the idle mode.
+    """Modes whose outer-set advection is required by Property 2: an
+    explicit ``advection_modes`` override, else every mode except the idle
+    mode.  The job engine plans one advection job per mode named here.
     """
     if options.advection_modes is not None:
         return tuple(options.advection_modes)
@@ -66,12 +52,10 @@ def run_mode_property_two(model, options: "InevitabilityOptions",
                           ) -> Tuple[ModePropertyTwoResult, Dict[str, float]]:
     """Property-2 evidence for one mode: advection, inclusion re-check, escape.
 
-    The single source of the per-mode Property-2 pipeline, shared by
-    :class:`InevitabilityVerifier` (which runs it for every pumping mode) and
-    the job engine (which runs it as one job per mode).  ``model`` is anything
-    with the verification-model interface; ``context`` the solve context all
-    conic work of the mode runs under.  Returns the mode result plus the
-    wall-clock of each stage (keys ``"advection"``, ``"inclusion"`` and —
+    The body of the job engine's per-mode advection job.  ``model`` is
+    anything with the verification-model interface; ``context`` the solve
+    context all conic work of the mode runs under.  Returns the mode result
+    plus the wall-clock of each stage (keys ``"advection"``, ``"inclusion"`` and —
     only when an escape search ran — ``"escape"``).
     """
     outer = model.outer_set_polynomial(margin=options.outer_set_margin)
@@ -114,9 +98,11 @@ def run_mode_property_two(model, options: "InevitabilityOptions",
                 break
     timings["inclusion"] = time.perf_counter() - start
 
+    mode_result = functools.partial(
+        ModePropertyTwoResult, mode_name=mode_name,
+        iterations=advection.iterations_used, converged=advection.converged)
     if advection.converged or final_abs is not None:
-        return ModePropertyTwoResult(
-            mode_name=mode_name, advection=advection, escape=None,
+        return mode_result(
             status=VerificationStatus.VERIFIED,
             message=f"advected set absorbed by level set of "
                     f"{advection.absorbing_mode or final_abs}",
@@ -125,8 +111,7 @@ def run_mode_property_two(model, options: "InevitabilityOptions",
 
     # Advection inconclusive: Algorithm 1 lines 13-21 (escape certificate).
     if not options.attempt_escape_on_inconclusive:
-        return ModePropertyTwoResult(
-            mode_name=mode_name, advection=advection, escape=None,
+        return mode_result(
             status=VerificationStatus.INCONCLUSIVE,
             message="advection did not immerse and escape search disabled",
         ), timings
@@ -147,17 +132,14 @@ def run_mode_property_two(model, options: "InevitabilityOptions",
         timings["escape"] = time.perf_counter() - start
         mode_status = VerificationStatus.VERIFIED if escape.validation_passed \
             else VerificationStatus.FAILED
-        return ModePropertyTwoResult(
-            mode_name=mode_name, advection=advection, escape=escape,
-            status=mode_status,
+        return mode_result(
+            status=mode_status, escape_found=True,
             message="escape certificate covers the inconclusive sub-region",
         ), timings
     except CertificateError as exc:
         timings["escape"] = time.perf_counter() - start
-        return ModePropertyTwoResult(
-            mode_name=mode_name, advection=advection, escape=None,
-            status=VerificationStatus.INCONCLUSIVE, message=str(exc),
-        ), timings
+        return mode_result(status=VerificationStatus.INCONCLUSIVE,
+                           message=str(exc)), timings
 
 
 def levelset_domain_for(model, options: "InevitabilityOptions",
@@ -165,9 +147,9 @@ def levelset_domain_for(model, options: "InevitabilityOptions",
     """Domain over which ``mode_name``'s level curve is maximised.
 
     ``model`` is anything with the verification-model interface
-    (``system``, ``region_box_set``, ``state_bounds``).  Shared by
-    :class:`InevitabilityVerifier` and the job engine — see
-    :attr:`InevitabilityOptions.levelset_domain` for the semantics.
+    (``system``, ``region_box_set``, ``state_bounds``); the job engine's
+    level-set job calls this — see :attr:`InevitabilityOptions.levelset_domain`
+    for the semantics.
     """
     if options.levelset_domain == "box":
         return model.region_box_set(name="levelset_box")
@@ -241,134 +223,37 @@ class InevitabilityOptions:
 
 
 class InevitabilityVerifier:
-    """Verify inevitability of phase-locking for a CP PLL verification model."""
+    """Verify inevitability of phase-locking for a verification model.
+
+    ``model`` is a :class:`~repro.pll.model.PLLVerificationModel` or a
+    :class:`~repro.scenarios.problem.ScenarioProblem`; ``options`` default to
+    the problem's own (a bare model gets :class:`InevitabilityOptions`).
+    """
 
     def __init__(self, model: PLLVerificationModel,
                  options: Optional[InevitabilityOptions] = None,
                  context: Optional[SolveContext] = None):
-        self.model = model
-        self.options = options or InevitabilityOptions()
+        # The scenario layer imports this module; import it at call time.
+        from ..scenarios.problem import ScenarioProblem
+
+        if isinstance(model, ScenarioProblem):
+            problem = replace(
+                model, options=options if options is not None else model.options)
+        else:
+            problem = ScenarioProblem.from_pll_model(
+                model, options if options is not None else InevitabilityOptions())
+        self.problem = problem.fill_option_defaults()
+        self.options = self.problem.options
         self.context = context
-        # The S-procedure domains always include the region-of-interest box.
-        if self.options.lyapunov.domain_boxes is None:
-            self.options.lyapunov.domain_boxes = self.model.state_bounds()
 
-    # ------------------------------------------------------------------
-    # Stage 1 + 2: Property 1
-    # ------------------------------------------------------------------
-    def verify_property_one(self, report: VerificationReport) -> PropertyOneResult:
-        synthesizer = MultipleLyapunovSynthesizer(
-            self.model.system, options=self.options.lyapunov,
-            context=self.context)
-        start = time.perf_counter()
-        lyapunov = synthesizer.synthesize()
-        report.add_timing(
-            STEP_ATTRACTIVE_INVARIANT, time.perf_counter() - start,
-            detail=f"degree {self.options.lyapunov.certificate_degree}",
-            relaxation=lyapunov.relaxation,
-        )
-        if not lyapunov.feasible:
-            return PropertyOneResult(
-                status=VerificationStatus.INCONCLUSIVE, lyapunov=lyapunov, invariant=None,
-                message=lyapunov.message,
-            )
-
-        maximizer = LevelSetMaximizer(self.options.levelset,
-                                      context=self.context)
-        certificates = {name: cert.certificate
-                        for name, cert in lyapunov.certificates.items()}
-        domains = self.levelset_domains(lyapunov)
-        start = time.perf_counter()
-        try:
-            invariant = AttractiveInvariant.from_maximization(
-                maximizer, certificates, domains,
-                variables=self.model.state_variables,
-                bounds=self.model.state_bounds())
-        except CertificateError as exc:
-            report.add_timing(STEP_MAX_LEVEL_CURVES, time.perf_counter() - start,
-                              detail=f"strategy={self.options.levelset.strategy}")
-            return PropertyOneResult(
-                status=VerificationStatus.INCONCLUSIVE, lyapunov=lyapunov, invariant=None,
-                message=f"level-curve maximisation failed: {exc}",
-            )
-        report.add_timing(STEP_MAX_LEVEL_CURVES, time.perf_counter() - start,
-                          detail=f"strategy={self.options.levelset.strategy}",
-                          relaxation=join_relaxations(
-                              level_set.relaxation
-                              for level_set in invariant.level_sets.values()))
-        status = VerificationStatus.VERIFIED if lyapunov.all_validations_passed \
-            else VerificationStatus.FAILED
-        return PropertyOneResult(
-            status=status, lyapunov=lyapunov, invariant=invariant,
-            message="attractive invariant constructed",
-        )
-
-    def levelset_domains(self, lyapunov: LyapunovResult) -> Dict[str, SemialgebraicSet]:
-        """Per-mode domains for level-curve maximisation (see ``levelset_domain``)."""
-        if self.options.levelset_domain == "mode":
-            # The certificates already carry their synthesis-time mode domains.
-            return {name: cert.domain
-                    for name, cert in lyapunov.certificates.items()}
-        return {name: levelset_domain_for(self.model, self.options, name)
-                for name in lyapunov.certificates}
-
-    # ------------------------------------------------------------------
-    # Stage 3 + 4: Property 2
-    # ------------------------------------------------------------------
-    def _advection_mode_names(self) -> Tuple[str, ...]:
-        return advection_mode_names(self.options, self.model.system)
-
-    def verify_property_two(self, invariant: AttractiveInvariant,
-                            report: VerificationReport) -> PropertyTwoResult:
-        per_mode: Dict[str, ModePropertyTwoResult] = {}
-        status = VerificationStatus.VERIFIED
-
-        for mode_name in self._advection_mode_names():
-            result, timings = run_mode_property_two(
-                self.model, self.options, mode_name, invariant,
-                context=self.context)
-            iterations = result.advection.iterations_used \
-                if result.advection is not None else 0
-            report.add_timing(STEP_ADVECTION, timings["advection"],
-                              detail=f"{mode_name}: {iterations} iterations")
-            report.add_timing(STEP_SET_INCLUSION, timings["inclusion"],
-                              detail=mode_name, relaxation=result.relaxation)
-            if "escape" in timings:
-                report.add_timing(STEP_ESCAPE, timings["escape"],
-                                  detail=mode_name)
-            per_mode[mode_name] = result
-            status = status.combine(result.status)
-
-        message = "bounded reachability of X1 established" \
-            if status is VerificationStatus.VERIFIED else \
-            "property 2 could not be fully established"
-        return PropertyTwoResult(status=status, per_mode=per_mode, message=message)
-
-    # ------------------------------------------------------------------
     def verify(self) -> VerificationReport:
-        """Run the full methodology and return the report."""
-        report = VerificationReport(
-            system_name=self.model.system.name,
-            property_one=PropertyOneResult(
-                status=VerificationStatus.INCONCLUSIVE, lyapunov=None, invariant=None),
-            property_two=PropertyTwoResult(status=VerificationStatus.INCONCLUSIVE),
-            options_summary={
-                "lyapunov_degree": self.options.lyapunov.certificate_degree,
-                "multiplier_degree": self.options.lyapunov.multiplier_degree,
-                "advection_step": self.options.advection.time_step,
-                "advection_operator": self.options.advection.operator,
-                "uncertainty": self.model.uncertainty,
-                "relaxation": self.options.relaxation,
-            },
-        )
+        """Run the problem's job DAG in-process and return the report.
 
-        property_one = self.verify_property_one(report)
-        report.property_one = property_one
-        if not property_one.verified or property_one.invariant is None:
-            LOGGER.warning("property 1 not established: %s", property_one.message)
-            return report
+        The same jobs and report as ``repro verify --jobs 1``, run in the
+        calling thread under this verifier's solve context; exceptions
+        propagate.
+        """
+        # The engine imports this module; import it at call time.
+        from ..engine.engine import run_in_process
 
-        if self.options.verify_property_two:
-            property_two = self.verify_property_two(property_one.invariant, report)
-            report.property_two = property_two
-        return report
+        return run_in_process(self.problem, context=self.context)

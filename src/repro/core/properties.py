@@ -16,12 +16,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
-from .advection import AdvectionResult
+from ..polynomial import Polynomial
 from .attractive import AttractiveInvariant
-from .escape import EscapeCertificate
-from .lyapunov import LyapunovResult
 
 
 class VerificationStatus(enum.Enum):
@@ -49,18 +47,15 @@ class PropertyOneResult:
     """Attractivity inside ``X1`` (Theorem 2)."""
 
     status: VerificationStatus
-    lyapunov: Optional[LyapunovResult]
-    invariant: Optional[AttractiveInvariant]
+    #: Per-mode Lyapunov certificates the synthesis returned — also when
+    #: they failed validation (empty when the solver produced none).
+    certificates: Dict[str, Polynomial] = field(default_factory=dict)
+    invariant: Optional[AttractiveInvariant] = None
     message: str = ""
 
     @property
     def verified(self) -> bool:
         return self.status.is_verified
-
-    def level_rows(self) -> List[Tuple[str, float]]:
-        if self.invariant is None:
-            return []
-        return [(name, level) for name, level, _ in self.invariant.summary_rows()]
 
 
 @dataclass
@@ -68,10 +63,13 @@ class ModePropertyTwoResult:
     """Property-2 evidence for a single mode."""
 
     mode_name: str
-    advection: Optional[AdvectionResult]
-    escape: Optional[EscapeCertificate]
     status: VerificationStatus
     message: str = ""
+    #: Advection steps taken and whether the advected set was absorbed.
+    iterations: int = 0
+    converged: bool = False
+    #: Whether an escape certificate was synthesised for the mode.
+    escape_found: bool = False
     #: Relaxation whose Lemma-1 certificate settled the final set-inclusion
     #: re-check (``None`` when no inclusion certificate was found).
     relaxation: Optional[str] = None
@@ -88,10 +86,3 @@ class PropertyTwoResult:
     @property
     def verified(self) -> bool:
         return self.status.is_verified
-
-    def modes_needing_escape(self) -> Tuple[str, ...]:
-        return tuple(name for name, res in self.per_mode.items() if res.escape is not None)
-
-    def advection_iterations(self) -> Dict[str, int]:
-        return {name: res.advection.iterations_used
-                for name, res in self.per_mode.items() if res.advection is not None}

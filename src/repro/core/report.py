@@ -114,11 +114,10 @@ class VerificationReport:
                 lines.append(f"    {mode_name}: V degree {degree}, maximised level c = {level:.4g}")
         lines.append(f"Property 2 (bounded reachability):    {self.property_two.status.value}")
         for mode_name, result in sorted(self.property_two.per_mode.items()):
-            parts = [f"    {mode_name}: {result.status.value}"]
-            if result.advection is not None:
-                parts.append(f"advection {result.advection.iterations_used} iterations"
-                             f"{' (absorbed)' if result.advection.converged else ''}")
-            if result.escape is not None:
+            parts = [f"    {mode_name}: {result.status.value}",
+                     f"advection {result.iterations} iterations"
+                     f"{' (absorbed)' if result.converged else ''}"]
+            if result.escape_found:
                 parts.append("escape certificate found")
             lines.append(", ".join(parts))
         lines.append(f"Inevitability (P = P1 and P2):        {self.inevitability_status.value}")
@@ -141,14 +140,13 @@ class VerificationReport:
         """Plain-data form of the report (CLI ``--json`` / engine artifacts)."""
         per_mode = {}
         for mode_name, result in sorted(self.property_two.per_mode.items()):
-            entry: Dict[str, object] = {"status": result.status.value,
-                                        "message": result.message}
-            if result.advection is not None:
-                entry["advection_iterations"] = result.advection.iterations_used
-                entry["advection_converged"] = result.advection.converged
-            if result.escape is not None:
-                entry["escape"] = True
-            per_mode[mode_name] = entry
+            per_mode[mode_name] = {
+                "status": result.status.value,
+                "message": result.message,
+                "advection_iterations": result.iterations,
+                "advection_converged": result.converged,
+                "escape": result.escape_found,
+            }
         invariant_rows = []
         if self.property_one.invariant is not None:
             invariant_rows = [

@@ -10,7 +10,9 @@ aggregates the results into the existing :mod:`repro.core.report` machinery.
 Every job is *hermetic*: the worker rebuilds the scenario problem from the
 registry by name and receives upstream artifacts as plain data, so results
 are identical whether the DAG runs inline (``jobs=1``), across a pool
-(``jobs=N``) or replayed from a warm cache.
+(``jobs=N``) or replayed from a warm cache.  :func:`run_in_process` drives
+the same DAG over a given problem object in the calling thread; it is what
+:meth:`~repro.core.inevitability.InevitabilityVerifier.verify` runs.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from ..core.inevitability import (
 from ..core.levelset import MaximizedLevelSet
 from ..core.report import STEP_FALSIFICATION_CHECK, join_relaxations
 from ..exceptions import CertificateError
+from ..polynomial import Polynomial
 from ..sdp import DEFAULT_BACKEND, SolveContext
 from ..utils import get_logger
 from .cache import CertificateCache, cache_rate_summary
@@ -109,10 +112,8 @@ def _prepared_problem(scenario: str, relaxation: Optional[str] = None,
                       params: Optional[Dict[str, float]] = None):
     from ..scenarios import build_problem
 
-    problem = build_problem(scenario, relaxation=relaxation, params=params)
-    if problem.options.lyapunov.domain_boxes is None:
-        problem.options.lyapunov.domain_boxes = problem.state_bounds()
-    return problem
+    return build_problem(scenario, relaxation=relaxation,
+                         params=params).fill_option_defaults()
 
 
 def _step_lyapunov(problem,
@@ -160,9 +161,8 @@ def _step_levelset(problem, mode: str,
     return "ok", f"level {level_set.level:.4g}", data
 
 
-def _rebuild_invariant(problem, certificates_data: Dict[str, object],
+def _rebuild_invariant(problem, certificates: Dict[str, Polynomial],
                        levels: Dict[str, Dict[str, object]]) -> AttractiveInvariant:
-    certificates = certificates_from_data(certificates_data)
     level_sets = {
         mode: MaximizedLevelSet(
             mode_name=mode,
@@ -180,19 +180,17 @@ def _step_advection(problem, mode: str, certificates_data: Dict[str, object],
                     levels: Dict[str, Dict[str, object]],
                     context: Optional[SolveContext] = None
                     ) -> Tuple[str, str, Dict[str, object]]:
-    invariant = _rebuild_invariant(problem, certificates_data, levels)
+    invariant = _rebuild_invariant(
+        problem, certificates_from_data(certificates_data), levels)
     result, timings = run_mode_property_two(
         problem, problem.options, mode, invariant, context=context)
-    advection = result.advection
     data: Dict[str, object] = {
-        "converged": bool(advection.converged) if advection else False,
-        "absorbing_mode": advection.absorbing_mode if advection else None,
-        "iterations": int(advection.iterations_used) if advection else 0,
+        "converged": bool(result.converged),
+        "iterations": int(result.iterations),
+        "escape_found": bool(result.escape_found),
         "advection_seconds": timings.get("advection", 0.0),
         "inclusion_seconds": timings.get("inclusion", 0.0),
         "escape_seconds": timings.get("escape", 0.0),
-        "escape": ({"validation_passed": bool(result.escape.validation_passed)}
-                   if result.escape is not None else None),
         "mode_status": result.status.value,
         "relaxation": result.relaxation,
     }
@@ -207,8 +205,8 @@ def _step_falsification(problem, certificates_data: Dict[str, object],
         return "skipped", "scenario has no executable abstraction", {}
     from ..analysis import random_initial_states, run_falsification
 
-    invariant = _rebuild_invariant(problem, certificates_data, levels)
     certificates = certificates_from_data(certificates_data)
+    invariant = _rebuild_invariant(problem, certificates, levels)
     tube = problem.options.lyapunov.lock_tube_radius
     rng = np.random.default_rng(seed)
     states = random_initial_states(problem.pll_model,
@@ -232,6 +230,24 @@ def _step_falsification(problem, certificates_data: Dict[str, object],
     if findings:
         return "failed", f"{len(findings)} falsification finding(s)", data
     return "ok", "no claim violated by simulation", data
+
+
+def _run_step(problem, payload: Dict[str, object],
+              context: Optional[SolveContext]) -> Tuple[str, str, Dict[str, object]]:
+    """Run one scenario job on ``problem``: ``(status, detail, data)``."""
+    step = payload["step"]
+    if step == STEP_LYAPUNOV:
+        return _step_lyapunov(problem, context)
+    if step == STEP_LEVELSET:
+        return _step_levelset(problem, payload["mode"], payload["certificate"],
+                              context)
+    if step == JOB_STEP_ADVECTION:
+        return _step_advection(problem, payload["mode"], payload["certificates"],
+                               payload["levels"], context)
+    if step == STEP_FALSIFICATION:
+        return _step_falsification(problem, payload["certificates"],
+                                   payload["levels"], int(payload.get("seed", 0)))
+    raise ValueError(f"unknown engine step {step!r}")
 
 
 def _execute_job(payload: Dict[str, object],
@@ -258,8 +274,7 @@ def _execute_job(payload: Dict[str, object],
     context = SolveContext(backend=payload.get("backend"), cache=cache,
                            name=f"job:{payload.get('scenario')}/{payload.get('step')}")
     try:
-        step = payload["step"]
-        if step == STEP_SWEEP:
+        if payload["step"] == STEP_SWEEP:
             # Sweep shards build their own per-point problems; importing
             # lazily keeps engine -> sweep a one-way dependency at runtime.
             from ..sweep.probe import run_sweep_shard
@@ -269,21 +284,7 @@ def _execute_job(payload: Dict[str, object],
             problem = _prepared_problem(payload["scenario"],
                                         payload.get("relaxation"),
                                         payload.get("params"))
-            if step == STEP_LYAPUNOV:
-                status, detail, data = _step_lyapunov(problem, context)
-            elif step == STEP_LEVELSET:
-                status, detail, data = _step_levelset(
-                    problem, payload["mode"], payload["certificate"], context)
-            elif step == JOB_STEP_ADVECTION:
-                status, detail, data = _step_advection(
-                    problem, payload["mode"], payload["certificates"],
-                    payload["levels"], context)
-            elif step == STEP_FALSIFICATION:
-                status, detail, data = _step_falsification(
-                    problem, payload["certificates"], payload["levels"],
-                    int(payload.get("seed", 0)))
-            else:
-                raise ValueError(f"unknown engine step {step!r}")
+            status, detail, data = _run_step(problem, payload, context)
     except Exception:
         status, detail, data = "error", traceback.format_exc(limit=8), {}
     return {
@@ -542,21 +543,27 @@ def _status_from(value: Optional[str]) -> VerificationStatus:
 
 
 def _assemble_report(problem, driver: _ScenarioDriver) -> VerificationReport:
-    """Fold a scenario's job results into a classic VerificationReport."""
+    """Fold a scenario's job results into a VerificationReport.
+
+    The only place a report is built: engine runs, fleet runs and the
+    in-process :func:`run_in_process` all end here.
+    """
     results = driver.results
     scenario = driver.scenario
+    options = problem.options
     report = VerificationReport(
         system_name=problem.system.name,
-        property_one=PropertyOneResult(
-            status=VerificationStatus.INCONCLUSIVE, lyapunov=None,
-            invariant=None),
+        property_one=PropertyOneResult(status=VerificationStatus.INCONCLUSIVE),
         property_two=PropertyTwoResult(status=VerificationStatus.INCONCLUSIVE),
         options_summary={
             "scenario": scenario,
-            "lyapunov_degree": problem.options.lyapunov.certificate_degree,
-            "multiplier_degree": problem.options.lyapunov.multiplier_degree,
-            "levelset_domain": problem.options.levelset_domain,
+            "lyapunov_degree": options.lyapunov.certificate_degree,
+            "multiplier_degree": options.lyapunov.multiplier_degree,
+            "levelset_domain": options.levelset_domain,
+            "advection_step": options.advection.time_step,
+            "advection_operator": options.advection.operator,
             "uncertainty": problem.uncertainty,
+            "relaxation": options.relaxation,
         },
     )
 
@@ -567,40 +574,37 @@ def _assemble_report(problem, driver: _ScenarioDriver) -> VerificationReport:
         report.add_timing(STEP_ATTRACTIVE_INVARIANT, lyap.seconds,
                           detail=f"degree {lyap.data.get('degree', '?')}",
                           relaxation=lyap.relaxation)
+    certificates = certificates_from_data(lyap.data.get("certificates") or {})
     if not lyap.status.is_ok:
         report.property_one = PropertyOneResult(
-            status=VerificationStatus.INCONCLUSIVE, lyapunov=None,
-            invariant=None, message=lyap.detail)
+            status=VerificationStatus.INCONCLUSIVE, certificates=certificates,
+            message=lyap.detail)
         return report
 
     level_results = {spec.mode: results[spec.job_id]
                      for spec in driver.specs.values()
                      if spec.step == STEP_LEVELSET and spec.job_id in results}
-    levels_ok = all(res.status.is_ok for res in level_results.values())
     levelset_seconds = sum(res.seconds for res in level_results.values())
     if levelset_seconds:
         report.add_timing(STEP_MAX_LEVEL_CURVES, levelset_seconds,
                           detail=f"{len(level_results)} mode(s)",
                           relaxation=join_relaxations(
                               res.relaxation for res in level_results.values()))
-    invariant = None
-    if levels_ok and level_results:
-        invariant = _rebuild_invariant(
-            problem, lyap.data["certificates"],
-            {mode: res.data for mode, res in level_results.items()})
+    failed = sorted(mode for mode, res in level_results.items()
+                    if not res.status.is_ok)
+    if failed or not level_results:
         report.property_one = PropertyOneResult(
-            status=VerificationStatus.VERIFIED, lyapunov=None,
-            invariant=invariant, message="attractive invariant constructed")
-    else:
-        failed = sorted(mode for mode, res in level_results.items()
-                        if not res.status.is_ok)
-        report.property_one = PropertyOneResult(
-            status=VerificationStatus.INCONCLUSIVE, lyapunov=None,
-            invariant=None,
+            status=VerificationStatus.INCONCLUSIVE, certificates=certificates,
             message=f"level-curve maximisation failed for {failed}")
         return report
+    report.property_one = PropertyOneResult(
+        status=VerificationStatus.VERIFIED, certificates=certificates,
+        invariant=_rebuild_invariant(
+            problem, certificates,
+            {mode: res.data for mode, res in level_results.items()}),
+        message="attractive invariant constructed")
 
-    if not problem.options.verify_property_two:
+    if not options.verify_property_two:
         return report
 
     per_mode: Dict[str, ModePropertyTwoResult] = {}
@@ -611,16 +615,15 @@ def _assemble_report(problem, driver: _ScenarioDriver) -> VerificationReport:
         job = results[spec.job_id]
         if job.status in (JobStatus.SKIPPED, JobStatus.TIMEOUT, JobStatus.ERROR):
             mode_status = VerificationStatus.INCONCLUSIVE
-            message = job.detail
         else:
             mode_status = _status_from(job.data.get("mode_status"))
-            message = job.detail
-        iterations = job.data.get("iterations")
-        if iterations is not None:
-            message = f"{message} ({iterations} advection iterations)"
+        iterations = int(job.data.get("iterations", 0))
         per_mode[spec.mode] = ModePropertyTwoResult(
-            mode_name=spec.mode, advection=None, escape=None,
-            status=mode_status, message=message)
+            mode_name=spec.mode, status=mode_status, message=job.detail,
+            iterations=iterations,
+            converged=bool(job.data.get("converged", False)),
+            escape_found=bool(job.data.get("escape_found", False)),
+            relaxation=job.relaxation)
         combined = combined.combine(mode_status)
         if job.data.get("advection_seconds"):
             report.add_timing(STEP_ADVECTION, float(job.data["advection_seconds"]),
@@ -645,6 +648,26 @@ def _assemble_report(problem, driver: _ScenarioDriver) -> VerificationReport:
     return report
 
 
+def run_in_process(problem, context: Optional[SolveContext] = None
+                   ) -> VerificationReport:
+    """Run ``problem``'s job DAG in the calling thread and return its report.
+
+    The jobs are those ``repro verify --jobs 1`` plans for the problem
+    (falsification included, seed 0), run on the given problem object
+    under one shared ``context`` (``None``: the process default).
+    Exceptions propagate instead of becoming error jobs.
+    """
+    driver = _ScenarioDriver(problem.name, problem, EngineOptions())
+    while not driver.done:
+        for spec, payload in driver.take_ready():
+            start = time.perf_counter()
+            status, detail, data = _run_step(problem, payload, context)
+            driver.record(spec, {"status": status, "detail": detail,
+                                 "data": data,
+                                 "seconds": time.perf_counter() - start})
+    return _assemble_report(problem, driver)
+
+
 def _matches_expected(expected: str, report: VerificationReport,
                       driver: _ScenarioDriver) -> bool:
     # An infrastructure failure (crashed worker, exceeded budget) is never
@@ -665,6 +688,46 @@ def _matches_expected(expected: str, report: VerificationReport,
     if expected == "inconclusive":
         return report.inevitability_status is VerificationStatus.INCONCLUSIVE
     raise ValueError(f"unknown expected outcome {expected!r}")
+
+
+def _summed(mappings) -> Dict[str, int]:
+    totals: Dict[str, int] = {}
+    for mapping in mappings:
+        for key, value in mapping.items():
+            totals[key] = totals.get(key, 0) + value
+    return totals
+
+
+def _engine_report(drivers: Sequence[_ScenarioDriver], options: EngineOptions,
+                   start: float) -> EngineReport:
+    """Aggregate settled scenario drivers into an :class:`EngineReport`.
+
+    Every job ran under its own SolveContext, so the run totals are the
+    exact per-job sums — inline, pooled and fleet runs aggregate
+    identically, and concurrent engine runs in one process never
+    cross-contaminate.
+    """
+    outcomes = []
+    for driver in drivers:
+        report = _assemble_report(driver.problem, driver)
+        jobs = driver.job_results()
+        outcomes.append(ScenarioOutcome(
+            scenario=driver.scenario,
+            expected=driver.problem.expected,
+            matches_expected=_matches_expected(
+                driver.problem.expected, report, driver),
+            report=report,
+            jobs=jobs,
+            counters=_summed(job.counters for job in jobs),
+        ))
+    return EngineReport(
+        outcomes=outcomes,
+        options=options,
+        wall_seconds=time.perf_counter() - start,
+        counters=_summed(outcome.counters for outcome in outcomes),
+        cache_stats=_summed(job.cache_stats for outcome in outcomes
+                            for job in outcome.jobs),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -872,39 +935,4 @@ class VerificationEngine:
                     except Exception:  # pragma: no cover - best effort
                         pass
 
-        outcomes = []
-        for driver in drivers:
-            report = _assemble_report(driver.problem, driver)
-            counters: Dict[str, int] = {}
-            for job in driver.job_results():
-                for key, value in job.counters.items():
-                    counters[key] = counters.get(key, 0) + value
-            outcomes.append(ScenarioOutcome(
-                scenario=driver.scenario,
-                expected=driver.problem.expected,
-                matches_expected=_matches_expected(
-                    driver.problem.expected, report, driver),
-                report=report,
-                jobs=driver.job_results(),
-                counters=counters,
-            ))
-
-        # Every job ran under its own SolveContext, so the run totals are the
-        # exact per-job sums — inline and pooled runs aggregate identically,
-        # and concurrent engine runs in one process never cross-contaminate.
-        totals: Dict[str, int] = {}
-        cache_totals: Dict[str, int] = {}
-        for outcome in outcomes:
-            for key, value in outcome.counters.items():
-                totals[key] = totals.get(key, 0) + value
-            for job in outcome.jobs:
-                for key, value in job.cache_stats.items():
-                    cache_totals[key] = cache_totals.get(key, 0) + value
-
-        return EngineReport(
-            outcomes=outcomes,
-            options=options,
-            wall_seconds=time.perf_counter() - start,
-            counters=totals,
-            cache_stats=cache_totals,
-        )
+        return _engine_report(drivers, options, start)

@@ -497,10 +497,7 @@ class FleetMaster:
     def _drive_submission(self, scenarios, options, priority, emit):
         from concurrent.futures import wait as futures_wait, FIRST_COMPLETED
         from ..engine.engine import (
-            EngineReport,
-            ScenarioOutcome,
-            _assemble_report,
-            _matches_expected,
+            _engine_report,
             _prepared_problem,
             _ScenarioDriver,
         )
@@ -553,33 +550,7 @@ class FleetMaster:
                       "detail": result.detail,
                       "attempts": job.attempts})
 
-        outcomes = []
-        for driver in drivers:
-            report = _assemble_report(driver.problem, driver)
-            counters: Dict[str, int] = {}
-            for job_result in driver.job_results():
-                for key, value in job_result.counters.items():
-                    counters[key] = counters.get(key, 0) + value
-            outcomes.append(ScenarioOutcome(
-                scenario=driver.scenario,
-                expected=driver.problem.expected,
-                matches_expected=_matches_expected(
-                    driver.problem.expected, report, driver),
-                report=report,
-                jobs=driver.job_results(),
-                counters=counters,
-            ))
-        totals: Dict[str, int] = {}
-        cache_totals: Dict[str, int] = {}
-        for outcome in outcomes:
-            for key, value in outcome.counters.items():
-                totals[key] = totals.get(key, 0) + value
-            for job_result in outcome.jobs:
-                for key, value in job_result.cache_stats.items():
-                    cache_totals[key] = cache_totals.get(key, 0) + value
-        return EngineReport(outcomes=outcomes, options=options,
-                            wall_seconds=time.perf_counter() - start,
-                            counters=totals, cache_stats=cache_totals)
+        return _engine_report(drivers, options, start)
 
     # ------------------------------------------------------------------
     # Job memo (cache-aware scheduling)

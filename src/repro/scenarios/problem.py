@@ -2,10 +2,11 @@
 
 :class:`ScenarioProblem` exposes the same structural interface as
 :class:`~repro.pll.model.PLLVerificationModel` (state bounds, per-mode
-domains, the outer set ``X2``), so the existing
-:class:`~repro.core.inevitability.InevitabilityVerifier` runs unchanged on
-any registered workload — PLLs, power converters or plain continuous
-polynomial systems wrapped in a single-mode hybrid shell.
+domains, the outer set ``X2``), so the engine's job DAG runs on any
+registered workload — PLLs, power converters or plain continuous polynomial
+systems wrapped in a single-mode hybrid shell.
+:class:`~repro.core.inevitability.InevitabilityVerifier` wraps a bare PLL
+model in one (:meth:`ScenarioProblem.from_pll_model`) to run the same DAG.
 """
 
 from __future__ import annotations
@@ -69,8 +70,18 @@ class ScenarioProblem:
                 f"scenario {self.name!r}: {len(self.bounds)} bounds for "
                 f"{self.system.num_states} states")
 
+    def fill_option_defaults(self) -> "ScenarioProblem":
+        """Fill the problem-specific option defaults in place; returns self.
+
+        The S-procedure domains of the Lyapunov search include the
+        region-of-interest box unless the options name their own.
+        """
+        if self.options.lyapunov.domain_boxes is None:
+            self.options.lyapunov.domain_boxes = self.state_bounds()
+        return self
+
     # ------------------------------------------------------------------
-    # The PLLVerificationModel structural interface used by the verifier.
+    # The PLLVerificationModel structural interface used by the pipeline.
     # ------------------------------------------------------------------
     @property
     def state_variables(self) -> VariableVector:

@@ -47,10 +47,7 @@ LOGGER = get_logger("sweep.probe")
 
 
 def _point_problem(scenario: str, params: Dict[str, float]):
-    problem = build_problem(scenario, params=params or None)
-    if problem.options.lyapunov.domain_boxes is None:
-        problem.options.lyapunov.domain_boxes = problem.state_bounds()
-    return problem
+    return build_problem(scenario, params=params or None).fill_option_defaults()
 
 
 def _synthesizer(problem, context: SolveContext) -> MultipleLyapunovSynthesizer:

@@ -186,8 +186,7 @@ class TestReport:
     def test_report_rendering_and_timing(self, xy):
         report = VerificationReport(
             system_name="toy",
-            property_one=PropertyOneResult(status=VerificationStatus.VERIFIED,
-                                           lyapunov=None, invariant=None),
+            property_one=PropertyOneResult(status=VerificationStatus.VERIFIED),
             property_two=PropertyTwoResult(status=VerificationStatus.INCONCLUSIVE),
         )
         report.add_timing(STEP_ATTRACTIVE_INVARIANT, 1.5, detail="degree 2")

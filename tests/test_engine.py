@@ -14,10 +14,11 @@ from repro.core import (
     VerificationReport,
     VerificationStatus,
 )
-from repro.core.inevitability import InevitabilityOptions
+from repro.core.inevitability import InevitabilityOptions, InevitabilityVerifier
 from repro.core.levelset import MaximizedLevelSet
 from repro.core.attractive import AttractiveInvariant
 from repro.engine import (
+    CertificateCache,
     EngineOptions,
     JobStatus,
     VerificationEngine,
@@ -30,6 +31,7 @@ from repro.scenarios import ScenarioProblem, build_problem, register_scenario
 from repro.scenarios.registry import _REGISTRY
 from repro.hybrid import HybridSystem, Mode
 from repro.polynomial import VariableVector, make_variables
+from repro.sdp import SolveContext
 from repro.sos import SemialgebraicSet
 
 
@@ -114,6 +116,31 @@ class TestExecution:
         assert driver.results["vanderpol/levelset:flow"].status is JobStatus.SKIPPED
 
 
+class TestInProcessVerifier:
+    @pytest.mark.parametrize("scenario", ["vanderpol", "buck"])
+    def test_verifier_replays_engine_run_with_identical_report(self, scenario,
+                                                               tmp_path):
+        """``InevitabilityVerifier.verify()`` runs the engine's job DAG: on the
+        engine's warm cache it solves nothing and reports the same JSON."""
+        cache_dir = str(tmp_path)
+        engine_run = VerificationEngine(
+            EngineOptions(jobs=1, cache_dir=cache_dir)).run([scenario])
+        context = SolveContext(cache=CertificateCache(cache_dir))
+        report = InevitabilityVerifier(build_problem(scenario),
+                                       context=context).verify()
+        assert context.solve_counters().get("solved", 0) == 0
+
+        def without_seconds(payload):
+            payload.pop("total_seconds")
+            for entry in payload["timings"]:
+                entry.pop("seconds")
+            return payload
+
+        engine_json = without_seconds(
+            engine_run.outcome(scenario).report.to_json_dict())
+        assert without_seconds(report.to_json_dict()) == engine_json
+
+
 class TestSerialization:
     def test_polynomial_roundtrip_is_exact(self):
         variables = VariableVector(make_variables("x", "y", "z"))
@@ -140,8 +167,7 @@ class TestReportSatellite:
         return VerificationReport(
             system_name="sys",
             property_one=PropertyOneResult(
-                status=VerificationStatus.INCONCLUSIVE, lyapunov=None,
-                invariant=None),
+                status=VerificationStatus.INCONCLUSIVE),
             property_two=PropertyTwoResult(
                 status=VerificationStatus.INCONCLUSIVE),
         )

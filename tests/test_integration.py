@@ -12,6 +12,7 @@ from repro.core import (
     LyapunovSynthesisOptions,
     VerificationStatus,
 )
+from repro.core.inevitability import advection_mode_names
 from repro.pll import (
     MODE_PUMP_DOWN,
     MODE_PUMP_UP,
@@ -78,21 +79,19 @@ class TestPipelineOnSmallPLL:
         assert rows["Attractive Invariant"] > 0
 
     def test_property_one_artifacts(self, report):
-        assert report.property_one.lyapunov is not None
-        certificates = report.property_one.lyapunov.certificates
+        certificates = report.property_one.certificates
         if certificates:
             assert set(certificates) == {"mode1", "mode2", "mode3"}
             for cert in certificates.values():
-                assert cert.certificate.degree <= 2
+                assert cert.degree <= 2
 
     def test_property_two_runs_for_pumping_modes(self, report):
         if report.property_one.invariant is None:
             pytest.skip("property 1 inconclusive under the tight test budget")
         per_mode = report.property_two.per_mode
-        assert set(per_mode) <= {MODE_PUMP_UP, MODE_PUMP_DOWN}
+        assert set(per_mode) == {MODE_PUMP_UP, MODE_PUMP_DOWN}
         for result in per_mode.values():
-            assert result.advection is not None
-            assert result.advection.iterations_used >= 0
+            assert result.iterations >= 0
 
 
 class TestOptionsPlumbing:
@@ -105,8 +104,7 @@ class TestOptionsPlumbing:
         model = build_third_order_model(uncertainty="none")
         options = fast_options()
         options.advection_modes = (MODE_PUMP_UP,)
-        verifier = InevitabilityVerifier(model, options)
-        assert verifier._advection_mode_names() == (MODE_PUMP_UP,)
+        assert advection_mode_names(options, model.system) == (MODE_PUMP_UP,)
 
     def test_paper_parameters_consistent_with_model(self):
         params = PLLParameters.third_order_paper()
