@@ -26,9 +26,12 @@ Subpackages
     Declarative registry of verification workloads (PLLs, buck converter,
     continuous polynomial systems) consumed by the engine and the CLI.
 ``repro.engine``
-    Parallel verification engine: per-scenario job DAGs over a process pool
-    with a persistent content-addressed certificate cache
-    (``python -m repro``).
+    Verification engine: per-scenario job DAGs run inline or across a local
+    process pool, with a persistent content-addressed certificate cache and
+    metrics snapshots of every run (``python -m repro``).
+``repro.sweep``
+    Parameter sweeps: certified feasibility frontiers over scenario axes,
+    sharded through the engine's executors.
 ``repro.api``
     The stable public facade: ``VerificationSession`` context objects owning
     solver backend, certificate cache, counters, seed and relaxation, plus

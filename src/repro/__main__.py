@@ -1,26 +1,17 @@
-"""Command-line interface: ``python -m repro {list,verify,report,serve,...}``.
+"""Command-line interface: ``python -m repro {list,verify,sweep,report}``.
 
 * ``list`` — show the registered scenarios (text or ``--json``).
 * ``verify <scenario>...`` — run the verification engine on the named
   scenarios (``all`` / ``fast`` select groups), with ``--jobs N`` for the
-  process pool, ``--fleet HOST:PORT`` to execute on a running fleet,
-  ``--param key=value`` to override declared sweep axes,
+  process pool, ``--param key=value`` to override declared sweep axes,
   ``--no-cache`` to bypass the persistent certificate cache and
   ``--json PATH`` to write the full machine-readable report.
 * ``sweep <family>`` — map a certified feasibility frontier over a sweep
   family's parameter axes (``--list`` shows the registered families;
   ``--grid axis=lo:hi:n`` / ``--samples`` / ``--seed`` reshape it,
-  ``--resume`` continues an interrupted sweep, ``--fleet`` runs the point
-  shards on a fleet).
+  ``--resume`` continues an interrupted sweep).
 * ``report`` — re-render the JSON report written by the last ``verify``
   (``--metrics`` for a structured metrics snapshot, JSON or Prometheus).
-* ``serve`` — run a fleet master: prioritised job queue, shared certificate
-  cache, requeue-on-worker-death (see :mod:`repro.fleet`).
-* ``worker --connect HOST:PORT`` — run a fleet worker against a master.
-* ``submit <scenario>...`` — submit scenarios to a fleet master at
-  interactive priority; ``--watch`` streams per-job status lines.
-* ``fleet-status`` — dump a master's queue depth, workers, cache hit rates
-  (text, ``--json`` or ``--prometheus``).
 
 Exit status: 0 when every verified scenario matched its registered expected
 outcome, 1 otherwise (and 2 for usage errors).
@@ -151,20 +142,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
         seed=args.seed,
         relaxation=args.relaxation,
         backend=args.backend,
-        fleet=args.fleet,
-        fleet_priority=args.fleet_priority,
         params=params or None,
     )
     engine = VerificationEngine(options)
     relax_note = f", relaxation={options.relaxation}" if options.relaxation else ""
     backend_note = f", backend={options.backend}" if options.backend else ""
-    fleet_note = f", fleet={options.fleet}" if options.fleet else ""
-    if params:
-        fleet_note += ", params=" + ",".join(
-            f"{key}={params[key]:g}" for key in sorted(params))
+    params_note = ", params=" + ",".join(
+        f"{key}={params[key]:g}" for key in sorted(params)) if params else ""
     print(f"verifying {', '.join(scenarios)} "
           f"(jobs={options.jobs}, cache={'on' if options.use_cache else 'off'}"
-          f"{relax_note}{backend_note}{fleet_note})")
+          f"{relax_note}{backend_note}{params_note})")
     report = engine.run(scenarios)
 
     for outcome in report.outcomes:
@@ -192,7 +179,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     with open(path) as handle:
         payload = json.load(handle)
     if args.metrics:
-        from .fleet.metrics import engine_metrics, render_prometheus
+        from .engine.metrics import engine_metrics, render_prometheus
 
         metrics = engine_metrics(payload)
         if args.prometheus:
@@ -255,11 +242,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         jobs=max(1, args.jobs),
         use_cache=not args.no_cache,
         cache_dir=args.cache_dir,
-        job_timeout=args.timeout,
         relaxation=args.relaxation,
         backend=args.backend,
-        fleet=args.fleet,
-        fleet_priority=args.fleet_priority,
         grid=grid or None,
         samples=args.samples,
         seed=args.seed,
@@ -276,11 +260,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    fleet_note = f", fleet={options.fleet}" if options.fleet else ""
     print(f"sweeping {family.name}: {family.count()} point(s) over "
           f"axes {','.join(family.axes())} of scenario {family.scenario} "
           f"(jobs={options.jobs}, "
-          f"cache={'on' if options.use_cache else 'off'}{fleet_note})")
+          f"cache={'on' if options.use_cache else 'off'})")
     try:
         report = runner.run(family)
     except SweepError as exc:
@@ -298,131 +281,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
     print(f"frontier JSON written to {json_path}")
-    return 0
-
-
-# ----------------------------------------------------------------------
-# Fleet commands (see repro.fleet)
-# ----------------------------------------------------------------------
-def cmd_serve(args: argparse.Namespace) -> int:
-    from .fleet import FleetMaster
-
-    master = FleetMaster(
-        host=args.host,
-        port=args.port,
-        cache_dir=args.cache_dir,
-        use_cache=not args.no_cache,
-        max_retries=args.max_retries,
-        job_timeout=args.timeout,
-        heartbeat_interval=args.heartbeat_interval,
-        liveness_timeout=args.liveness_timeout,
-        drain_timeout=args.drain_timeout,
-    )
-    print(f"fleet master serving on {args.host}:{args.port} "
-          f"(cache={'on' if not args.no_cache else 'off'}, "
-          f"max-retries={args.max_retries}); Ctrl-C to drain and stop")
-    master.serve_forever()
-    return 0
-
-
-def cmd_worker(args: argparse.Namespace) -> int:
-    from .fleet import parse_address, run_worker
-
-    address = parse_address(args.connect)
-    print(f"fleet worker '{args.name}' connecting to {args.connect}")
-    jobs_done = run_worker(address, name=args.name,
-                           poll_timeout=args.poll_timeout)
-    print(f"worker exited after {jobs_done} job(s)")
-    return 0
-
-
-def cmd_submit(args: argparse.Namespace) -> int:
-    from .fleet import FleetClient, PRIORITY_INTERACTIVE
-    from .fleet.protocol import ProtocolError
-
-    scenarios = _resolve_scenarios(args.scenarios)
-    if not scenarios:
-        print("nothing to submit", file=sys.stderr)
-        return 2
-    client = FleetClient(args.connect)
-    options = {
-        "use_cache": not args.no_cache,
-        "job_timeout": args.timeout,
-        "seed": args.seed,
-        "relaxation": args.relaxation,
-        "backend": args.backend,
-    }
-    priority = args.priority if args.priority is not None \
-        else PRIORITY_INTERACTIVE
-
-    def on_event(event: dict) -> None:
-        if event.get("event") != "job":
-            return
-        state = event.get("state")
-        if state == "queued":
-            print(f"  {event.get('job_id'):40s} queued "
-                  f"(priority {event.get('priority')})")
-        elif state == "cached":
-            print(f"  {event.get('job_id'):40s} {event.get('status'):8s} "
-                  f"   0.00s  [job memo] {event.get('detail', '')}")
-        else:
-            attempts = int(event.get("attempts", 1))
-            note = f" [attempt {attempts}]" if attempts > 1 else ""
-            print(f"  {event.get('job_id'):40s} {event.get('status'):8s} "
-                  f"{event.get('seconds', 0.0):7.2f}s  "
-                  f"{event.get('detail', '')}{note}")
-
-    print(f"submitting {', '.join(scenarios)} to {args.connect} "
-          f"(priority {priority})")
-    try:
-        done = client.submit(scenarios, priority=priority, watch=args.watch,
-                             on_event=on_event if args.watch else None,
-                             options=options)
-    except (OSError, ProtocolError) as exc:
-        print(f"error: fleet master at {args.connect} unreachable: {exc}",
-              file=sys.stderr)
-        return 2
-    payload = done.get("report", {})
-    engine_info = payload.get("engine", {})
-    counters = engine_info.get("counters", {})
-    print(f"done in {engine_info.get('wall_seconds', 0.0):.1f}s: "
-          f"{counters.get('solved', 0)} solve(s), "
-          f"{counters.get('cache_hit', 0)} cache hit(s)")
-    for scenario in payload.get("scenarios", []):
-        verdict = "MATCH" if scenario.get("matches_expected") else "MISMATCH"
-        rep = scenario.get("report", {})
-        print(f"  [{verdict}] {scenario.get('scenario')}: "
-              f"inevitability={rep.get('inevitability')} "
-              f"(expected {scenario.get('expected')})")
-    if args.json:
-        json_path = Path(args.json)
-        json_path.parent.mkdir(parents=True, exist_ok=True)
-        with open(json_path, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"JSON report written to {json_path}")
-    return 0 if done.get("ok") else 1
-
-
-def cmd_fleet_status(args: argparse.Namespace) -> int:
-    from .fleet import FleetClient, render_prometheus, render_status_text
-    from .fleet.protocol import ProtocolError
-
-    client = FleetClient(args.connect)
-    try:
-        status = client.status()
-    except (OSError, ProtocolError) as exc:
-        print(f"error: fleet master at {args.connect} unreachable: {exc}",
-              file=sys.stderr)
-        return 2
-    if args.prometheus:
-        sys.stdout.write(render_prometheus(status.get("metrics", {})))
-    elif args.json:
-        json.dump(status, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
-    else:
-        for line in render_status_text(status):
-            print(line)
     return 0
 
 
@@ -472,13 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--json", default=None, metavar="PATH",
                           help="write the JSON report here "
                                "(default: <cache>/last_report.json)")
-    p_verify.add_argument("--fleet", default=None, metavar="HOST:PORT",
-                          help="execute jobs on a running fleet master "
-                               "instead of a local pool; --jobs then bounds "
-                               "the jobs kept in flight on the fleet")
-    p_verify.add_argument("--fleet-priority", type=int, default=0, metavar="N",
-                          help="queue priority of fleet-executed jobs "
-                               "(background 0, interactive 10)")
     p_verify.add_argument("--param", action="append", default=None,
                           metavar="KEY=VALUE",
                           help="override a declared sweep axis of every named "
@@ -512,8 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--cache-dir", default=None,
                          help="cache + progress location (default: "
                               "$REPRO_CACHE_DIR or ~/.cache/repro-pll-sos)")
-    p_sweep.add_argument("--timeout", type=float, default=None, metavar="S",
-                         help="per-shard timeout (fleet runs)")
     p_sweep.add_argument("--relaxation", default=None,
                          choices=["dsos", "sdsos", "chordal", "sos", "auto"],
                          help="Gram-cone ladder every point climbs "
@@ -521,11 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--backend", default=None,
                          choices=["admm", "projection"],
                          help="conic solver backend of every probe solve")
-    p_sweep.add_argument("--fleet", default=None, metavar="HOST:PORT",
-                         help="execute point shards on a running fleet "
-                              "master instead of a local pool")
-    p_sweep.add_argument("--fleet-priority", type=int, default=0, metavar="N",
-                         help="queue priority of fleet-executed shards")
     p_sweep.add_argument("--resume", action="store_true",
                          help="skip points a previous run of the identical "
                               "family already settled (progress is saved "
@@ -553,82 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="with --metrics: Prometheus text exposition "
                                "instead of JSON")
     p_report.set_defaults(func=cmd_report)
-
-    from .fleet.protocol import DEFAULT_PORT
-
-    default_connect = f"127.0.0.1:{DEFAULT_PORT}"
-
-    p_serve = sub.add_parser("serve", help="run a fleet master")
-    p_serve.add_argument("--host", default="127.0.0.1",
-                         help="interface to bind (default: 127.0.0.1)")
-    p_serve.add_argument("--port", type=int, default=DEFAULT_PORT,
-                         help=f"port to bind (default: {DEFAULT_PORT})")
-    p_serve.add_argument("--cache-dir", default=None,
-                         help="shared certificate cache + job memo location")
-    p_serve.add_argument("--no-cache", action="store_true",
-                         help="serve without a certificate cache or job memo")
-    p_serve.add_argument("--max-retries", type=int, default=2, metavar="N",
-                         help="re-dispatch a job at most N times after worker "
-                              "death before quarantining it (default: 2)")
-    p_serve.add_argument("--timeout", type=float, default=None, metavar="S",
-                         help="default per-job timeout in seconds")
-    p_serve.add_argument("--heartbeat-interval", type=float, default=0.5,
-                         metavar="S", help="worker heartbeat period")
-    p_serve.add_argument("--liveness-timeout", type=float, default=5.0,
-                         metavar="S",
-                         help="declare a silent worker dead after S seconds")
-    p_serve.add_argument("--drain-timeout", type=float, default=30.0,
-                         metavar="S",
-                         help="graceful-shutdown budget for in-flight jobs")
-    p_serve.set_defaults(func=cmd_serve)
-
-    p_worker = sub.add_parser("worker", help="run a fleet worker")
-    p_worker.add_argument("--connect", default=default_connect,
-                          metavar="HOST:PORT",
-                          help=f"master address (default: {default_connect})")
-    p_worker.add_argument("--name", default="worker",
-                          help="worker name (the master makes it unique)")
-    p_worker.add_argument("--poll-timeout", type=float, default=2.0,
-                          metavar="S", help="long-poll budget per job request")
-    p_worker.set_defaults(func=cmd_worker)
-
-    p_submit = sub.add_parser(
-        "submit", help="submit scenarios to a fleet master")
-    p_submit.add_argument("scenarios", nargs="+",
-                          help="scenario names (or 'all' / 'fast')")
-    p_submit.add_argument("--connect", default=default_connect,
-                          metavar="HOST:PORT",
-                          help=f"master address (default: {default_connect})")
-    p_submit.add_argument("--priority", type=int, default=None, metavar="N",
-                          help="queue priority (default: interactive, 10)")
-    p_submit.add_argument("--watch", action="store_true",
-                          help="stream per-job status lines as they happen")
-    p_submit.add_argument("--no-cache", action="store_true",
-                          help="bypass the master's certificate cache and memo")
-    p_submit.add_argument("--timeout", type=float, default=None, metavar="S",
-                          help="per-job timeout enforced by the master")
-    p_submit.add_argument("--seed", type=int, default=0,
-                          help="random seed for the falsification cross-check")
-    p_submit.add_argument("--backend", default=None,
-                          choices=["admm", "projection"],
-                          help="conic solver backend of every job")
-    p_submit.add_argument("--relaxation", default=None,
-                          choices=["dsos", "sdsos", "chordal", "sos", "auto"],
-                          help="Gram-cone relaxation override")
-    p_submit.add_argument("--json", default=None, metavar="PATH",
-                          help="write the fleet's JSON report here")
-    p_submit.set_defaults(func=cmd_submit)
-
-    p_status = sub.add_parser(
-        "fleet-status", help="dump a fleet master's status")
-    p_status.add_argument("--connect", default=default_connect,
-                          metavar="HOST:PORT",
-                          help=f"master address (default: {default_connect})")
-    p_status.add_argument("--json", action="store_true",
-                          help="emit the full status snapshot as JSON")
-    p_status.add_argument("--prometheus", action="store_true",
-                          help="emit the metrics as Prometheus text")
-    p_status.set_defaults(func=cmd_fleet_status)
     return parser
 
 

@@ -73,12 +73,6 @@ class VerificationSession:
     timing_hook:
         Optional callable ``(step, seconds, detail)`` invoked for every
         pipeline step timed during :meth:`verify`.
-    fleet:
-        ``"host:port"`` of a running fleet master (see :mod:`repro.fleet`).
-        When set, :meth:`submit` sends scenarios to that fleet — executed by
-        its workers against its shared certificate cache — instead of
-        solving anything in this process.  :meth:`verify` stays in-process
-        regardless; targeting a fleet is always the explicit call.
     """
 
     def __init__(self, *, backend: Union[str, object, None] = None,
@@ -88,8 +82,7 @@ class VerificationSession:
                  relaxation: Optional[str] = None,
                  seed: int = 0,
                  timing_hook: Optional[TimingHook] = None,
-                 name: str = "session",
-                 fleet: Optional[str] = None):
+                 name: str = "session"):
         if cache is not None and cache_dir is not None:
             raise ValueError("pass either cache= or cache_dir=, not both")
         if cache is None and cache_dir is not None:
@@ -106,7 +99,6 @@ class VerificationSession:
         self.relaxation = relaxation
         self.seed = int(seed)
         self.timing_hook = timing_hook
-        self.fleet = fleet
         self._rng = np.random.default_rng(self.seed)
 
     # ------------------------------------------------------------------
@@ -207,40 +199,6 @@ class VerificationSession:
         """Verify a registered scenario under this session (see :func:`verify`)."""
         return verify(scenario, session=self, options=options)
 
-    def submit(self, scenarios: Union[str, list, tuple],
-               priority: Optional[int] = None,
-               watch: Optional[Callable[[Dict[str, object]], None]] = None,
-               fleet: Optional[str] = None) -> Dict[str, object]:
-        """Run scenarios on a fleet master; returns the engine-report JSON.
-
-        The fleet executes the jobs on its workers against its shared
-        certificate cache, applying this session's relaxation, backend
-        and seed configuration to every job.  ``fleet``
-        overrides the address the session was constructed with; ``watch``
-        receives one event dict per job transition as it streams in.
-        Blocks until the aggregate report arrives.
-        """
-        address = fleet or self.fleet
-        if address is None:
-            raise ValueError(
-                "no fleet configured: pass fleet='host:port' here or to "
-                "VerificationSession(fleet=...)")
-        from ..fleet import PRIORITY_INTERACTIVE, FleetClient
-
-        backend = self.backend if isinstance(self.backend, str) else None
-        options = {
-            "seed": self.seed,
-            "relaxation": self.relaxation,
-            "backend": backend,
-        }
-        client = FleetClient(address)
-        done = client.submit(
-            scenarios=[scenarios] if isinstance(scenarios, str)
-            else list(scenarios),
-            priority=PRIORITY_INTERACTIVE if priority is None else priority,
-            watch=watch is not None, on_event=watch, options=options)
-        return done["report"]
-
     def sweep(self, family: Union[str, object],
               jobs: int = 1,
               grid: Optional[Dict[str, tuple]] = None,
@@ -248,8 +206,7 @@ class VerificationSession:
               seed: Optional[int] = None,
               relaxation: Optional[str] = None,
               resume: bool = False,
-              shard_size: Optional[int] = None,
-              fleet: Optional[str] = None):
+              shard_size: Optional[int] = None):
         """Run a parameter sweep family under this session's configuration.
 
         ``family`` is a registered family name (see
@@ -268,7 +225,6 @@ class VerificationSession:
             jobs=int(jobs),
             relaxation=relaxation or self.relaxation,
             backend=backend,
-            fleet=fleet or self.fleet,
             grid=grid, samples=samples, seed=seed,
             resume=resume, shard_size=shard_size,
         )
@@ -281,11 +237,10 @@ class VerificationSession:
             options.cache_dir = str(cache.root)
             runner = SweepRunner(options)
         else:
-            # A live cache object (in-memory double, remote client) cannot
-            # cross a process boundary; the runner stays inline and threads
-            # the object through _execute_job's override path.
-            runner = SweepRunner(options, cache_override=cache,
-                                 override_cache=True)
+            # A live cache object (e.g. an in-memory double) cannot cross a
+            # process boundary; the runner stays inline and hands the object
+            # to every _execute_job call.
+            runner = SweepRunner(options, cache=cache)
         return runner.run(family)
 
     # ------------------------------------------------------------------
@@ -318,8 +273,8 @@ def verify(scenario: str,
     Running inline is what makes it composable: several sessions can call
     :func:`verify` concurrently from a thread pool, each against its own
     cache/backend/relaxation, with bit-identical results to the serial
-    runs.  Process-pool and fleet scheduling remain
-    :class:`~repro.engine.VerificationEngine` features.
+    runs.  Process-pool scheduling remains a
+    :class:`~repro.engine.VerificationEngine` feature.
     """
     from ..scenarios import build_problem
 

@@ -10,11 +10,9 @@ from .cache import (
     CACHE_DIR_ENV,
     CacheStats,
     CertificateCache,
-    RemoteCacheClient,
     default_cache_dir,
 )
 from .engine import (
-    DistributedExecutor,
     EngineOptions,
     EngineReport,
     ScenarioOutcome,
@@ -30,21 +28,10 @@ from .jobs import (
     JobStatus,
 )
 from .serialize import (
-    SCHEMA_VERSION,
-    WireSchemaError,
     certificates_from_data,
     certificates_to_data,
-    job_result_from_wire,
-    job_result_to_wire,
-    job_spec_from_wire,
-    job_spec_to_wire,
-    memo_outcome,
-    memoizable_status,
-    payload_fingerprint,
     polynomial_from_data,
     polynomial_to_data,
-    solver_result_from_wire,
-    solver_result_to_wire,
 )
 
 __all__ = [
@@ -52,7 +39,6 @@ __all__ = [
     "EngineOptions",
     "EngineReport",
     "ScenarioOutcome",
-    "DistributedExecutor",
     "JobSpec",
     "JobResult",
     "JobStatus",
@@ -61,7 +47,6 @@ __all__ = [
     "STEP_ADVECTION",
     "STEP_FALSIFICATION",
     "CertificateCache",
-    "RemoteCacheClient",
     "CacheStats",
     "default_cache_dir",
     "CACHE_DIR_ENV",
@@ -69,15 +54,4 @@ __all__ = [
     "polynomial_from_data",
     "certificates_to_data",
     "certificates_from_data",
-    "SCHEMA_VERSION",
-    "WireSchemaError",
-    "job_spec_to_wire",
-    "job_spec_from_wire",
-    "job_result_to_wire",
-    "job_result_from_wire",
-    "solver_result_to_wire",
-    "solver_result_from_wire",
-    "payload_fingerprint",
-    "memo_outcome",
-    "memoizable_status",
 ]

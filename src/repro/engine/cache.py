@@ -188,92 +188,3 @@ class CertificateCache:
                 f"hits={self.stats.hits}, misses={self.stats.misses}, "
                 f"writes={self.stats.writes}, corrupted={self.stats.corrupted})")
 
-
-class RemoteCacheClient:
-    """Client front of a fleet master's certificate cache.
-
-    Satisfies the same ``get``/``put`` protocol as :class:`CertificateCache`
-    (so it plugs straight into :class:`repro.sdp.context.SolveContext`), but
-    every lookup travels to the master over the fleet's length-prefixed JSON
-    protocol — :class:`~repro.sdp.result.SolverResult` values cross the wire
-    through the explicit codecs of :mod:`repro.engine.serialize`, never as
-    pickles.  One client instance holds one lazily-opened connection and is
-    thread-safe.
-
-    Failure policy: a cache must never take a job down with it.  If the
-    master becomes unreachable mid-job, ``get`` degrades to a miss and
-    ``put`` to a no-op (counted in ``stats``, logged once); the job then
-    simply solves without memoisation — and the master will requeue it
-    anyway if the whole fleet link is gone.
-    """
-
-    def __init__(self, address, timeout: float = 30.0):
-        self.address = tuple(address)
-        self.timeout = timeout
-        self.stats = CacheStats()
-        self._lock = threading.Lock()
-        self._conn = None
-        self._warned = False
-
-    # ------------------------------------------------------------------
-    def _request(self, message: Dict[str, object]) -> Optional[Dict[str, object]]:
-        from ..fleet.protocol import Connection, ProtocolError
-
-        with self._lock:
-            for attempt in (0, 1):   # one transparent reconnect
-                if self._conn is None:
-                    try:
-                        self._conn = Connection.connect(self.address,
-                                                        timeout=self.timeout)
-                        self._conn.settimeout(self.timeout)
-                    except OSError as exc:
-                        self._complain(exc)
-                        return None
-                try:
-                    return self._conn.request(message)
-                except (OSError, ProtocolError) as exc:
-                    self._conn.close()
-                    self._conn = None
-                    if attempt:
-                        self._complain(exc)
-            return None
-
-    def _complain(self, exc: Exception) -> None:
-        if not self._warned:
-            self._warned = True
-            LOGGER.warning("remote certificate cache %s unreachable (%s); "
-                           "continuing without cache", self.address, exc)
-
-    # ------------------------------------------------------------------
-    def get(self, key: str):
-        from .serialize import solver_result_from_wire
-
-        response = self._request({"type": "cache_get", "key": key})
-        if response is None or not response.get("found"):
-            with self._lock:
-                self.stats.misses += 1
-            return None
-        result = solver_result_from_wire(response["result"])
-        with self._lock:
-            self.stats.hits += 1
-        return result
-
-    def put(self, key: str, result) -> None:
-        from .serialize import solver_result_to_wire
-
-        response = self._request({"type": "cache_put", "key": key,
-                                  "result": solver_result_to_wire(result)})
-        if response is not None and response.get("ok"):
-            with self._lock:
-                self.stats.writes += 1
-
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        with self._lock:
-            if self._conn is not None:
-                self._conn.close()
-                self._conn = None
-
-    def describe(self) -> str:
-        return (f"RemoteCacheClient({self.address}: hits={self.stats.hits}, "
-                f"misses={self.stats.misses}, writes={self.stats.writes})")

@@ -89,15 +89,6 @@ class EngineOptions:
     # None keeps the registry default.  Recorded in the JSON report; enters
     # the certificate-cache key, so distinct backends never share entries.
     backend: Optional[str] = None
-    # "host:port" of a fleet master (see repro.fleet).  When set, jobs are
-    # executed by the fleet's workers through a DistributedExecutor instead
-    # of a local process pool; `jobs` then bounds how many jobs this engine
-    # keeps in flight on the fleet at once, and per-job timeouts are
-    # enforced by the master's scheduler.
-    fleet: Optional[str] = None
-    # Queue priority of fleet-executed jobs (higher preempts lower at the
-    # master's queue level; interactive `repro submit` traffic runs at 10).
-    fleet_priority: int = 0
     # Sweep-axis overrides threaded to every job's problem build
     # (``verify --param key=value``): maps declared axis names to absolute
     # values.  None runs the registered nominal scenario.
@@ -251,8 +242,7 @@ def _run_step(problem, payload: Dict[str, object],
 
 
 def _execute_job(payload: Dict[str, object],
-                 cache_override: Optional[object] = None,
-                 override_cache: bool = False) -> Dict[str, object]:
+                 cache: Optional[object] = None) -> Dict[str, object]:
     """Worker entry point: hermetic execution of one job from plain data.
 
     Every job runs under its own :class:`~repro.sdp.context.SolveContext`
@@ -260,17 +250,12 @@ def _execute_job(payload: Dict[str, object],
     state, so inline jobs, pool workers and any other pipelines in the same
     process are fully isolated from each other.
 
-    ``override_cache=True`` substitutes ``cache_override`` for the cache the
-    payload describes — fleet workers pass a
-    :class:`~repro.engine.cache.RemoteCacheClient` here so their solves land
-    in the master's store instead of a path that only exists on the master.
+    A live ``cache`` object (``get``/``put`` protocol) replaces the cache the
+    payload describes; ``None`` opens the payload's on-disk cache, if any.
     """
     start = time.perf_counter()
-    if override_cache:
-        cache = cache_override
-    else:
-        cache_dir = payload.get("cache_dir")
-        cache = CertificateCache(cache_dir) if payload.get("use_cache") else None
+    if cache is None and payload.get("use_cache"):
+        cache = CertificateCache(payload.get("cache_dir"))
     context = SolveContext(backend=payload.get("backend"), cache=cache,
                            name=f"job:{payload.get('scenario')}/{payload.get('step')}")
     try:
@@ -500,7 +485,6 @@ class EngineReport:
                 "backend": self.options.backend or DEFAULT_BACKEND,
                 "wall_seconds": self.wall_seconds,
                 "counters": dict(self.counters),
-                "cache_stats": dict(self.cache_stats),
                 "cache": cache_rate_summary(self.cache_stats),
             },
             "scenarios": [outcome.to_json_dict() for outcome in self.outcomes],
@@ -545,8 +529,8 @@ def _status_from(value: Optional[str]) -> VerificationStatus:
 def _assemble_report(problem, driver: _ScenarioDriver) -> VerificationReport:
     """Fold a scenario's job results into a VerificationReport.
 
-    The only place a report is built: engine runs, fleet runs and the
-    in-process :func:`run_in_process` all end here.
+    The only place a report is built: engine runs and the in-process
+    :func:`run_in_process` both end here.
     """
     results = driver.results
     scenario = driver.scenario
@@ -703,9 +687,8 @@ def _engine_report(drivers: Sequence[_ScenarioDriver], options: EngineOptions,
     """Aggregate settled scenario drivers into an :class:`EngineReport`.
 
     Every job ran under its own SolveContext, so the run totals are the
-    exact per-job sums — inline, pooled and fleet runs aggregate
-    identically, and concurrent engine runs in one process never
-    cross-contaminate.
+    exact per-job sums — inline and pooled runs aggregate identically, and
+    concurrent engine runs in one process never cross-contaminate.
     """
     outcomes = []
     for driver in drivers:
@@ -748,54 +731,6 @@ class _InlineExecutor:
         pass
 
 
-class DistributedExecutor:
-    """Run engine jobs on a fleet master instead of a local pool.
-
-    Presents the same ``submit(fn, payload) -> Future`` surface as
-    :class:`concurrent.futures` executors, but ``fn`` is ignored: the payload
-    travels to the master's scheduler, which dispatches it to whichever
-    worker pulls it first (or answers it straight from the job memo).  Each
-    submission occupies one daemon thread blocked on the master's reply, so
-    ``EngineOptions.jobs`` bounds this engine's inflight jobs on the fleet.
-    Per-job timeouts are enforced by the master's deadline reaper, not here.
-    """
-
-    def __init__(self, address: str, priority: int = 0,
-                 timeout: Optional[float] = None):
-        from ..fleet.client import FleetClient
-
-        self.client = FleetClient(address)
-        self.priority = int(priority)
-        self.timeout = timeout
-
-    def submit(self, fn, payload) -> Future:  # noqa: ARG002 - fleet executes
-        future: Future = Future()
-        label = f"{payload.get('scenario')}/{payload.get('step')}" + \
-            (f":{payload['mode']}" if payload.get("mode") else "")
-
-        def _dispatch() -> None:
-            try:
-                outcome = self.client.exec_job(
-                    payload, priority=self.priority,
-                    timeout=self.timeout, label=label)
-            except BaseException as exc:  # noqa: BLE001 - surfaced via future
-                if not future.set_running_or_notify_cancel():
-                    return
-                future.set_exception(exc)
-                return
-            if future.set_running_or_notify_cancel():
-                future.set_result(outcome)
-
-        import threading
-
-        threading.Thread(target=_dispatch, daemon=True,
-                         name=f"fleet-dispatch-{label}").start()
-        return future
-
-    def shutdown(self, wait: bool = True) -> None:  # noqa: ARG002
-        pass
-
-
 class VerificationEngine:
     """Expand scenarios into job DAGs and run them to completion."""
 
@@ -819,11 +754,7 @@ class VerificationEngine:
             problem = _prepared_problem(name, options.relaxation)
             drivers.append(_ScenarioDriver(name, problem, options))
 
-        if options.fleet:
-            executor = DistributedExecutor(options.fleet,
-                                           priority=options.fleet_priority,
-                                           timeout=options.job_timeout)
-        elif options.jobs > 1:
+        if options.jobs > 1:
             executor = ProcessPoolExecutor(max_workers=options.jobs)
         else:
             executor = _InlineExecutor()
@@ -886,10 +817,7 @@ class VerificationEngine:
                     driver.record(spec, outcome)
                     LOGGER.info("finished %s: %s", spec.job_id,
                                 driver.results[spec.job_id].status.value)
-                # In fleet mode the master's deadline reaper owns the per-job
-                # timeout; resolving it here too would race the authoritative
-                # outcome travelling back over the wire.
-                if options.job_timeout is not None and not options.fleet:
+                if options.job_timeout is not None:
                     for future in list(active):
                         driver, spec, started = active[future]
                         if now - started > options.job_timeout:

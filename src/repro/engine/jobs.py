@@ -20,7 +20,7 @@ STEP_ADVECTION = "advection"
 STEP_FALSIFICATION = "falsification"
 #: One batch of parameter-sweep probe points (see repro.sweep); executed by
 #: the same hermetic worker entry point as the classic pipeline steps, so
-#: local pools and fleet workers dispatch sweep shards unchanged.
+#: the inline executor and the process pool run sweep shards unchanged.
 STEP_SWEEP = "sweep_shard"
 
 

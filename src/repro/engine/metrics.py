@@ -3,16 +3,15 @@
 The counters have always existed — :class:`~repro.sdp.context.SolveContext`
 tracks solve/compile counts per cone layout, :class:`~repro.engine.cache.CacheStats`
 tracks hit rates, reports track per-stage timings — this module exports them
-as one structured snapshot consumed by ``repro report --metrics`` and
-``repro fleet-status --json/--prometheus``, so "fast as the hardware allows"
-is measured, not asserted.
+as one structured snapshot consumed by ``repro report --metrics``, so "fast
+as the hardware allows" is measured, not asserted.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..engine.cache import cache_rate_summary
+from .cache import cache_rate_summary
 
 #: Version tag of the metrics snapshot layout.
 METRICS_SCHEMA = 1
@@ -30,14 +29,8 @@ def _split_counters(counters: Dict[str, int]) -> Dict[str, object]:
     return out
 
 
-def _cache_section(stats: Dict[str, int]) -> Dict[str, object]:
-    # One arithmetic for hit rates everywhere: engine reports, sweep
-    # frontiers and these metrics all quote cache_rate_summary.
-    return cache_rate_summary(stats)
-
-
 def engine_metrics(payload: Dict[str, object]) -> Dict[str, object]:
-    """Metrics snapshot of one engine/fleet report's JSON payload."""
+    """Metrics snapshot of one engine report's JSON payload."""
     engine = payload.get("engine", {})
     stages: Dict[str, float] = {}
     jobs_by_status: Dict[str, int] = {}
@@ -51,26 +44,13 @@ def engine_metrics(payload: Dict[str, object]) -> Dict[str, object]:
     return {
         "schema": METRICS_SCHEMA,
         "solves": _split_counters(engine.get("counters", {})),
-        "cache": _cache_section(engine.get("cache_stats", {})),
+        # One arithmetic for hit rates everywhere: engine reports, sweep
+        # frontiers and these metrics all quote cache_rate_summary.
+        "cache": cache_rate_summary(engine.get("cache", {})),
         "stages": stages,
         "jobs": {"total": sum(jobs_by_status.values()),
                  "by_status": jobs_by_status},
         "wall_seconds": float(engine.get("wall_seconds", 0.0)),
-    }
-
-
-def fleet_metrics(status: Dict[str, object]) -> Dict[str, object]:
-    """Metrics snapshot of one ``fleet-status`` payload."""
-    queue = status.get("queue", {})
-    jobs = status.get("jobs", {})
-    return {
-        "schema": METRICS_SCHEMA,
-        "queue": {"depth": int(queue.get("depth", 0)),
-                  "inflight": len(queue.get("inflight", []))},
-        "workers": {"connected": len(status.get("workers", []))},
-        "jobs": {key: int(value) for key, value in jobs.items()},
-        "cache": _cache_section(status.get("cache", {})),
-        "solves": _split_counters(status.get("counters", {})),
     }
 
 
@@ -98,17 +78,6 @@ def _samples(metrics: Dict[str, object]) -> List[Tuple[str, Optional[Dict[str, s
     if isinstance(jobs, dict):
         for status, count in sorted(dict(jobs.get("by_status", {})).items()):
             samples.append(("jobs_total", {"status": status}, count))
-        for key in ("dispatched", "completed", "requeued", "quarantined",
-                    "timeouts", "memo_hits", "enqueued"):
-            if key in jobs:
-                samples.append((f"jobs_{key}_total", None, jobs[key]))
-    queue = metrics.get("queue")
-    if isinstance(queue, dict):
-        samples.append(("queue_depth", None, queue.get("depth", 0)))
-        samples.append(("jobs_inflight", None, queue.get("inflight", 0)))
-    workers = metrics.get("workers")
-    if isinstance(workers, dict):
-        samples.append(("workers_connected", None, workers.get("connected", 0)))
     if "wall_seconds" in metrics:
         samples.append(("wall_seconds", None, metrics["wall_seconds"]))
     return samples

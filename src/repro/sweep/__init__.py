@@ -3,7 +3,7 @@
 The subsystem answers "over which parameter region does the certificate
 survive, and at which Gram-cone rung?" — declaratively (:mod:`families`),
 cheaply (one structural compile per family structure, an array bind per
-point; :mod:`probe`), in parallel (local pool or fleet; :mod:`planner`) and
+point; :mod:`probe`), in parallel (local process pool; :mod:`planner`) and
 resumably (:mod:`progress`), reporting a per-axis feasibility frontier
 (:mod:`frontier`).
 """

@@ -9,10 +9,9 @@ run:
    certificate cache with ``repro verify``.
 2. **Point shards** — the family's points are chunked so every worker slot
    gets one contiguous shard (``ceil(points / jobs)`` by default), and each
-   shard travels as a single ``sweep_shard`` job through the same executor
-   stack the engine uses: inline for ``jobs=1``, a local process pool for
-   ``jobs>1``, or the fleet's :class:`~repro.engine.engine.DistributedExecutor`
-   with ``--fleet``.  Per shard, every ladder rung pays one structural
+   shard travels as a single ``sweep_shard`` job through the same executors
+   the engine uses: inline for ``jobs=1``, a local process pool for
+   ``jobs>1``.  Per shard, every ladder rung pays one structural
    compile of its :class:`~repro.sos.parametric.MultiParametricSOSProgram`
    probe family and each point is a pure array bind.
 3. **Aggregation** — shard outcomes fold into the deterministic feasibility
@@ -30,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..engine.cache import cache_rate_summary, default_cache_dir
-from ..engine.engine import DistributedExecutor, _InlineExecutor, _execute_job
+from ..engine.engine import _InlineExecutor, _execute_job
 from ..engine.jobs import STEP_LYAPUNOV, STEP_SWEEP
 from ..exceptions import CertificateError
 from ..sdp import relaxation_ladder
@@ -53,11 +52,8 @@ class SweepOptions:
     jobs: int = 1
     use_cache: bool = True
     cache_dir: Optional[str] = None
-    job_timeout: Optional[float] = None
     relaxation: Optional[str] = None    # None keeps the family's ladder
     backend: Optional[str] = None
-    fleet: Optional[str] = None
-    fleet_priority: int = 0
     # Family reshaping (CLI --grid/--samples/--seed):
     grid: Optional[Dict[str, Tuple[float, float, int]]] = None
     samples: Optional[int] = None
@@ -136,14 +132,12 @@ class SweepRunner:
     """Plan and execute one sweep family end to end."""
 
     def __init__(self, options: Optional[SweepOptions] = None,
-                 cache_override: Optional[object] = None,
-                 override_cache: bool = False):
+                 cache: Optional[object] = None):
         self.options = options or SweepOptions()
-        # Mirrors _execute_job's override contract: sessions with in-memory
+        # Mirrors _execute_job's cache argument: sessions with in-memory
         # caches (and tests) substitute their cache object for the path the
         # payload would otherwise describe.
-        self._cache_override = cache_override
-        self._override_cache = override_cache
+        self._cache = cache
 
     # ------------------------------------------------------------------
     def resolve_family(self, family: object) -> SweepFamily:
@@ -177,12 +171,6 @@ class SweepRunner:
             "backend": options.backend,
         }
 
-    def _run_job(self, payload: Dict[str, object]) -> Dict[str, object]:
-        if self._override_cache:
-            return _execute_job(payload, cache_override=self._cache_override,
-                                override_cache=True)
-        return _execute_job(payload)
-
     # ------------------------------------------------------------------
     def _anchor_certificates(self, family: SweepFamily
                              ) -> Tuple[Dict[str, object], Dict[str, object]]:
@@ -202,7 +190,7 @@ class SweepRunner:
             "relaxation": None,
             "params": anchor or None,
         })
-        outcome = self._run_job(payload)
+        outcome = _execute_job(payload, self._cache)
         data = outcome.get("data", {})
         info = {
             "status": outcome.get("status"),
@@ -272,14 +260,12 @@ class SweepRunner:
         run = {
             "wall_seconds": time.perf_counter() - start,
             "jobs": options.jobs,
-            "fleet": options.fleet,
             "backend": options.backend,
             "use_cache": options.use_cache,
             "shards": len(shards),
             "resumed_points": resumed,
             "anchor": anchor_info,
             "counters": counters,
-            "cache_stats": cache_totals,
             "cache": cache_rate_summary(cache_totals),
             "structures": structures,
             "progress_path": str(progress.path),
@@ -316,17 +302,12 @@ class SweepRunner:
             })
             shard_payloads.append(payload)
 
-        if options.fleet:
-            executor = DistributedExecutor(options.fleet,
-                                           priority=options.fleet_priority,
-                                           timeout=options.job_timeout)
-        elif options.jobs > 1 and len(shard_payloads) > 1 \
-                and not self._override_cache:
+        if options.jobs > 1 and len(shard_payloads) > 1 \
+                and self._cache is None:
             executor = ProcessPoolExecutor(max_workers=options.jobs)
         else:
-            # Inline also covers cache-object overrides: a live cache object
-            # (session in-memory cache, test double) cannot cross a process
-            # boundary.
+            # Inline also covers live cache objects (session in-memory
+            # cache, test double): they cannot cross a process boundary.
             executor = _InlineExecutor()
 
         active: Dict[Future, int] = {}
@@ -339,10 +320,8 @@ class SweepRunner:
                                 shard_id + 1, len(shard_payloads),
                                 len(payload["points"]))
                     try:
-                        if isinstance(executor, _InlineExecutor):
-                            future = executor.submit(self._run_job, payload)
-                        else:
-                            future = executor.submit(_execute_job, payload)
+                        future = executor.submit(_execute_job, payload,
+                                                 self._cache)
                     except Exception as exc:
                         shard_errors.append(f"submission failed: {exc}")
                         continue

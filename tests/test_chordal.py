@@ -13,7 +13,7 @@ which are strict inner approximations.
 import numpy as np
 import pytest
 
-from repro.fleet.metrics import engine_metrics, fleet_metrics, render_prometheus
+from repro.engine.metrics import engine_metrics, render_prometheus
 from repro.polynomial import Polynomial, VariableVector, make_variables
 from repro.sdp import (
     ChordalGramBlock,
@@ -559,13 +559,3 @@ class TestChordalMetrics:
         assert 'repro_solves_total{layout="chordal"} 2' in text
         assert 'repro_solves_total{layout="psd"} 1' in text
         assert 'repro_cache_hits_total{layout="chordal"} 1' in text
-
-    def test_fleet_metrics_split_by_layout(self):
-        status = {"queue": {"depth": 0, "inflight": []}, "workers": [],
-                  "jobs": {"completed": 4},
-                  "cache": {"hits": 0, "misses": 0},
-                  "counters": {"solved": 4, "solved:chordal": 4}}
-        metrics = fleet_metrics(status)
-        assert metrics["solves"]["solved"]["by_layout"] == {"chordal": 4}
-        text = render_prometheus(metrics)
-        assert 'repro_solves_total{layout="chordal"} 4' in text

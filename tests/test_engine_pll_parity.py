@@ -141,6 +141,20 @@ class TestCli:
         assert out.returncode == 0, out.stderr
         assert "vanderpol" in out.stdout
 
+        metrics = self._run(["report", "--input", str(json_path),
+                             "--metrics"], cache_dir)
+        assert metrics.returncode == 0, metrics.stderr
+        snapshot = json.loads(metrics.stdout)
+        assert "solves" in snapshot and "cache" in snapshot
+        assert snapshot["cache"]["lookups"] == \
+            snapshot["cache"]["hits"] + snapshot["cache"]["misses"]
+
+        prom = self._run(["report", "--input", str(json_path),
+                          "--metrics", "--prometheus"], cache_dir)
+        assert prom.returncode == 0, prom.stderr
+        assert any(line.startswith("repro_solves_total ")
+                   for line in prom.stdout.splitlines())
+
     def test_unknown_scenario_is_a_usage_error(self, cache_dir):
         out = self._run(["verify", "definitely_not_a_scenario"], cache_dir)
         assert out.returncode == 2  # usage error, not a verification mismatch

@@ -133,7 +133,7 @@ class TestSweepShard:
         outcome = _execute_job(
             {"scenario": "vanderpol", "step": STEP_LYAPUNOV, "mode": None,
              "seed": 0, "relaxation": None, "params": None},
-            cache_override=cache, override_cache=True)
+            cache=cache)
         assert outcome["status"] == "ok"
         return outcome["data"]["certificates"]
 
@@ -148,7 +148,7 @@ class TestSweepShard:
              "anchor_params": {}, "probe_settings": {},
              "points": [{"index": 0, "params": {"mu": 0.8, "stiffness": 0.9}},
                         {"index": 1, "params": {"mu": 1.2, "stiffness": 1.1}}]},
-            cache_override=cache, override_cache=True)
+            cache=cache)
         assert outcome["status"] == "ok"
         points = outcome["data"]["points"]
         assert [p["index"] for p in points] == [0, 1]
