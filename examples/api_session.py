@@ -3,7 +3,7 @@
 Two :class:`repro.api.VerificationSession` objects — one full-SOS, one
 SDSOS, each with its own certificate cache — verify the time-reversed Van
 der Pol scenario *concurrently* from a thread pool.  Because every piece of
-cross-cutting state (cache, counters, backend, relaxation) lives on the
+cross-cutting state (cache, counters, solver settings, relaxation) lives on the
 session instead of in module globals, the two runs cannot clobber each
 other, and their counters account for exactly their own work.
 

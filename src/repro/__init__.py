@@ -34,7 +34,7 @@ Subpackages
     sharded through the engine's executors.
 ``repro.api``
     The stable public facade: ``VerificationSession`` context objects owning
-    solver backend, certificate cache, counters, seed and relaxation, plus
+    solver settings, certificate cache, counters, seed and relaxation, plus
     ``repro.api.verify(scenario, session=...)``.  Sessions are isolated and
     thread-safe — the supported entry point for embedding the verifier.
 """

@@ -141,17 +141,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
         job_timeout=args.timeout,
         seed=args.seed,
         relaxation=args.relaxation,
-        backend=args.backend,
         params=params or None,
     )
     engine = VerificationEngine(options)
     relax_note = f", relaxation={options.relaxation}" if options.relaxation else ""
-    backend_note = f", backend={options.backend}" if options.backend else ""
     params_note = ", params=" + ",".join(
         f"{key}={params[key]:g}" for key in sorted(params)) if params else ""
     print(f"verifying {', '.join(scenarios)} "
           f"(jobs={options.jobs}, cache={'on' if options.use_cache else 'off'}"
-          f"{relax_note}{backend_note}{params_note})")
+          f"{relax_note}{params_note})")
     report = engine.run(scenarios)
 
     for outcome in report.outcomes:
@@ -243,7 +241,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         use_cache=not args.no_cache,
         cache_dir=args.cache_dir,
         relaxation=args.relaxation,
-        backend=args.backend,
         grid=grid or None,
         samples=args.samples,
         seed=args.seed,
@@ -311,13 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="per-job timeout in seconds (pool runs)")
     p_verify.add_argument("--seed", type=int, default=0,
                           help="random seed for the falsification cross-check")
-    p_verify.add_argument("--backend", default=None,
-                          choices=["admm", "projection"],
-                          help="conic solver backend for every job's solve "
-                               "context: admm (operator splitting, the "
-                               "default) or projection (alternating "
-                               "projections); recorded in the JSON report "
-                               "and part of the certificate-cache key")
     p_verify.add_argument("--relaxation", default=None,
                           choices=["dsos", "sdsos", "chordal", "sos", "auto"],
                           help="Gram-cone relaxation of every certificate: "
@@ -367,9 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=["dsos", "sdsos", "chordal", "sos", "auto"],
                          help="Gram-cone ladder every point climbs "
                               "(default: the family's registered ladder)")
-    p_sweep.add_argument("--backend", default=None,
-                         choices=["admm", "projection"],
-                         help="conic solver backend of every probe solve")
     p_sweep.add_argument("--resume", action="store_true",
                          help="skip points a previous run of the identical "
                               "family already settled (progress is saved "

@@ -2,7 +2,7 @@
 
 The stable, documented facade for embedding the verifier: a
 :class:`VerificationSession` context object owns every piece of
-cross-cutting state (solver backend, certificate cache, solve/compile
+cross-cutting state (solver settings, certificate cache, solve/compile
 counters, RNG seed, default relaxation, timing hooks), and
 :func:`verify` runs a registered scenario under a session::
 
@@ -14,23 +14,20 @@ counters, RNG seed, default relaxation, timing hooks), and
     print(report.render_text(), session.solve_counters())
 
 Sessions are isolated: two sessions in one process — different caches,
-backends, relaxations — can verify concurrently from a thread pool without
+settings, relaxations — can verify concurrently from a thread pool without
 sharing counters or cache entries.  Calls made without a session use the
 process-default :class:`~repro.sdp.context.SolveContext`.
 
 Re-exported building blocks: the :class:`~repro.sdp.context.SolveContext`
 that a session wraps, the shared :class:`~repro.core.config.StageConfig`
-stage-options base, solver backend registration, and the scenario registry
-helpers.
+stage-options base, and the scenario registry helpers.
 """
 
 from ..core import InevitabilityOptions, StageConfig, VerificationReport
 from ..sdp import (
     RELAXATIONS,
     SolveContext,
-    available_backends,
     default_context,
-    register_backend,
 )
 from ..scenarios import all_scenarios, build_problem, scenario_names
 from .session import TimingHook, VerificationSession, verify
@@ -45,8 +42,6 @@ __all__ = [
     "InevitabilityOptions",
     "VerificationReport",
     "RELAXATIONS",
-    "available_backends",
-    "register_backend",
     "all_scenarios",
     "scenario_names",
     "build_problem",

@@ -2,7 +2,7 @@
 
 A session owns everything that used to be ambient module-global state:
 
-* the conic solver backend and its default settings,
+* the default settings of the ADMM conic solver,
 * the certificate cache (in-memory object or on-disk directory),
 * the solve and compile counters (thread-safe, per-session),
 * the default Gram-cone relaxation,
@@ -12,7 +12,7 @@ A session owns everything that used to be ambient module-global state:
 
 Two sessions in one process are fully isolated: they can verify different
 (or the same) scenarios concurrently from a thread pool with different
-caches, backends and relaxations, and neither observes the other's counters
+caches, solver settings and relaxations, and neither observes the other's counters
 or cache entries.  This is the supported public surface for embedding the
 verifier in services; calls made without a session use the
 process-default :class:`~repro.sdp.context.SolveContext`.
@@ -42,18 +42,13 @@ TimingHook = Callable[[str, float, str], None]
 
 
 class VerificationSession:
-    """A self-contained verification context (cache, backend, counters, seed).
+    """A self-contained verification context (cache, settings, counters, seed).
 
     Parameters
     ----------
-    backend:
-        Conic solver backend name (``"admm"``, ``"projection"``, or anything
-        registered via :func:`repro.sdp.register_backend`) or a constructed
-        solver object; ``None`` uses the registry default.  Stage options and
-        per-call arguments can still override it per solve.
     solver_settings:
-        Default keyword settings merged under every solve's explicit
-        settings.
+        Default :class:`~repro.sdp.admm.ADMMSettings` keywords merged under
+        every solve's explicit settings.
     cache / cache_dir:
         Certificate cache: either a ready cache object (``get``/``put``
         protocol) or a directory path for a persistent on-disk
@@ -75,8 +70,7 @@ class VerificationSession:
         pipeline step timed during :meth:`verify`.
     """
 
-    def __init__(self, *, backend: Union[str, object, None] = None,
-                 solver_settings: Optional[Dict[str, object]] = None,
+    def __init__(self, *, solver_settings: Optional[Dict[str, object]] = None,
                  cache: Optional[object] = None,
                  cache_dir: Optional[object] = None,
                  relaxation: Optional[str] = None,
@@ -93,8 +87,7 @@ class VerificationSession:
             raise ValueError(
                 f"unknown relaxation {relaxation!r}; expected one of {RELAXATIONS}")
         self.name = name
-        self.context = SolveContext(backend=backend,
-                                    solver_settings=solver_settings,
+        self.context = SolveContext(solver_settings=solver_settings,
                                     cache=cache, name=name)
         self.relaxation = relaxation
         self.seed = int(seed)
@@ -104,11 +97,6 @@ class VerificationSession:
     # ------------------------------------------------------------------
     # State owned by the session
     # ------------------------------------------------------------------
-    @property
-    def backend(self) -> Union[str, object, None]:
-        """The session's default solver backend (``None`` = registry default)."""
-        return self.context.backend
-
     @property
     def cache(self) -> Optional[object]:
         """The session's certificate cache (``None`` when caching is off)."""
@@ -164,7 +152,7 @@ class VerificationSession:
         """A fresh :class:`~repro.sos.program.SOSProgram` bound to this session.
 
         Its compiles and solves run under the session's cache, counters and
-        backend defaults.
+        default solver settings.
         """
         cone = default_cone or self.default_cone or "psd"
         return SOSProgram(name=name, default_cone=cone, context=self.context)
@@ -220,11 +208,9 @@ class VerificationSession:
         from ..engine.cache import CertificateCache
         from ..sweep import SweepOptions, SweepRunner
 
-        backend = self.backend if isinstance(self.backend, str) else None
         options = SweepOptions(
             jobs=int(jobs),
             relaxation=relaxation or self.relaxation,
-            backend=backend,
             grid=grid, samples=samples, seed=seed,
             resume=resume, shard_size=shard_size,
         )
@@ -247,7 +233,6 @@ class VerificationSession:
     def describe(self) -> str:
         counters = self.solve_counters()
         return (f"VerificationSession({self.name!r}: "
-                f"backend={self.backend!r}, "
                 f"relaxation={self.relaxation or 'registered'}, "
                 f"cache={'on' if self.cache is not None else 'off'}, "
                 f"solved={counters.get('solved', 0)}, "
@@ -272,7 +257,7 @@ def verify(scenario: str,
 
     Running inline is what makes it composable: several sessions can call
     :func:`verify` concurrently from a thread pool, each against its own
-    cache/backend/relaxation, with bit-identical results to the serial
+    cache/relaxation, with bit-identical results to the serial
     runs.  Process-pool scheduling remains a
     :class:`~repro.engine.VerificationEngine` feature.
     """
@@ -290,9 +275,6 @@ def verify(scenario: str,
         context=session.context)
     report = verifier.verify()
     report.options_summary["session"] = session.name
-    if session.backend is not None:
-        report.options_summary["backend"] = session.backend \
-            if isinstance(session.backend, str) else type(session.backend).__name__
     if session.timing_hook is not None:
         for timing in report.timings:
             session.timing_hook(timing.step, timing.seconds, timing.detail)

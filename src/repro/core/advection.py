@@ -46,7 +46,7 @@ class AdvectionOptions(StageConfig):
     """Options of the bounded-advection stage.
 
     Inherits the shared stage knobs (``multiplier_degree``,
-    ``solver_backend``, ``solver_settings``, ``relaxation``) from
+    ``solver_settings``, ``relaxation``) from
     :class:`~repro.core.config.StageConfig`.  The relaxation governs the
     per-iteration absorption checks (Lemma-1 feasibility certificates); a
     negative answer from a cheap cone is inconclusive, so ``"auto"`` retries
@@ -171,7 +171,7 @@ class LevelSetAdvector:
         program.add_sos_constraint(lower, name="tight_lower")
         program.minimize(epsilon * options.epsilon_weight)
 
-        solution = program.solve(backend=options.solver_backend, **options.solver_settings)
+        solution = program.solve(**options.solver_settings)
         if not solution.is_success:
             raise CertificateError(
                 f"SOS-projected advection step failed: {solution.status.value}"
@@ -206,7 +206,6 @@ def _check_absorbed(polynomial: Polynomial, invariant: AttractiveInvariant,
                 polynomial, sublevel,
                 multiplier_degree=options.inclusion_multiplier_degree,
                 domain=domain,
-                solver_backend=options.solver_backend,
                 cone=cone,
                 context=context,
                 **options.solver_settings,

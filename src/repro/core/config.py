@@ -2,22 +2,21 @@
 
 Every SOS pipeline stage — Lyapunov synthesis, level-curve maximisation,
 bounded advection, escape-certificate search — historically carried its own
-near-duplicate copy of the same four knobs (S-procedure multiplier degree,
-solver backend, solver settings, Gram-cone relaxation).  :class:`StageConfig`
+near-duplicate copy of the same three knobs (S-procedure multiplier degree,
+solver settings, Gram-cone relaxation).  :class:`StageConfig`
 is the single definition; the per-stage Options dataclasses inherit from it
 and add only their stage-specific fields.
 
-These are *data* objects: the live solver state (cache, counters, backend
-instances) lives on a :class:`~repro.sdp.context.SolveContext`, which is
-threaded through the stage classes separately.  A stage-level
-``solver_backend`` overrides the context's default backend for that stage's
-solves; per-call arguments override both.
+These are *data* objects: the live solver state (cache, counters) lives on
+a :class:`~repro.sdp.context.SolveContext`, which is threaded through the
+stage classes separately.  A stage's ``solver_settings`` win over the
+context's default settings for that stage's solves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 
 @dataclass
@@ -28,12 +27,8 @@ class StageConfig:
     ----------
     multiplier_degree:
         Degree of the S-procedure / Lemma-1 multiplier polynomials.
-    solver_backend:
-        Conic solver backend for this stage's solves (``None`` defers to the
-        governing :class:`~repro.sdp.context.SolveContext`, which itself
-        falls back to the registry default, ``"admm"``).
     solver_settings:
-        Keyword settings forwarded to the backend's settings dataclass.
+        Keyword settings forwarded to :class:`~repro.sdp.admm.ADMMSettings`.
     relaxation:
         Gram-cone relaxation of the stage's SOS certificates: ``"dsos"``
         (diagonally-dominant Gram matrices → pure LP cones), ``"sdsos"``
@@ -47,6 +42,5 @@ class StageConfig:
     """
 
     multiplier_degree: int = 2
-    solver_backend: Optional[str] = None
     solver_settings: Dict[str, object] = field(default_factory=dict)
     relaxation: str = "sos"

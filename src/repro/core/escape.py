@@ -35,7 +35,7 @@ class EscapeOptions(StageConfig):
     """Options of the escape-certificate search.
 
     Inherits the shared stage knobs (``multiplier_degree``,
-    ``solver_backend``, ``solver_settings``, ``relaxation``) from
+    ``solver_settings``, ``relaxation``) from
     :class:`~repro.core.config.StageConfig`; under ``"auto"`` the search
     tries the cheap cones first and escalates when it is infeasible or the
     sampling validation fails.
@@ -134,8 +134,7 @@ class EscapeCertificateSynthesizer:
             multiplier_degree=options.multiplier_degree,
             name=f"escape_decrease_{mode_name}",
         )
-        solution = program.solve(backend=options.solver_backend,
-                                 **options.solver_settings)
+        solution = program.solve(**options.solver_settings)
         if not solution.is_success:
             raise CertificateError(
                 f"no escape certificate found for {mode_name!r}: {solution.status.value}"

@@ -97,7 +97,6 @@ def check_sublevel_inclusion(
     outer: Polynomial,
     multiplier_degree: int = 2,
     domain: Optional[SemialgebraicSet] = None,
-    solver_backend: Optional[str] = None,
     warm_start: Optional[dict] = None,
     cone: str = "psd",
     context: Optional[SolveContext] = None,
@@ -119,8 +118,7 @@ def check_sublevel_inclusion(
     program, lam, inner_v, outer_v = build_inclusion_program(
         inner, outer, multiplier_degree=multiplier_degree, domain=domain,
         cone=cone, context=context, multiplier_support=multiplier_support)
-    solution = program.solve(backend=solver_backend, warm_start=warm_start,
-                             **solver_settings)
+    solution = program.solve(warm_start=warm_start, **solver_settings)
     warm_data = solution.solver_result.info.get("warm_start_data")
 
     if not solution.is_success:
@@ -207,13 +205,11 @@ class ParametricInclusionFamily:
         )
 
     def check_levels(self, levels: Sequence[float],
-                     solver_backend=None,
                      warm_starts: Optional[Sequence[Optional[dict]]] = None,
                      **solver_settings) -> List[InclusionCertificate]:
         """Solve the queries at ``levels`` as one batch (the fast path)."""
         problems = self.bind_many(levels)
-        results = solve_conic_problems(problems, backend=solver_backend,
-                                       warm_starts=warm_starts,
+        results = solve_conic_problems(problems, warm_starts=warm_starts,
                                        context=self.context, **solver_settings)
         return [self.interpret(level, result)
                 for level, result in zip(levels, results)]

@@ -85,7 +85,6 @@ def run_mode_property_two(model, options: "InevitabilityOptions",
                     advection.final_polynomial, sublevel,
                     multiplier_degree=options.advection.inclusion_multiplier_degree,
                     domain=domain,
-                    solver_backend=options.advection.solver_backend,
                     cone=cone,
                     context=context,
                     **options.advection.solver_settings,
@@ -207,19 +206,6 @@ class InevitabilityOptions:
         self.relaxation = relaxation
         for stage in self.stages():
             stage.relaxation = relaxation
-
-    def apply_backend(self, backend: Optional[str],
-                      settings: Optional[Dict[str, object]] = None) -> None:
-        """Set the conic solver backend (and optional settings) of every stage.
-
-        Stage-level backends override the solve context's default; use this
-        when one pipeline must mix backends with a shared context (otherwise
-        prefer setting the backend on the context/session itself).
-        """
-        for stage in self.stages():
-            stage.solver_backend = backend
-            if settings:
-                stage.solver_settings = {**stage.solver_settings, **settings}
 
 
 class InevitabilityVerifier:

@@ -14,7 +14,7 @@ Two strategies are available:
   solves all of them through the batched ADMM engine with warm starts carried
   between rounds and per-problem convergence masking.
 * ``"serial"``: the original per-level path — a fresh Lemma-1 program per
-  probe — kept as the reference baseline and for non-ADMM backends.
+  probe — kept as the reference baseline.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ class LevelSetOptions(StageConfig):
     """Options of the level-curve maximisation.
 
     Inherits the shared stage knobs (``multiplier_degree``,
-    ``solver_backend``, ``solver_settings``, ``relaxation``) from
+    ``solver_settings``, ``relaxation``) from
     :class:`~repro.core.config.StageConfig`; a relaxation rung that
     certifies no positive level escalates to the next cone of the ladder.
     """
@@ -112,7 +112,6 @@ class LevelSetMaximizer:
             inclusion = check_sublevel_inclusion(
                 inner, -constraint,
                 multiplier_degree=self.options.multiplier_degree,
-                solver_backend=self.options.solver_backend,
                 warm_start=self._warm_starts.get(k) if self.options.warm_start else None,
                 cone=cone,
                 context=self.context,
@@ -215,7 +214,7 @@ class LevelSetMaximizer:
             starts = [self._nearest_warm_start(j, float(levels[i]))
                       if options.warm_start else None for i in alive]
             results = solve_conic_problems(
-                problems, backend=options.solver_backend, warm_starts=starts,
+                problems, warm_starts=starts,
                 context=self.context, **options.solver_settings)
             for position, i in enumerate(alive):
                 result = results[position]

@@ -44,7 +44,7 @@ class LyapunovSynthesisOptions(StageConfig):
     """Knobs of the multiple-Lyapunov SOS program.
 
     Inherits the shared stage knobs (``multiplier_degree``,
-    ``solver_backend``, ``solver_settings``, ``relaxation``) from
+    ``solver_settings``, ``relaxation``) from
     :class:`~repro.core.config.StageConfig`.
     """
 
@@ -82,7 +82,7 @@ class LyapunovSynthesisOptions(StageConfig):
     # ladder before accepting a cheap-cone solution (reuses
     # SOSCertificate.is_numerically_sos on the reconstructed Gram matrices).
     # The residual tolerance is calibrated against the first-order ADMM
-    # backend: converged moderate-accuracy solves reconstruct to ~1e-3..1e-2
+    # solver: converged moderate-accuracy solves reconstruct to ~1e-3..1e-2
     # while infeasible cheap-cone attempts leave residuals of order 1e-1.
     relaxation_eig_tol: float = -1e-6
     relaxation_res_tol: float = 2e-2
@@ -495,11 +495,10 @@ class MultipleLyapunovSynthesizer:
         program, templates = self.build_program(
             cone=cone_for_relaxation(relaxation))
         LOGGER.info("solving %s", program.describe())
-        solution = program.solve(backend=self.options.solver_backend,
-                                 **self.options.solver_settings)
+        solution = program.solve(**self.options.solver_settings)
         elapsed = time.perf_counter() - start
 
-        # The SDP backends are first-order methods: a run that stops at the
+        # The ADMM solver is a first-order method: a run that stops at the
         # iteration budget (or is suspected infeasible) may still carry a usable
         # approximate certificate.  The decision is therefore delegated to the
         # independent a-posteriori validation of the *extracted* polynomials —

@@ -49,7 +49,7 @@ from ..core.levelset import MaximizedLevelSet
 from ..core.report import STEP_FALSIFICATION_CHECK, join_relaxations
 from ..exceptions import CertificateError
 from ..polynomial import Polynomial
-from ..sdp import DEFAULT_BACKEND, SolveContext
+from ..sdp import SolveContext
 from ..utils import get_logger
 from .cache import CertificateCache, cache_rate_summary
 from .jobs import (
@@ -84,11 +84,6 @@ class EngineOptions:
     # "dsos" | "sdsos" | "chordal" | "sos" | "auto".
     # None keeps each scenario's registered relaxation.
     relaxation: Optional[str] = None
-    # Conic solver backend of every job's solve context ("admm",
-    # "projection", or any name registered via repro.sdp.register_backend).
-    # None keeps the registry default.  Recorded in the JSON report; enters
-    # the certificate-cache key, so distinct backends never share entries.
-    backend: Optional[str] = None
     # Sweep-axis overrides threaded to every job's problem build
     # (``verify --param key=value``): maps declared axis names to absolute
     # values.  None runs the registered nominal scenario.
@@ -246,7 +241,7 @@ def _execute_job(payload: Dict[str, object],
     """Worker entry point: hermetic execution of one job from plain data.
 
     Every job runs under its own :class:`~repro.sdp.context.SolveContext`
-    (cache + backend + counters) instead of mutating process-global solver
+    (cache + counters) instead of mutating process-global solver
     state, so inline jobs, pool workers and any other pipelines in the same
     process are fully isolated from each other.
 
@@ -256,7 +251,7 @@ def _execute_job(payload: Dict[str, object],
     start = time.perf_counter()
     if cache is None and payload.get("use_cache"):
         cache = CertificateCache(payload.get("cache_dir"))
-    context = SolveContext(backend=payload.get("backend"), cache=cache,
+    context = SolveContext(cache=cache,
                            name=f"job:{payload.get('scenario')}/{payload.get('step')}")
     try:
         if payload["step"] == STEP_SWEEP:
@@ -371,7 +366,6 @@ class _ScenarioDriver:
             "cache_dir": options.cache_dir,
             "seed": options.seed,
             "relaxation": options.relaxation,
-            "backend": options.backend,
             "params": options.params,
         }
         if spec.step == STEP_LEVELSET:
@@ -482,7 +476,6 @@ class EngineReport:
                 "cache_dir": self.options.cache_dir,
                 "seed": self.options.seed,
                 "relaxation": self.options.relaxation,
-                "backend": self.options.backend or DEFAULT_BACKEND,
                 "wall_seconds": self.wall_seconds,
                 "counters": dict(self.counters),
                 "cache": cache_rate_summary(self.cache_stats),
@@ -494,7 +487,6 @@ class EngineReport:
         lines = [
             f"Engine run: {len(self.outcomes)} scenario(s), "
             f"jobs={self.options.jobs}, cache={'on' if self.options.use_cache else 'off'}, "
-            f"backend={self.options.backend or DEFAULT_BACKEND}, "
             f"{self.wall_seconds:.1f}s wall",
             f"SDP solves: {self.counters.get('solved', 0)} performed, "
             f"{self.counters.get('cache_hit', 0)} served from cache",

@@ -134,17 +134,12 @@ class ScenarioSpec:
         return dataclasses.replace(self, parameters=merged)
 
     def build(self, relaxation: Optional[str] = None,
-              backend: Optional[str] = None,
               params: Optional[Mapping[str, float]] = None) -> ScenarioProblem:
         """Construct the scenario's verification problem.
 
         ``relaxation`` overrides this spec's registered Gram-cone relaxation
         (the engine/CLI ``--relaxation`` flag and session defaults arrive
-        here); ``backend`` forces a stage-level solver backend onto every
-        pipeline stage (the usual way to select a backend is the session's
-        solve context, which needs no option rewriting — this override exists
-        for workloads that must pin the backend regardless of context);
-        ``params`` overrides declared sweep axes (``verify --param`` and the
+        here); ``params`` overrides declared sweep axes (``verify --param`` and the
         sweep planner arrive here).
         """
         spec = self.with_parameters(params) if params else self
@@ -158,8 +153,6 @@ class ScenarioSpec:
             problem.options.apply_relaxation(relaxation)
         elif self.relaxation != "sos":
             problem.options.apply_relaxation(self.relaxation)
-        if backend is not None:
-            problem.options.apply_backend(backend)
         return problem
 
     def summary_row(self) -> Dict[str, object]:
@@ -233,12 +226,10 @@ def fast_scenario_names() -> Tuple[str, ...]:
 
 
 def build_problem(name: str, relaxation: Optional[str] = None,
-                  backend: Optional[str] = None,
                   params: Optional[Mapping[str, float]] = None) -> ScenarioProblem:
     """Build the named scenario's problem (the engine worker entry point).
 
-    ``relaxation`` / ``backend`` / ``params`` optionally override the
+    ``relaxation`` / ``params`` optionally override the
     registered defaults (see :meth:`ScenarioSpec.build`).
     """
-    return get_scenario(name).build(relaxation=relaxation, backend=backend,
-                                    params=params)
+    return get_scenario(name).build(relaxation=relaxation, params=params)

@@ -35,14 +35,9 @@ from .scaling import (ScalingData, column_inf_norms, drop_zero_rows,
                       equilibrate, presolve, row_inf_norms)
 from .admm import ADMMConicSolver, ADMMSettings, WarmStart, unpack_warm_start
 from .batch import BatchADMMSolver
-from .projection import AlternatingProjectionSolver, ProjectionSettings
 from .solver import (
-    DEFAULT_BACKEND,
-    available_backends,
     canonical_solver_options,
     get_solve_cache,
-    make_solver,
-    register_backend,
     solve_cache_key,
     solve_conic_problem,
     solve_conic_problems,
@@ -90,16 +85,10 @@ __all__ = [
     "WarmStart",
     "unpack_warm_start",
     "BatchADMMSolver",
-    "AlternatingProjectionSolver",
-    "ProjectionSettings",
-    "available_backends",
-    "register_backend",
-    "make_solver",
     "solve_conic_problem",
     "solve_conic_problems",
     "solve_counters",
     "get_solve_cache",
     "solve_cache_key",
     "canonical_solver_options",
-    "DEFAULT_BACKEND",
 ]

@@ -1,6 +1,6 @@
 """ADMM (operator-splitting) solver for conic SDPs.
 
-This is the default backend.  The algorithm is the classic consensus split
+This is the pipeline's conic solver.  The algorithm is the classic consensus split
 
     minimize  c^T x + I_{Ax=b}(x) + I_K(z)     subject to  x = z
 
@@ -70,7 +70,7 @@ def unpack_warm_start(warm_start: Optional[WarmStart],
 
 @dataclass
 class ADMMSettings:
-    """Tuning knobs of the ADMM backend."""
+    """Tuning knobs of the ADMM solver."""
 
     max_iterations: int = 20000
     rho: float = 1.0

@@ -73,12 +73,6 @@ class BatchADMMSolver:
     def __init__(self, settings: Optional[ADMMSettings] = None):
         self.settings = settings or ADMMSettings()
 
-    # ------------------------------------------------------------------
-    def solve(self, problem: ConicProblem,
-              warm_start: Optional[WarmStart] = None) -> SolverResult:
-        """Single-problem convenience wrapper (backend-registry compatible)."""
-        return self.solve_batch([problem], [warm_start])[0]
-
     def _solve_serial(self, problems: Sequence[ConicProblem],
                       warm_starts: Sequence[Optional[WarmStart]]) -> List[SolverResult]:
         solver = ADMMConicSolver(self.settings)

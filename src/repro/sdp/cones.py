@@ -8,7 +8,7 @@ where PSD blocks are stored in scaled-vector (``svec``) form so that the
 Euclidean inner product on vectors equals the Frobenius inner product on
 matrices.  All svec/smat conversions run through cached upper-triangle index
 tables, and cone projections batch equal-size PSD blocks through a single
-stacked ``eigh`` call — the per-iteration hot path of the ADMM backend.
+stacked ``eigh`` call — the per-iteration hot path of the ADMM solver.
 """
 
 from __future__ import annotations

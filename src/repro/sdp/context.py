@@ -1,11 +1,11 @@
 """Explicit solver state: the :class:`SolveContext` context object.
 
 Historically the conic layer kept its cross-cutting state — the installed
-solve cache, the solve/compile counters, the default backend — in module
+solve cache, the solve/compile counters — in module
 globals of :mod:`repro.sdp.solver` (``_SOLVE_CACHE``, ``_SOLVE_COUNTERS``)
 and :mod:`repro.sos.program` (``_COMPILE_COUNTERS``).  A :class:`SolveContext`
 owns all of that state explicitly, so independent verification pipelines —
-different caches, backends, relaxations — can run *concurrently in one
+different caches, settings, relaxations — can run *concurrently in one
 process* without clobbering each other's counters or sharing cache entries.
 
 The module-level functions of :mod:`repro.sdp.solver`
@@ -21,7 +21,7 @@ from a thread pool never lose increments.
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence
 
 from .problem import ConicProblem
 from .result import SolverResult
@@ -52,10 +52,6 @@ class SolveContext:
 
     Parameters
     ----------
-    backend:
-        Default solver backend (name or constructed solver object) used when
-        a solve call does not name one; ``None`` falls back to the registry
-        default (``"admm"``).
     solver_settings:
         Default keyword settings merged under every solve call's explicit
         settings (explicit keys win).
@@ -72,12 +68,10 @@ class SolveContext:
     affect the path, not the validity, of a result).
     """
 
-    def __init__(self, backend: Union[str, object, None] = None,
-                 solver_settings: Optional[Dict[str, object]] = None,
+    def __init__(self, solver_settings: Optional[Dict[str, object]] = None,
                  cache: Optional[object] = None,
                  name: str = "context"):
         self.name = name
-        self.backend = backend
         self.solver_settings: Dict[str, object] = dict(solver_settings or {})
         self.cache = cache
         self._lock = threading.Lock()
@@ -149,66 +143,52 @@ class SolveContext:
     # ------------------------------------------------------------------
     # Resolution helpers
     # ------------------------------------------------------------------
-    def _resolve(self, backend: Union[str, object, None],
-                 settings: Dict[str, object]):
-        from .solver import effective_solver_settings
+    def _resolve(self, settings: Dict[str, object]) -> Dict[str, object]:
+        from .solver import check_solver_settings
 
-        resolved_backend = backend if backend is not None else self.backend
-        if self.solver_settings:
-            resolved_settings = {**self.solver_settings, **settings}
-        else:
-            resolved_settings = dict(settings)
-        # Normalise to the settings the backend actually consumes, so cache
-        # keys (and the solve itself) ignore knobs another backend owns.
-        resolved_settings = effective_solver_settings(resolved_backend,
-                                                      resolved_settings)
-        return resolved_backend, resolved_settings
+        return check_solver_settings({**self.solver_settings, **settings})
 
     # ------------------------------------------------------------------
     # Solving
     # ------------------------------------------------------------------
     def solve(self, problem: ConicProblem,
-              backend: Union[str, object, None] = None,
               warm_start: Optional[object] = None,
               **settings) -> SolverResult:
         """Solve one conic problem under this context's cache and defaults.
 
-        ``backend``/``settings`` passed here win over the context defaults;
-        the context defaults win over the registry default.  Results are
+        ``settings`` passed here win over the context defaults.  Results are
         served from and written to this context's cache (when installed) and
         counted in this context's counters only.
         """
         from .solver import solve_cache_key, solve_single_uncached
 
-        backend, settings = self._resolve(backend, settings)
+        settings = self._resolve(settings)
         cache = self.cache
         key: Optional[str] = None
         if cache is not None:
-            key = solve_cache_key(problem, backend, settings)
+            key = solve_cache_key(problem, settings)
             cached = cache.get(key)
             if cached is not None:
                 self.record_solve_event("cache_hit", problem.layout_kind)
                 return cached
-        result = solve_single_uncached(problem, backend, warm_start, settings)
+        result = solve_single_uncached(problem, warm_start, settings)
         self.record_solve_event("solved", problem.layout_kind)
         if cache is not None and key is not None:
             cache.put(key, result)
         return result
 
     def solve_many(self, problems: Sequence[ConicProblem],
-                   backend: Union[str, object, None] = None,
                    warm_starts: Optional[Sequence[Optional[object]]] = None,
                    **settings) -> List[SolverResult]:
         """Solve a batch of structurally identical conic problems.
 
-        The ADMM backend (the default) routes the whole batch through
-        :class:`~repro.sdp.batch.BatchADMMSolver`; other backends are solved
-        sequentially with per-problem warm starts.  Per-problem statuses
-        match solving each problem alone.
+        The problems the cache does not serve go through one
+        :func:`~repro.sdp.solver.solve_batch_uncached` call.  Per-problem
+        statuses match solving each problem alone.
         """
         from .solver import solve_batch_uncached, solve_cache_key
 
-        backend, settings = self._resolve(backend, settings)
+        settings = self._resolve(settings)
         problems = list(problems)
         if warm_starts is None:
             warm_starts = [None] * len(problems)
@@ -223,7 +203,7 @@ class SolveContext:
         if cache is not None:
             pending = []
             for i, problem in enumerate(problems):
-                keys[i] = solve_cache_key(problem, backend, settings)
+                keys[i] = solve_cache_key(problem, settings)
                 cached = cache.get(keys[i])
                 if cached is not None:
                     self.record_solve_event("cache_hit", problem.layout_kind)
@@ -233,7 +213,7 @@ class SolveContext:
         if pending:
             sub_problems = [problems[i] for i in pending]
             sub_starts = [warm_starts[i] for i in pending]
-            solved = solve_batch_uncached(sub_problems, backend, sub_starts, settings)
+            solved = solve_batch_uncached(sub_problems, sub_starts, settings)
             for problem in sub_problems:
                 self.record_solve_event("solved", problem.layout_kind)
             for i, result in zip(pending, solved):
@@ -245,7 +225,7 @@ class SolveContext:
     # ------------------------------------------------------------------
     def describe(self) -> str:
         counters = self.solve_counters()
-        return (f"SolveContext({self.name!r}: backend={self.backend!r}, "
+        return (f"SolveContext({self.name!r}: "
                 f"cache={'on' if self.cache is not None else 'off'}, "
                 f"solved={counters.get('solved', 0)}, "
                 f"cache_hit={counters.get('cache_hit', 0)})")

@@ -21,7 +21,7 @@ scaled-diagonally-dominant matrices::
 * ``sdd`` — ``M = Σ_{i<j} E_ij M_ij E_ij^T`` with each ``M_ij`` a 2x2 PSD
   block.  The stacked-``eigh`` batcher of :mod:`repro.sdp.cones` projects all
   equal-size 2x2 blocks in one call, so the per-iteration cost of the ADMM
-  backend collapses from one ``O(n^3)`` eigendecomposition to a batched
+  solver collapses from one ``O(n^3)`` eigendecomposition to a batched
   closed-form-sized factorisation.  (SDD is the chordal decomposition of the
   *complete* pair cover — every edge its own clique — hence the inclusion
   above.)

@@ -1,4 +1,4 @@
-"""Solver result types shared by all SDP backends."""
+"""Solver result types shared by both ADMM loops."""
 
 from __future__ import annotations
 
@@ -46,7 +46,7 @@ class SolverResult:
     solve_time:
         Wall-clock seconds spent inside the solver.
     info:
-        Backend-specific diagnostics.
+        Solver diagnostics (residual history, warm-start data, …).
     """
 
     status: SolverStatus

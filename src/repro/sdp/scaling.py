@@ -8,7 +8,7 @@ normalisation of the cost vector.
 
 :func:`presolve` fuses zero-row elimination and equilibration into a single
 pass over one CSR copy of ``A`` (one row-norm computation, one data-array
-scale), which is what the solver backends call; :func:`drop_zero_rows` and
+scale), which is what both ADMM loops call; :func:`drop_zero_rows` and
 :func:`equilibrate` remain available as standalone transformations.
 """
 

@@ -268,7 +268,7 @@ class SOSProgram:
     ``"chordal"``, ``"sdsos"``, ``"dsos"``) are accepted.
 
     ``context`` is the :class:`~repro.sdp.context.SolveContext` whose cache,
-    counters and backend defaults govern this program's compiles and solves;
+    counters and default settings govern this program's compiles and solves;
     ``None`` uses the process-default context (the historical behaviour).
     """
 
@@ -630,15 +630,14 @@ class SOSProgram:
     # ------------------------------------------------------------------
     # Solve
     # ------------------------------------------------------------------
-    def solve(self, backend: Union[str, object, None] = None,
-              warm_start: Optional[object] = None,
+    def solve(self, warm_start: Optional[object] = None,
               context: Optional[SolveContext] = None,
               **solver_settings) -> SOSSolution:
         """Compile (memoised) and solve the program.
 
         ``warm_start`` accepts the ``warm_start_data`` dict of a previous
         solve on a structurally identical program (e.g. the previous level of
-        a bisection loop); it is forwarded to backends that support it.
+        a bisection loop).
         ``context`` overrides the program's own solve context for this call
         (both the compile accounting and the solve itself).
         """
@@ -648,8 +647,7 @@ class SOSProgram:
         problem = builder.build()
         compile_time = time.perf_counter() - compile_start
 
-        result = solve_conic_problem(problem, backend=backend,
-                                     warm_start=warm_start,
+        result = solve_conic_problem(problem, warm_start=warm_start,
                                      context=effective,
                                      **solver_settings)
         return self.interpret_result(result, compile_time=compile_time,

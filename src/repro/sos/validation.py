@@ -1,6 +1,6 @@
 """A-posteriori validation of SOS certificates.
 
-The SDP backends are first-order methods with finite tolerances, so every
+The ADMM solver is a first-order method with finite tolerances, so every
 certificate produced by the pipeline is re-checked independently:
 
 * *algebraically* — the Gram matrix must be (numerically) PSD and reproduce

@@ -53,7 +53,6 @@ class SweepOptions:
     use_cache: bool = True
     cache_dir: Optional[str] = None
     relaxation: Optional[str] = None    # None keeps the family's ladder
-    backend: Optional[str] = None
     # Family reshaping (CLI --grid/--samples/--seed):
     grid: Optional[Dict[str, Tuple[float, float, int]]] = None
     samples: Optional[int] = None
@@ -168,7 +167,6 @@ class SweepRunner:
             "scenario": family.scenario,
             "use_cache": options.use_cache,
             "cache_dir": options.cache_dir,
-            "backend": options.backend,
         }
 
     # ------------------------------------------------------------------
@@ -260,7 +258,6 @@ class SweepRunner:
         run = {
             "wall_seconds": time.perf_counter() - start,
             "jobs": options.jobs,
-            "backend": options.backend,
             "use_cache": options.use_cache,
             "shards": len(shards),
             "resumed_points": resumed,

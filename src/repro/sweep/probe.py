@@ -132,7 +132,7 @@ def run_sweep_shard(payload: Dict[str, object], context: SolveContext
     wire), ``rungs`` (the relaxation ladder, cheapest first), ``base`` /
     ``steps`` (the affine parametrization anchors), ``anchor_params``,
     ``points`` (``[{"index": int, "params": {axis: value}}, ...]``) and
-    optional ``probe_settings`` / ``backend`` overrides.
+    optional ``probe_settings`` overrides.
     """
     scenario = str(payload["scenario"])
     certificates = certificates_from_data(payload["certificates"])
@@ -142,7 +142,6 @@ def run_sweep_shard(payload: Dict[str, object], context: SolveContext
     base = {k: float(v) for k, v in payload["base"].items()}
     steps = {k: float(v) for k, v in payload["steps"].items()}
     probe_settings = dict(payload.get("probe_settings") or {})
-    backend = payload.get("backend")
 
     structures: Dict[str, _RungStructure] = {}
 
@@ -186,7 +185,7 @@ def run_sweep_shard(payload: Dict[str, object], context: SolveContext
                 final = position == len(rungs) - 1
                 structure = structure_for(rung)
                 conic = structure.conic_at(params)
-                result = context.solve(conic, backend=backend, **settings)
+                result = context.solve(conic, **settings)
                 outcome["attempts"].append(rung)
                 if result.x is None:
                     continue

@@ -5,7 +5,7 @@ process — distinct caches, distinct Gram-cone relaxations — verify Van der
 Pol *concurrently* through a thread pool and produce counters, cache stats
 and reports identical to their serial runs, with zero cross-session counter
 or cache leakage.  Plus: thread-safe counter increments and the
-``--backend`` wiring.
+validation of solver settings.
 """
 
 import json
@@ -17,13 +17,10 @@ import pytest
 from repro.api import (
     SolveContext,
     VerificationSession,
-    available_backends,
     verify,
 )
-from repro.engine import EngineOptions, VerificationEngine
 from repro.polynomial import Polynomial, VariableVector, make_variables
 from repro.sdp import default_context
-from repro.__main__ import build_parser
 
 
 def _tiny_solve(session, offset=1.0):
@@ -172,66 +169,16 @@ class TestSessionErgonomics:
         assert explicit.options is problem.options
 
 
-class TestBackendSelection:
+class TestSolverSettings:
     def test_unknown_solver_setting_still_raises(self):
-        from repro.sdp import make_solver
+        from repro.sdp import ConicProblemBuilder, solve_conic_problem
 
+        builder = ConicProblemBuilder()
+        nn_id, _ = builder.add_nonneg_block(1)
+        builder.add_equality_row({(nn_id, 0): 1.0}, rhs=1.0)
         with pytest.raises(TypeError, match="max_iters"):
-            make_solver("admm", max_iters=5)   # typo: real knob is max_iterations
-
-    def test_cross_backend_settings_are_filtered_not_fatal(self):
-        from repro.sdp import make_solver
-
-        solver = make_solver("projection", eps_rel=1e-4, max_iterations=50)
-        assert solver.settings.max_iterations == 50   # shared knob kept
-
-    def test_cache_key_ignores_settings_the_backend_drops(self, tmp_path):
-        first = VerificationSession(backend="projection",
-                                    cache_dir=tmp_path / "norm")
-        # eps_rel is an ADMM-only knob: projection drops it, so it must not
-        # differentiate the cache key.
-        _tiny_solve(first)  # populate via default settings path
-        second = VerificationSession(backend="projection", cache=first.cache)
-        program = second.program("tiny2")
-        variables = VariableVector(make_variables("x", "y"))
-        x = Polynomial.from_variable(variables[0], variables)
-        y = Polynomial.from_variable(variables[1], variables)
-        program.add_sos_constraint(x * x + 2.0 * y * y + 1.0, name="c")
-        program.solve(eps_rel=1e-4)
-        assert second.solve_counters() == {"solved": 0, "cache_hit": 1,
-                                           "cache_hit:psd": 1}
-
-    def test_cli_exposes_backend_flag(self):
-        args = build_parser().parse_args(
-            ["verify", "vanderpol", "--backend", "projection"])
-        assert args.backend == "projection"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["verify", "vanderpol", "--backend", "nonsense"])
-
-    def test_registered_backends_reachable(self):
-        assert {"admm", "projection"} <= set(available_backends())
-
-    def test_session_backend_drives_solves(self, tmp_path):
-        session = VerificationSession(backend="projection",
-                                      cache_dir=tmp_path / "proj")
-        solution = _tiny_solve(session)
-        assert solution.is_success
-        assert session.solve_counters()["solved"] == 1
-
-    def test_engine_records_backend_in_json_report(self, tmp_path):
-        engine = VerificationEngine(EngineOptions(
-            jobs=1, cache_dir=str(tmp_path / "cache"), backend="admm"))
-        report = engine.run(["vanderpol"])
-        payload = report.to_json_dict()
-        assert payload["engine"]["backend"] == "admm"
-        assert report.outcome("vanderpol").matches_expected
-        # An explicit "admm" keys the cache identically to the default, so
-        # a default-backend re-run replays it without solving.
-        warm = VerificationEngine(EngineOptions(
-            jobs=1, cache_dir=str(tmp_path / "cache"))).run(["vanderpol"])
-        assert warm.counters["solved"] == 0
-        assert warm.to_json_dict()["engine"]["backend"] == "admm"
+            # typo: the real knob is max_iterations
+            solve_conic_problem(builder.build(), max_iters=5)
 
 
 class TestConcurrentSessionsVanDerPol:

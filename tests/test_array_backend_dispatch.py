@@ -1,9 +1,9 @@
 """Solver dispatch tests.
 
-``make_solver`` and ``solve_conic_problems`` route every solve into the one
-NumPy ADMM loop (serial or batched): the routes must agree with each other
-and with a directly constructed solver, and settings no built-in backend
-knows are rejected.
+``solve_conic_problem`` and ``solve_conic_problems`` route every solve into
+the NumPy ADMM solver (single or batched loop): the routes must agree with
+each other and with a directly constructed solver, and settings the solver
+does not know are rejected.
 """
 
 import warnings
@@ -17,7 +17,7 @@ from repro.sdp import (
     ADMMConicSolver,
     ADMMSettings,
     SolveContext,
-    make_solver,
+    solve_conic_problem,
     solve_conic_problems,
 )
 
@@ -65,10 +65,11 @@ class TestNumpyParityWithReference:
         assert replay[0].info["batch_size"] == len(problems)
 
     def test_serial_admm_identical_iterates(self):
-        """The registry route builds the same solver as direct construction."""
+        """The context route solves exactly as a directly built solver."""
         for problem in _ball_family().bind_many([1.0, 6.0]):
             ref = ADMMConicSolver(ADMMSettings(max_iterations=3000)).solve(problem)
-            got = make_solver("admm", max_iterations=3000).solve(problem)
+            got = solve_conic_problem(problem, context=SolveContext(name="single"),
+                                      max_iterations=3000)
             assert got.status == ref.status
             assert got.iterations == ref.iterations
             np.testing.assert_array_equal(got.x, ref.x)
@@ -97,13 +98,15 @@ class TestDeprecationHygiene:
             warnings.simplefilter("error")
             ADMMSettings(max_iterations=2000, rho=2.5)
 
-    def test_make_solver_type_error_lists_new_knobs(self):
+    def test_unknown_setting_type_error_lists_new_knobs(self):
         # The removed array-namespace and asynchronous-batch knobs are now
-        # unknown to every backend; the error lists the knobs that exist.
+        # unknown to the solver; the error lists the knobs that exist.
+        problem = _ball_family().bind(1.0)
         for knob, value in (("array_backend", "numpy"), ("async_mode", True),
                             ("staleness_bound", 25)):
             with pytest.raises(TypeError) as excinfo:
-                make_solver("admm", **{knob: value})
+                solve_conic_problem(problem, context=SolveContext(name="typo"),
+                                    **{knob: value})
             message = str(excinfo.value)
             assert knob in message
             assert "max_iterations" in message and "rho" in message

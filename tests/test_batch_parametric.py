@@ -84,6 +84,16 @@ class TestBatchADMMSolver:
                 np.testing.assert_allclose(got.x, expected.x, atol=1e-7)
         assert batch[0].info["batch_size"] == len(problems)
 
+    def test_one_problem_batch_runs_the_single_loop(self):
+        for rhs in (1.0, -1.0):
+            problem = _feasibility_problem(rhs)
+            expected = ADMMConicSolver().solve(problem)
+            [got] = solve_conic_problems([problem],
+                                         context=SolveContext(name="one"))
+            assert got.status == expected.status
+            assert got.iterations == expected.iterations
+            np.testing.assert_array_equal(got.x, expected.x)
+
     def test_mixed_structure_falls_back_to_serial(self):
         builder = ConicProblemBuilder()
         psd_id, _ = builder.add_psd_block(2)
@@ -120,9 +130,6 @@ class TestBatchADMMSolver:
     def test_solve_conic_problems_dispatch(self):
         problems = [_feasibility_problem(t) for t in (1.0, 2.0)]
         results = solve_conic_problems(problems)
-        assert all(r.status.is_success for r in results)
-        # Non-ADMM backends are solved sequentially with the same semantics.
-        results = solve_conic_problems(problems, backend="projection")
         assert all(r.status.is_success for r in results)
 
 

@@ -12,6 +12,7 @@ from repro.engine import CertificateCache
 from repro.engine.cache import default_cache_dir
 from repro.polynomial import Polynomial, VariableVector, make_variables
 from repro.sdp import (
+    ConicProblemBuilder,
     SolveContext,
     SolverResult,
     SolverStatus,
@@ -119,15 +120,29 @@ class TestCacheKeys:
 
     def test_key_includes_solver_options(self, tiny_program):
         problem = _rebuild(tiny_program)
-        k1 = solve_cache_key(problem, None, {})
-        k2 = solve_cache_key(problem, None, {"max_iterations": 123})
-        k3 = solve_cache_key(problem, "projection", {})
+        k1 = solve_cache_key(problem, {})
+        k2 = solve_cache_key(problem, {"max_iterations": 123})
+        k3 = solve_cache_key(problem, {"max_iterations": 123, "rho": 2.0})
         assert len({k1, k2, k3}) == 3
 
     def test_canonical_options_sorted(self):
-        a = canonical_solver_options("admm", {"b": 1, "a": 2})
-        b = canonical_solver_options("admm", {"a": 2, "b": 1})
+        a = canonical_solver_options({"b": 1, "a": 2})
+        b = canonical_solver_options({"a": 2, "b": 1})
         assert a == b
+
+    def test_key_pinned_to_existing_caches(self):
+        """Keys written by earlier versions still hit: the digest is fixed."""
+        builder = ConicProblemBuilder()
+        psd_id, _ = builder.add_psd_block(2)
+        nn_id, _ = builder.add_nonneg_block(1)
+        local, coeff = builder.psd_entry_local_index(psd_id, 0, 1)
+        builder.add_equality_row({(psd_id, local): coeff, (nn_id, 0): 1.0},
+                                 rhs=0.5)
+        settings = {"max_iterations": 3000, "eps_rel": 1e-4, "rho": 2.0}
+        assert canonical_solver_options(settings) == \
+            "admm|eps_rel=0.0001, max_iterations=3000, rho=2.0"
+        assert solve_cache_key(builder.build(), settings) == (
+            "2ce98cdd8294b3d6884fbcb8d0d8c9fb803effab6984b45701f3f2324e8f78c3")
 
     def test_key_stable_across_processes(self, tiny_program):
         """The content hash must not depend on Python hash randomisation."""

@@ -7,19 +7,15 @@ import scipy.sparse as sp
 from repro.sdp import (
     ADMMConicSolver,
     ADMMSettings,
-    AlternatingProjectionSolver,
-    BatchADMMSolver,
     ConeDims,
     ConicProblem,
     ConicProblemBuilder,
     SolverResult,
     SolverStatus,
-    available_backends,
     column_inf_norms,
     cone_violation,
     drop_zero_rows,
     equilibrate,
-    make_solver,
     presolve,
     project_onto_cone,
     row_inf_norms,
@@ -145,29 +141,6 @@ class TestSolvers:
         result = solve_conic_problem(builder.build())
         assert not result.is_success
 
-    def test_projection_backend_feasibility(self):
-        builder = ConicProblemBuilder()
-        psd_id, _ = builder.add_psd_block(2)
-        local, coeff = builder.psd_entry_local_index(psd_id, 0, 1)
-        builder.add_equality_row({(psd_id, local): coeff}, rhs=0.5)
-        result = AlternatingProjectionSolver().solve(builder.build())
-        assert result.is_success
-        M = builder.psd_block_matrix(psd_id, result.x)
-        assert M[0, 1] == pytest.approx(0.5, abs=1e-5)
-
-    def test_projection_backend_rejects_objective(self):
-        _, _, problem = _simple_sdp_problem()
-        with pytest.raises(ValueError):
-            AlternatingProjectionSolver().solve(problem)
-
-    def test_backend_registry(self):
-        assert "admm" in available_backends()
-        assert "projection" in available_backends()
-        solver = make_solver("admm", max_iterations=10)
-        assert isinstance(solver, ADMMConicSolver)
-        with pytest.raises(KeyError):
-            make_solver("nonexistent")
-
     def test_equilibrate_preserves_solutions(self):
         _, _, problem = _simple_sdp_problem()
         scaled, scaling = equilibrate(problem)
@@ -176,11 +149,6 @@ class TestSolvers:
         # satisfies the scaled equalities too.
         result = solve_conic_problem(problem)
         assert scaled.equality_residual(result.x) <= 1e-4
-
-    def test_backend_registry_batch_admm(self):
-        assert "batch_admm" in available_backends()
-        solver = make_solver("batch_admm", max_iterations=10)
-        assert isinstance(solver, BatchADMMSolver)
 
     def test_dual_residual_reported(self):
         """The final ADMM dual residual must be a number, not a NaN placeholder."""
