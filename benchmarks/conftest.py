@@ -46,9 +46,10 @@ def print_rows(title, header, rows):
 
 
 # ---------------------------------------------------------------------------
-# Machine-readable benchmark output: every bench writes
-# ``benchmarks/BENCH_<name>.json`` through ``write_bench``, so the performance
-# trajectory is tracked across PRs (CI uploads the files as build artifacts).
+# Machine-readable benchmark output: with ``REPRO_BENCH_WRITE=1`` every bench
+# writes ``benchmarks/BENCH_<name>.json`` through ``write_bench``, so the
+# performance trajectory is tracked across PRs (the CI bench jobs set it and
+# upload the files as build artifacts).
 # Table 2 benches call ``record_bench`` and the session-finish hook merges
 # their records into ``BENCH_table2.json``.
 # ---------------------------------------------------------------------------
@@ -61,7 +62,13 @@ def bench_path(name):
 
 
 def write_bench(name, schema, body):
-    """Write ``body`` to ``BENCH_<name>.json`` with the common header."""
+    """Write ``body`` to ``BENCH_<name>.json`` with the common header.
+
+    Writes only when ``REPRO_BENCH_WRITE=1`` is set, so a plain test run
+    leaves the tracked BENCH files untouched.
+    """
+    if os.environ.get("REPRO_BENCH_WRITE") != "1":
+        return
     document = {
         "schema": schema,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),

@@ -9,7 +9,8 @@ Subpackages
 ``repro.polynomial``
     Multivariate polynomial algebra (variables, monomials, calculus, Gram forms).
 ``repro.sdp``
-    Pure numpy/scipy conic SDP solvers (ADMM splitting, alternating projection).
+    Pure numpy/scipy ADMM conic solver and the ``SolveContext`` that owns its
+    cache and counters.
 ``repro.sos``
     SOS programming layer: constraints, S-procedure, certificate validation.
 ``repro.hybrid``
@@ -32,11 +33,12 @@ Subpackages
 ``repro.sweep``
     Parameter sweeps: certified feasibility frontiers over scenario axes,
     sharded through the engine's executors.
-``repro.api``
-    The stable public facade: ``VerificationSession`` context objects owning
-    solver settings, certificate cache, counters, seed and relaxation, plus
-    ``repro.api.verify(scenario, session=...)``.  Sessions are isolated and
-    thread-safe — the supported entry point for embedding the verifier.
+
+Embedding the verifier takes a ``repro.sdp.SolveContext`` (cache and
+counters) and one of three entry points: ``repro.core.InevitabilityVerifier``
+(one problem, in-process), ``repro.engine.VerificationEngine`` (registered
+scenarios, inline or on a process pool) and ``repro.sweep.SweepRunner``
+(parameter sweeps).
 """
 
 from .exceptions import CertificateError, ModelError, ReproError, VerificationInconclusive
@@ -44,20 +46,9 @@ from .exceptions import CertificateError, ModelError, ReproError, VerificationIn
 __version__ = "1.1.0"
 
 __all__ = [
-    "api",
     "ReproError",
     "ModelError",
     "CertificateError",
     "VerificationInconclusive",
     "__version__",
 ]
-
-
-def __getattr__(name):
-    # ``repro.api`` pulls in the scenario registry and engine cache; load it
-    # lazily so ``import repro`` stays light for users of the lower layers.
-    if name == "api":
-        import importlib
-
-        return importlib.import_module(".api", __name__)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

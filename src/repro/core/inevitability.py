@@ -16,6 +16,7 @@ breakdown of Table 2.
 
 from __future__ import annotations
 
+import copy
 import functools
 import time
 from dataclasses import dataclass, field, replace
@@ -214,6 +215,9 @@ class InevitabilityVerifier:
     ``model`` is a :class:`~repro.pll.model.PLLVerificationModel` or a
     :class:`~repro.scenarios.problem.ScenarioProblem`; ``options`` default to
     the problem's own (a bare model gets :class:`InevitabilityOptions`).
+    The verifier runs on a deep copy of the options: it fills
+    problem-specific defaults (the S-procedure domain box) into them, and
+    the caller's object must stay reusable across problems.
     """
 
     def __init__(self, model: PLLVerificationModel,
@@ -222,12 +226,14 @@ class InevitabilityVerifier:
         # The scenario layer imports this module; import it at call time.
         from ..scenarios.problem import ScenarioProblem
 
+        if options is None:
+            options = model.options if isinstance(model, ScenarioProblem) \
+                else InevitabilityOptions()
+        options = copy.deepcopy(options)
         if isinstance(model, ScenarioProblem):
-            problem = replace(
-                model, options=options if options is not None else model.options)
+            problem = replace(model, options=options)
         else:
-            problem = ScenarioProblem.from_pll_model(
-                model, options if options is not None else InevitabilityOptions())
+            problem = ScenarioProblem.from_pll_model(model, options)
         self.problem = problem.fill_option_defaults()
         self.options = self.problem.options
         self.context = context

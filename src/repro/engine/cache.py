@@ -83,7 +83,7 @@ class CertificateCache:
     Satisfies the ``get``/``put`` protocol of
     :class:`repro.sdp.context.SolveContext`, with a small in-memory front so
     one process never deserialises the same entry twice.  The in-memory
-    front and the stats counters are lock-guarded: a session shared by a
+    front and the stats counters are lock-guarded: a context shared by a
     thread pool drives concurrent get/put through one cache instance.
     """
 

@@ -236,21 +236,18 @@ def _run_step(problem, payload: Dict[str, object],
     raise ValueError(f"unknown engine step {step!r}")
 
 
-def _execute_job(payload: Dict[str, object],
-                 cache: Optional[object] = None) -> Dict[str, object]:
+def _execute_job(payload: Dict[str, object]) -> Dict[str, object]:
     """Worker entry point: hermetic execution of one job from plain data.
 
     Every job runs under its own :class:`~repro.sdp.context.SolveContext`
     (cache + counters) instead of mutating process-global solver
     state, so inline jobs, pool workers and any other pipelines in the same
-    process are fully isolated from each other.
-
-    A live ``cache`` object (``get``/``put`` protocol) replaces the cache the
-    payload describes; ``None`` opens the payload's on-disk cache, if any.
+    process are fully isolated from each other.  The job opens the on-disk
+    cache its payload describes (``use_cache``/``cache_dir``), if any.
     """
     start = time.perf_counter()
-    if cache is None and payload.get("use_cache"):
-        cache = CertificateCache(payload.get("cache_dir"))
+    cache = CertificateCache(payload.get("cache_dir")) \
+        if payload.get("use_cache") else None
     context = SolveContext(cache=cache,
                            name=f"job:{payload.get('scenario')}/{payload.get('step')}")
     try:
@@ -275,11 +272,8 @@ def _execute_job(payload: Dict[str, object],
         # The context is fresh per job, so its counters are this job's exact
         # contribution — no before/after diffing against global state.
         "counters": context.solve_counters(),
-        # The cache object is fresh per job, so its stats are this job's
-        # delta.  Minimal get/put caches (session overrides) may not keep
-        # stats at all.
-        "cache_stats": (cache.stats.as_dict()
-                        if getattr(cache, "stats", None) is not None else {}),
+        # The cache object is fresh per job, so its stats are this job's delta.
+        "cache_stats": cache.stats.as_dict() if cache is not None else {},
     }
 
 

@@ -138,9 +138,9 @@ class ScenarioSpec:
         """Construct the scenario's verification problem.
 
         ``relaxation`` overrides this spec's registered Gram-cone relaxation
-        (the engine/CLI ``--relaxation`` flag and session defaults arrive
-        here); ``params`` overrides declared sweep axes (``verify --param`` and the
-        sweep planner arrive here).
+        (the engine/CLI ``--relaxation`` flag arrives here); ``params``
+        overrides declared sweep axes (``verify --param`` and the sweep
+        planner arrive here).
         """
         spec = self.with_parameters(params) if params else self
         problem = spec.builder(spec)

@@ -37,11 +37,9 @@ from .admm import ADMMConicSolver, ADMMSettings, WarmStart, unpack_warm_start
 from .batch import BatchADMMSolver
 from .solver import (
     canonical_solver_options,
-    get_solve_cache,
     solve_cache_key,
     solve_conic_problem,
     solve_conic_problems,
-    solve_counters,
 )
 
 __all__ = [
@@ -87,8 +85,6 @@ __all__ = [
     "BatchADMMSolver",
     "solve_conic_problem",
     "solve_conic_problems",
-    "solve_counters",
-    "get_solve_cache",
     "solve_cache_key",
     "canonical_solver_options",
 ]

@@ -1,17 +1,15 @@
 """Explicit solver state: the :class:`SolveContext` context object.
 
-Historically the conic layer kept its cross-cutting state — the installed
-solve cache, the solve/compile counters — in module
-globals of :mod:`repro.sdp.solver` (``_SOLVE_CACHE``, ``_SOLVE_COUNTERS``)
-and :mod:`repro.sos.program` (``_COMPILE_COUNTERS``).  A :class:`SolveContext`
-owns all of that state explicitly, so independent verification pipelines —
-different caches, settings, relaxations — can run *concurrently in one
-process* without clobbering each other's counters or sharing cache entries.
+A :class:`SolveContext` owns the cross-cutting state of conic solving: the
+solve-result cache and the solve/compile counters.  Independent
+verification pipelines — different caches, relaxations — each hold their
+own context and can run *concurrently in one process* without clobbering
+each other's counters or sharing cache entries.
 
 The module-level functions of :mod:`repro.sdp.solver`
 (:func:`~repro.sdp.solver.solve_conic_problem`,
-:func:`~repro.sdp.solver.solve_counters`, …) take an explicit ``context=``
-and fall back to the process-default context returned by
+:func:`~repro.sdp.solver.solve_conic_problems`) take an explicit
+``context=`` and fall back to the process-default context returned by
 :func:`default_context` without one.
 
 All counter updates are guarded by a per-context lock: concurrent solves
@@ -31,12 +29,12 @@ BASE_SOLVE_COUNTERS = ("solved", "cache_hit")
 #: Base compile-counter keys always present in a compile snapshot.
 BASE_COMPILE_COUNTERS = ("full", "memoised")
 
-# Process-wide compile aggregate.  ``repro.sos.compile_counters()`` has
-# always been documented as *process-wide* accounting, and callers use it to
-# prove that a warm-cache replay genuinely recompiled its programs — work
-# that nowadays happens inside per-job/session contexts.  Every context
-# therefore mirrors its compile events into this aggregate (telemetry only;
-# per-context counters remain exact and isolated).
+# Process-wide compile aggregate.  ``repro.sos.compile_counters()`` is
+# *process-wide* accounting, and callers use it to prove that a warm-cache
+# replay genuinely recompiled its programs — work that happens inside
+# per-job contexts.  Every context therefore mirrors its compile events into
+# this aggregate (telemetry only; per-context counters remain exact and
+# isolated).
 _AGGREGATE_COMPILE_LOCK = threading.Lock()
 _AGGREGATE_COMPILE_COUNTERS: Dict[str, int] = {k: 0 for k in BASE_COMPILE_COUNTERS}
 
@@ -52,27 +50,20 @@ class SolveContext:
 
     Parameters
     ----------
-    solver_settings:
-        Default keyword settings merged under every solve call's explicit
-        settings (explicit keys win).
     cache:
         Optional solve-result cache — any object with ``get(key) ->
         Optional[SolverResult]`` and ``put(key, result)``, e.g. a
         :class:`repro.engine.cache.CertificateCache`.
 
-    Caching policy (unchanged from the historical module-global cache):
-    EVERY terminal result is cached, including failure statuses — in this
-    pipeline a rejected feasibility probe is a meaningful outcome, and
-    replaying it keeps a warm-cache run a bit-identical, zero-solve replay
-    of the cold run.  The key intentionally excludes warm starts (they
-    affect the path, not the validity, of a result).
+    Caching policy: EVERY terminal result is cached, including failure
+    statuses — in this pipeline a rejected feasibility probe is a meaningful
+    outcome, and replaying it keeps a warm-cache run a bit-identical,
+    zero-solve replay of the cold run.  The key intentionally excludes warm
+    starts (they affect the path, not the validity, of a result).
     """
 
-    def __init__(self, solver_settings: Optional[Dict[str, object]] = None,
-                 cache: Optional[object] = None,
-                 name: str = "context"):
+    def __init__(self, cache: Optional[object] = None, name: str = "context"):
         self.name = name
-        self.solver_settings: Dict[str, object] = dict(solver_settings or {})
         self.cache = cache
         self._lock = threading.Lock()
         self._solve_counters: Dict[str, int] = {k: 0 for k in BASE_SOLVE_COUNTERS}
@@ -104,7 +95,13 @@ class SolveContext:
                 _AGGREGATE_COMPILE_COUNTERS.get(event, 0) + amount
 
     def solve_counters(self) -> Dict[str, int]:
-        """Snapshot of this context's conic solve counters."""
+        """Snapshot of this context's conic solve counters.
+
+        ``solved`` counts actual conic solves, ``cache_hit`` counts solves
+        served from the cache.  Each event is additionally keyed by the
+        problem's cone layout kind (``solved:psd``, ``cache_hit:dd``, …; see
+        :attr:`repro.sdp.problem.ConicProblem.layout_kind`).
+        """
         with self._lock:
             return dict(self._solve_counters)
 
@@ -113,40 +110,10 @@ class SolveContext:
         with self._lock:
             return dict(self._compile_counters)
 
-    def reset_solve_counters(self) -> None:
-        """Zero the solve counters only."""
-        with self._lock:
-            self._solve_counters = {k: 0 for k in BASE_SOLVE_COUNTERS}
-
     def reset_compile_counters(self) -> None:
-        """Zero the compile counters only."""
+        """Zero the compile counters."""
         with self._lock:
             self._compile_counters = {k: 0 for k in BASE_COMPILE_COUNTERS}
-
-    def reset_counters(self) -> None:
-        """Zero both counter families."""
-        self.reset_solve_counters()
-        self.reset_compile_counters()
-
-    # ------------------------------------------------------------------
-    # Cache management
-    # ------------------------------------------------------------------
-    def set_cache(self, cache: Optional[object]) -> Optional[object]:
-        """Install (or clear, with ``None``) this context's solve cache.
-
-        Returns the previously installed cache so callers can restore it.
-        """
-        previous = self.cache
-        self.cache = cache
-        return previous
-
-    # ------------------------------------------------------------------
-    # Resolution helpers
-    # ------------------------------------------------------------------
-    def _resolve(self, settings: Dict[str, object]) -> Dict[str, object]:
-        from .solver import check_solver_settings
-
-        return check_solver_settings({**self.solver_settings, **settings})
 
     # ------------------------------------------------------------------
     # Solving
@@ -154,15 +121,15 @@ class SolveContext:
     def solve(self, problem: ConicProblem,
               warm_start: Optional[object] = None,
               **settings) -> SolverResult:
-        """Solve one conic problem under this context's cache and defaults.
+        """Solve one conic problem under this context's cache.
 
-        ``settings`` passed here win over the context defaults.  Results are
-        served from and written to this context's cache (when installed) and
-        counted in this context's counters only.
+        ``settings`` are :class:`~repro.sdp.admm.ADMMSettings` fields.
+        Results are served from and written to this context's cache (when
+        installed) and counted in this context's counters only.
         """
-        from .solver import solve_cache_key, solve_single_uncached
+        from .solver import check_solver_settings, solve_cache_key, solve_single_uncached
 
-        settings = self._resolve(settings)
+        check_solver_settings(settings)
         cache = self.cache
         key: Optional[str] = None
         if cache is not None:
@@ -186,9 +153,9 @@ class SolveContext:
         :func:`~repro.sdp.solver.solve_batch_uncached` call.  Per-problem
         statuses match solving each problem alone.
         """
-        from .solver import solve_batch_uncached, solve_cache_key
+        from .solver import check_solver_settings, solve_batch_uncached, solve_cache_key
 
-        settings = self._resolve(settings)
+        check_solver_settings(settings)
         problems = list(problems)
         if warm_starts is None:
             warm_starts = [None] * len(problems)
@@ -234,7 +201,7 @@ class SolveContext:
         return self.describe()
 
 
-#: The process-default context backing the legacy module-level API.
+#: The process-default context behind every context-less call.
 _DEFAULT_CONTEXT = SolveContext(name="default")
 
 
@@ -243,6 +210,7 @@ def default_context() -> SolveContext:
 
     Every context-less call (``solve_conic_problem(...)`` without
     ``context=``, a :class:`~repro.sos.program.SOSProgram` built without one)
-    lands here, which preserves the historical module-global behaviour.
+    lands here; read its cache as ``default_context().cache`` and its
+    counters with ``default_context().solve_counters()``.
     """
     return _DEFAULT_CONTEXT

@@ -6,11 +6,11 @@ It has two loops, picked by batch size: a single problem goes through
 structurally identical problems through
 :class:`~repro.sdp.batch.BatchADMMSolver`.
 
-Cross-cutting solver state — the result cache, the solve counters, default
-settings — lives in a :class:`~repro.sdp.context.SolveContext`.  The
-functions here accept an explicit ``context=``; when omitted they fall back
-to the process-default context.  Code that needs its own cache or counters
-holds its own context (usually through :class:`repro.api.VerificationSession`).
+Cross-cutting solver state — the result cache and the solve counters —
+lives in a :class:`~repro.sdp.context.SolveContext`.  The functions here
+accept an explicit ``context=``; when omitted they fall back to the
+process-default context.  Code that needs its own cache or counters holds
+its own context.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from .result import SolverResult
 _ADMM_SETTINGS = frozenset(field.name for field in dataclasses.fields(ADMMSettings))
 
 
-def check_solver_settings(settings: Dict[str, object]) -> Dict[str, object]:
-    """Return ``settings`` unchanged; raise ``TypeError`` on an unknown key.
+def check_solver_settings(settings: Dict[str, object]) -> None:
+    """Raise ``TypeError`` if ``settings`` names a key ``ADMMSettings`` lacks.
 
     The check runs before the cache lookup, so a typo such as
     ``max_iters=`` fails even when the solve would be served from the cache.
@@ -37,27 +37,6 @@ def check_solver_settings(settings: Dict[str, object]) -> Dict[str, object]:
     if bogus:
         raise TypeError(f"unknown solver setting(s) {bogus}; "
                         f"ADMMSettings accepts {sorted(_ADMM_SETTINGS)}")
-    return settings
-
-
-def solve_counters(context: Optional[object] = None) -> Dict[str, int]:
-    """Snapshot of a context's conic solve counters (default context if none).
-
-    ``solved`` counts actual conic solves, ``cache_hit`` counts solves
-    served from the context's cache.  Each event is additionally keyed by
-    the problem's cone layout kind (``solved:psd``, ``cache_hit:dd``, …; see
-    :attr:`repro.sdp.problem.ConicProblem.layout_kind`).
-    """
-    from .context import default_context
-
-    return (context or default_context()).solve_counters()
-
-
-def get_solve_cache(context: Optional[object] = None) -> Optional[object]:
-    """The cache installed on ``context`` (default context if none)."""
-    from .context import default_context
-
-    return (context or default_context()).cache
 
 
 def canonical_solver_options(settings: Dict[str, object]) -> str:
@@ -88,8 +67,8 @@ def solve_conic_problem(problem: ConicProblem,
                         **settings) -> SolverResult:
     """Solve one conic problem with the ADMM solver.
 
-    ``context`` is the :class:`~repro.sdp.context.SolveContext` whose cache,
-    counters and defaults govern this solve; ``None`` uses the process
+    ``context`` is the :class:`~repro.sdp.context.SolveContext` whose cache
+    and counters govern this solve; ``None`` uses the process
     default.  Keyword settings are :class:`~repro.sdp.admm.ADMMSettings`
     fields.  Pass the ``warm_start_data`` dict from a previous result on a
     structurally identical problem as ``warm_start`` to accelerate

@@ -50,7 +50,7 @@ class ParametricSOSProgram:
     ``context`` is the :class:`~repro.sdp.context.SolveContext` applied to
     every program the family builds (unless the build callable already
     attached one), so the structural compiles are counted on the owning
-    session rather than the process default.
+    context rather than the process default.
     """
 
     def __init__(self, build: Callable[[float], BuildResult],

@@ -58,9 +58,8 @@ class SOSProgramError(RuntimeError):
 # served from a program's cache.  The parametric-solve layer asserts against
 # these counters that a bound bisection query never triggers a recompile.
 # Without an explicit context the module-level accessors read the
-# *process-wide aggregate* (the historical semantics — it also covers work
-# done inside per-job/session contexts); per-session counters are read off
-# the session's own context.
+# *process-wide aggregate* (it also covers work done inside per-job
+# contexts).
 def compile_counters(context: Optional[SolveContext] = None) -> Dict[str, int]:
     """SOS compile counters: ``context``'s own, or the process-wide aggregate."""
     if context is not None:

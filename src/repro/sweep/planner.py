@@ -130,13 +130,8 @@ def _merge_counts(total: Dict[str, int], delta: Dict[str, object]) -> None:
 class SweepRunner:
     """Plan and execute one sweep family end to end."""
 
-    def __init__(self, options: Optional[SweepOptions] = None,
-                 cache: Optional[object] = None):
+    def __init__(self, options: Optional[SweepOptions] = None):
         self.options = options or SweepOptions()
-        # Mirrors _execute_job's cache argument: sessions with in-memory
-        # caches (and tests) substitute their cache object for the path the
-        # payload would otherwise describe.
-        self._cache = cache
 
     # ------------------------------------------------------------------
     def resolve_family(self, family: object) -> SweepFamily:
@@ -188,7 +183,7 @@ class SweepRunner:
             "relaxation": None,
             "params": anchor or None,
         })
-        outcome = _execute_job(payload, self._cache)
+        outcome = _execute_job(payload)
         data = outcome.get("data", {})
         info = {
             "status": outcome.get("status"),
@@ -299,12 +294,9 @@ class SweepRunner:
             })
             shard_payloads.append(payload)
 
-        if options.jobs > 1 and len(shard_payloads) > 1 \
-                and self._cache is None:
+        if options.jobs > 1 and len(shard_payloads) > 1:
             executor = ProcessPoolExecutor(max_workers=options.jobs)
         else:
-            # Inline also covers live cache objects (session in-memory
-            # cache, test double): they cannot cross a process boundary.
             executor = _InlineExecutor()
 
         active: Dict[Future, int] = {}
@@ -317,8 +309,7 @@ class SweepRunner:
                                 shard_id + 1, len(shard_payloads),
                                 len(payload["points"]))
                     try:
-                        future = executor.submit(_execute_job, payload,
-                                                 self._cache)
+                        future = executor.submit(_execute_job, payload)
                     except Exception as exc:
                         shard_errors.append(f"submission failed: {exc}")
                         continue

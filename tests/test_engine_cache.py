@@ -190,26 +190,28 @@ class TestSolveCacheIntegration:
         assert counters["solved"] == 1 and counters["cache_hit"] == 1
         assert counters["cache_hit:psd"] == 1
 
-        # Bypassing the cache solves again.
-        context.set_cache(None)
-        clone2 = SOSProgram("clone2", context=context)
+        # A context without a cache solves again.
+        bypass = SolveContext()
+        clone2 = SOSProgram("clone2", context=bypass)
         clone2.add_sos_constraint(x * x + 2.0 * y * y + 1.0, name="c")
         clone2.solve()
-        assert context.solve_counters()["solved"] == 2
+        assert bypass.solve_counters()["solved"] == 1
+        assert bypass.solve_counters()["cache_hit"] == 0
 
     def test_cached_result_reused_across_cache_instances(self, tmp_path,
                                                          tiny_program):
         """Key stability on disk: a fresh cache object over the same directory
         serves the results written by another instance (as worker processes
         sharing one cache directory do)."""
-        context = SolveContext(cache=CertificateCache(tmp_path / "shared"))
-        tiny_program.solve(context=context)
-        context.set_cache(CertificateCache(tmp_path / "shared"))
+        writer = SolveContext(cache=CertificateCache(tmp_path / "shared"))
+        tiny_program.solve(context=writer)
+        assert writer.solve_counters()["solved"] == 1
+        reader = SolveContext(cache=CertificateCache(tmp_path / "shared"))
         variables = VariableVector(make_variables("x", "y"))
         x = Polynomial.from_variable(variables[0], variables)
         y = Polynomial.from_variable(variables[1], variables)
-        clone = SOSProgram("clone", context=context)
+        clone = SOSProgram("clone", context=reader)
         clone.add_sos_constraint(x * x + 2.0 * y * y + 1.0, name="c")
         clone.solve()
-        counters = context.solve_counters()
-        assert counters["solved"] == 1 and counters["cache_hit"] == 1
+        counters = reader.solve_counters()
+        assert counters["solved"] == 0 and counters["cache_hit"] == 1

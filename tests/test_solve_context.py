@@ -1,11 +1,12 @@
-"""Session isolation tests for the ``repro.api`` public facade.
+"""Isolation tests for :class:`repro.sdp.SolveContext`.
 
-The acceptance property of the context-object API: two sessions in one
-process — distinct caches, distinct Gram-cone relaxations — verify Van der
-Pol *concurrently* through a thread pool and produce counters, cache stats
-and reports identical to their serial runs, with zero cross-session counter
-or cache leakage.  Plus: thread-safe counter increments and the
-validation of solver settings.
+The acceptance property of the context object: two verifiers in one
+process — each with its own context and cache, distinct Gram-cone
+relaxations — verify Van der Pol *concurrently* through a thread pool and
+produce counters, cache stats and reports identical to their serial runs,
+with zero cross-context counter or cache leakage.  Plus: thread-safe
+counter increments, option handling of :class:`InevitabilityVerifier` and
+the validation of solver settings.
 """
 
 import json
@@ -14,21 +15,24 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.api import (
-    SolveContext,
-    VerificationSession,
-    verify,
-)
+from repro.core import InevitabilityVerifier
+from repro.engine import CertificateCache
 from repro.polynomial import Polynomial, VariableVector, make_variables
-from repro.sdp import default_context
+from repro.scenarios import build_problem
+from repro.sdp import SolveContext, default_context
+from repro.sos import SOSProgram
 
 
-def _tiny_solve(session, offset=1.0):
-    """Solve a one-constraint SOS feasibility program under ``session``."""
+def _cached_context(root, name):
+    return SolveContext(cache=CertificateCache(root), name=name)
+
+
+def _tiny_solve(context, offset=1.0):
+    """Solve a one-constraint SOS feasibility program under ``context``."""
     variables = VariableVector(make_variables("x", "y"))
     x = Polynomial.from_variable(variables[0], variables)
     y = Polynomial.from_variable(variables[1], variables)
-    program = session.program("tiny")
+    program = SOSProgram("tiny", context=context)
     program.add_sos_constraint(x * x + 2.0 * y * y + offset, name="c")
     return program.solve()
 
@@ -39,26 +43,25 @@ def _canonical(report):
     for entry in payload["timings"]:
         entry["seconds"] = 0.0
     payload["total_seconds"] = 0.0
-    payload["options"].pop("session", None)
     return payload
 
 
-class TestSessionIsolation:
-    def test_counters_do_not_leak_between_sessions(self, tmp_path):
+class TestContextIsolation:
+    def test_counters_do_not_leak_between_contexts(self, tmp_path):
         before = default_context().solve_counters()
-        a = VerificationSession(cache_dir=tmp_path / "a", name="A")
-        b = VerificationSession(cache_dir=tmp_path / "b", name="B")
+        a = _cached_context(tmp_path / "a", "A")
+        b = _cached_context(tmp_path / "b", "B")
         assert _tiny_solve(a).is_success
         assert a.solve_counters()["solved"] == 1
         assert b.solve_counters()["solved"] == 0
         assert a.compile_counters()["full"] == 1
         assert b.compile_counters()["full"] == 0
-        # The process-default context never observed the session's work.
+        # The process-default context never observed the context's work.
         assert default_context().solve_counters() == before
 
-    def test_sessions_do_not_share_cache_entries(self, tmp_path):
-        a = VerificationSession(cache_dir=tmp_path / "a", name="A")
-        b = VerificationSession(cache_dir=tmp_path / "b", name="B")
+    def test_contexts_do_not_share_cache_entries(self, tmp_path):
+        a = _cached_context(tmp_path / "a", "A")
+        b = _cached_context(tmp_path / "b", "B")
         _tiny_solve(a)
         # The same program under B's distinct cache must really solve.
         _tiny_solve(b)
@@ -85,11 +88,9 @@ class TestSessionIsolation:
         assert context.solve_counters()["solved:psd"] == threads * per_thread
         assert context.compile_counters()["full"] == threads * per_thread
 
-    def test_per_call_context_override_governs_compile_too(self, tmp_path):
+    def test_per_call_context_override_governs_compile_too(self):
         """solve(context=...) on a context-less program must count the compile
         it triggers on the overriding context, not the process default."""
-        from repro.sos import SOSProgram
-
         context = SolveContext(name="override")
         variables = VariableVector(make_variables("x", "y"))
         x = Polynomial.from_variable(variables[0], variables)
@@ -102,33 +103,11 @@ class TestSessionIsolation:
         assert context.solve_counters()["solved"] == 1
         assert default_context().compile_counters() == before
 
-    def test_verify_honours_explicit_options(self, tmp_path):
-        from repro.api import build_problem
-
-        options = build_problem("vanderpol").options
-        options.advection.time_step = 0.123      # marker echoed in the summary
-        session = VerificationSession(cache_dir=tmp_path / "opts")
-        report = verify("vanderpol", session=session, options=options)
-        assert report.options_summary["advection_step"] == 0.123
-        assert report.property_one.status.value == "verified"
-        # The caller's object stays reusable: the pipeline's scenario-specific
-        # defaults (domain box) must not leak back into it.
-        assert options.lyapunov.domain_boxes is None
-
-    def test_session_rng_is_one_continuing_stream(self):
-        session = VerificationSession(seed=7)
-        first = session.rng().uniform(size=4)
-        second = session.rng().uniform(size=4)
-        assert not (first == second).all()       # successive draws are fresh
-        replay = VerificationSession(seed=7)
-        assert (replay.rng().uniform(size=4) == first).all()  # deterministic
-
     def test_certificate_cache_concurrent_eviction_safe(self, tmp_path):
         """A shared cache with a tiny memory front must survive concurrent
         get/put churn (eviction used to race and KeyError)."""
         import numpy as np
 
-        from repro.engine import CertificateCache
         from repro.sdp import SolverResult, SolverStatus
 
         cache = CertificateCache(tmp_path / "shared", memory_entries=4)
@@ -147,26 +126,30 @@ class TestSessionIsolation:
         assert cache.stats.writes == 8 * 200
         assert cache.stats.hits == 8 * 200
 
-
-class TestSessionErgonomics:
     def test_cache_dir_tilde_expanded(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HOME", str(tmp_path))
-        session = VerificationSession(cache_dir="~/my-cache")
-        assert session.cache.root == tmp_path / "my-cache"
+        assert CertificateCache("~/my-cache").root == tmp_path / "my-cache"
 
-    def test_verifier_honours_session_relaxation(self):
-        from repro.api import build_problem
 
-        problem = build_problem("vanderpol")
-        session = VerificationSession(relaxation="sdsos")
-        verifier = session.verifier(problem)
-        assert verifier.options.levelset.relaxation == "sdsos"
-        assert verifier.options.lyapunov.relaxation == "sdsos"
-        # The caller's own options object stays untouched.
-        assert problem.options.levelset.relaxation == "sos"
-        # An explicit options object wins verbatim.
-        explicit = session.verifier(problem, options=problem.options)
-        assert explicit.options is problem.options
+class TestVerifierOptions:
+    def test_verifier_honours_explicit_options(self, tmp_path):
+        options = build_problem("vanderpol").options
+        options.advection.time_step = 0.123      # marker echoed in the summary
+        context = _cached_context(tmp_path / "opts", "opts")
+        report = InevitabilityVerifier(build_problem("vanderpol"), options,
+                                       context=context).verify()
+        assert report.options_summary["advection_step"] == 0.123
+        assert report.property_one.status.value == "verified"
+        # The caller's object stays reusable: the pipeline's scenario-specific
+        # defaults (domain box) must not leak back into it.
+        assert options.lyapunov.domain_boxes is None
+
+    def test_reused_options_keep_each_problem_domain_box(self):
+        options = build_problem("vanderpol").options
+        InevitabilityVerifier(build_problem("vanderpol"), options)
+        duffing = InevitabilityVerifier(build_problem("duffing"), options)
+        assert duffing.options.lyapunov.domain_boxes == [(-1.2, 1.2)] * 2
+        assert options.lyapunov.domain_boxes is None
 
 
 class TestSolverSettings:
@@ -181,20 +164,20 @@ class TestSolverSettings:
             solve_conic_problem(builder.build(), max_iters=5)
 
 
-class TestConcurrentSessionsVanDerPol:
-    """Two sessions, distinct caches and relaxations, concurrent == serial."""
+class TestConcurrentVerifiersVanDerPol:
+    """Two verifiers, distinct caches and relaxations, concurrent == serial."""
 
     RELAXATIONS = ("sos", "sdsos")
 
-    def _run(self, tmp_path, tag, relaxation, concurrent_pool=None):
-        session = VerificationSession(
-            cache_dir=tmp_path / f"cache-{tag}-{relaxation}",
-            relaxation=relaxation, name=f"{tag}-{relaxation}")
-        report = verify("vanderpol", session=session)
+    def _run(self, tmp_path, tag, relaxation):
+        context = _cached_context(tmp_path / f"cache-{tag}-{relaxation}",
+                                  f"{tag}-{relaxation}")
+        problem = build_problem("vanderpol", relaxation=relaxation)
+        report = InevitabilityVerifier(problem, context=context).verify()
         return {
-            "counters": session.solve_counters(),
-            "compile": session.compile_counters(),
-            "cache": session.cache_stats(),
+            "counters": context.solve_counters(),
+            "compile": context.compile_counters(),
+            "cache": context.cache.stats.as_dict(),
             "report": _canonical(report),
         }
 
@@ -214,8 +197,8 @@ class TestConcurrentSessionsVanDerPol:
         assert "solved:psd" not in serial_runs["sdsos"]["counters"]
         assert serial_runs["sdsos"]["counters"]["solved:sdd"] > 0
 
-    def test_concurrent_sessions_match_serial_exactly(self, serial_runs,
-                                                      tmp_path):
+    def test_concurrent_verifiers_match_serial_exactly(self, serial_runs,
+                                                       tmp_path):
         with ThreadPoolExecutor(max_workers=len(self.RELAXATIONS)) as pool:
             futures = {
                 relaxation: pool.submit(self._run, tmp_path, "conc", relaxation)
@@ -234,9 +217,9 @@ class TestConcurrentSessionsVanDerPol:
             assert json.dumps(conc["report"], sort_keys=True) == \
                 json.dumps(serial["report"], sort_keys=True), relaxation
 
-    def test_default_context_untouched_by_sessions(self, tmp_path):
-        # A whole verify() inside a session must not record anything on the
-        # process-default context (other modules do solve through it, so
+    def test_default_context_untouched_by_verifiers(self, tmp_path):
+        # A whole verify() under its own context must not record anything on
+        # the process-default context (other modules do solve through it, so
         # compare against a snapshot taken just before).
         before = default_context().solve_counters()
         run = self._run(tmp_path, "isolated", "sdsos")

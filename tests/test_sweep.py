@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.engine.cache import CertificateCache, cache_rate_summary
+from repro.engine.cache import cache_rate_summary
 from repro.engine.engine import _execute_job
 from repro.engine.jobs import STEP_LYAPUNOV, STEP_SWEEP
 from repro.scenarios import build_problem, get_scenario
@@ -129,17 +129,17 @@ class TestFamilies:
 # Shard execution through the engine job layer
 # ----------------------------------------------------------------------
 class TestSweepShard:
-    def _anchor(self, cache):
+    def _anchor(self, cache_dir):
         outcome = _execute_job(
             {"scenario": "vanderpol", "step": STEP_LYAPUNOV, "mode": None,
-             "seed": 0, "relaxation": None, "params": None},
-            cache=cache)
+             "seed": 0, "relaxation": None, "params": None,
+             "use_cache": True, "cache_dir": cache_dir})
         assert outcome["status"] == "ok"
         return outcome["data"]["certificates"]
 
     def test_sweep_shard_job(self, tmp_path):
-        cache = CertificateCache(tmp_path / "cache")
-        certificates = self._anchor(cache)
+        cache_dir = str(tmp_path / "cache")
+        certificates = self._anchor(cache_dir)
         outcome = _execute_job(
             {"scenario": "vanderpol", "step": STEP_SWEEP, "mode": None,
              "certificates": certificates, "rungs": ["sos"],
@@ -147,8 +147,8 @@ class TestSweepShard:
              "steps": {"mu": 0.4, "stiffness": 0.2},
              "anchor_params": {}, "probe_settings": {},
              "points": [{"index": 0, "params": {"mu": 0.8, "stiffness": 0.9}},
-                        {"index": 1, "params": {"mu": 1.2, "stiffness": 1.1}}]},
-            cache=cache)
+                        {"index": 1, "params": {"mu": 1.2, "stiffness": 1.1}}],
+             "use_cache": True, "cache_dir": cache_dir})
         assert outcome["status"] == "ok"
         points = outcome["data"]["points"]
         assert [p["index"] for p in points] == [0, 1]
@@ -252,6 +252,11 @@ class TestSweepRunner:
         assert tuple(report.frontier["family"]["grid_axes"][0]) == \
             ("mu", 1.0, 1.0, 1)
 
+    def test_named_family_with_disk_cache(self, tmp_path):
+        report = SweepRunner(SweepOptions(
+            cache_dir=str(tmp_path), grid=SMALL_GRID)).run("vanderpol_grid")
+        assert report.certified == 4
+
     def test_bad_reconfigure_is_sweep_error(self):
         runner = SweepRunner(SweepOptions(samples=5))
         with pytest.raises(SweepError, match="--samples"):
@@ -284,37 +289,3 @@ class TestCacheTelemetry:
         assert summary["hit_rate"] == 1.0
         assert "Certificate cache:" in warm.render_text()
 
-
-# ----------------------------------------------------------------------
-# Session facade
-# ----------------------------------------------------------------------
-class TestSessionSweep:
-    def test_session_sweep_with_disk_cache(self, tmp_path):
-        from repro.api import VerificationSession
-
-        session = VerificationSession(cache_dir=tmp_path, name="sweeper")
-        report = session.sweep("vanderpol_grid", grid=SMALL_GRID)
-        assert report.certified == 4
-
-    def test_session_sweep_inline_cache_object(self):
-        from repro.api import VerificationSession
-
-        class DictCache:
-            def __init__(self):
-                self.store = {}
-
-            def get(self, key):
-                return self.store.get(key)
-
-            def put(self, key, value):
-                self.store[key] = value
-
-        cache = DictCache()
-        session = VerificationSession(cache=cache, name="sweeper")
-        report = session.sweep("vanderpol_grid",
-                               grid={"mu": (1.0, 1.0, 1),
-                                     "stiffness": (1.0, 1.0, 1)})
-        assert report.frontier["summary"]["points"] == 1
-        # the solves went through the session's live cache object (the
-        # planner must stay inline for it — no process boundary)
-        assert len(cache.store) > 0
