@@ -1,6 +1,6 @@
 """Ablation — advection operator: exact composition vs SOS projection.
 
-Design decision 3 of DESIGN.md: for affine mode dynamics the composed Taylor
+For affine mode dynamics the composed Taylor
 backward map keeps the polynomial degree fixed, so the cheap composition
 operator is exact; the SOS-projected operator (the paper's program (6) shape)
 pays one SOS solve per step for a fixed-degree representation.  This bench

@@ -2,8 +2,9 @@
 
 The paper uses degree-6 (third order) and degree-4 (fourth order)
 certificates; this ablation quantifies how the SDP size and synthesis time
-grow with the certificate degree at a fixed reduced budget (DESIGN.md design
-decision 2).
+grow with the certificate degree at a fixed reduced budget.  The registered
+scenarios default to degree 2 because the Gram matrices, and with them the
+synthesis time, grow quickly with the degree.
 """
 
 import pytest

@@ -59,10 +59,7 @@ class AdvectionOptions(StageConfig):
     time_step: float = 0.05
     max_iterations: int = 40
     operator: str = "composition"          # "composition" | "sos_projection"
-    projection_degree: Optional[int] = None  # degree of the projected polynomial
-    inclusion_multiplier_degree: int = 2
     inclusion_check_every: int = 1
-    epsilon_weight: float = 1.0
 
 
 @dataclass
@@ -130,7 +127,8 @@ class LevelSetAdvector:
                               ) -> Tuple[Polynomial, float]:
         """Fixed-degree projection of the advected set (paper's SOS program (6)).
 
-        Finds ``b`` of the requested degree and the smallest ``epsilon`` with
+        Finds ``b`` of the level polynomial's degree (rounded up to even) and
+        the smallest ``epsilon`` with
 
         * ``comp(y) <= 0  =>  b(y) <= 0``      (advected set covered), and
         * ``b(y) <= comp(y) + epsilon`` on the domain (tightness),
@@ -140,7 +138,7 @@ class LevelSetAdvector:
         options = self.options
         comp = self.advect_composition(level_poly, vector_field, time_step)
         variables = comp.variables
-        degree = options.projection_degree or level_poly.degree
+        degree = level_poly.degree
         if degree % 2 == 1:
             degree += 1
 
@@ -169,7 +167,7 @@ class LevelSetAdvector:
                 lower = lower - sig_l * g.with_variables(variables)
         program.add_sos_constraint(upper, name="tight_upper")
         program.add_sos_constraint(lower, name="tight_lower")
-        program.minimize(epsilon * options.epsilon_weight)
+        program.minimize(epsilon)
 
         solution = program.solve(**options.solver_settings)
         if not solution.is_success:
@@ -204,7 +202,7 @@ def _check_absorbed(polynomial: Polynomial, invariant: AttractiveInvariant,
         for mode_name, sublevel in invariant.sublevel_polynomials().items():
             inclusion = check_sublevel_inclusion(
                 polynomial, sublevel,
-                multiplier_degree=options.inclusion_multiplier_degree,
+                multiplier_degree=options.multiplier_degree,
                 domain=domain,
                 cone=cone,
                 context=context,

@@ -9,7 +9,7 @@ figures and the validation tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -27,21 +27,6 @@ class AttractiveInvariant:
     def __post_init__(self) -> None:
         if not self.level_sets:
             raise ValueError("an attractive invariant needs at least one level set")
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_maximization(cls, maximizer, certificates: Dict[str, Polynomial],
-                          domains: Dict[str, "object"], variables: VariableVector,
-                          bounds: Optional[Sequence[Tuple[float, float]]] = None,
-                          ) -> "AttractiveInvariant":
-        """Build the invariant by maximising every mode's level curve.
-
-        ``maximizer`` is a :class:`~repro.core.levelset.LevelSetMaximizer`;
-        with its default batched strategy each mode's Lemma-1 queries compile
-        once and the level ladder is solved through the batched ADMM engine.
-        """
-        level_sets = maximizer.maximize_all(certificates, domains, bounds=bounds)
-        return cls(level_sets=level_sets, variables=variables)
 
     # ------------------------------------------------------------------
     @property
@@ -83,12 +68,6 @@ class AttractiveInvariant:
             inside |= ls.certificate.evaluate_many(points) <= ls.level + tolerance
         return inside
 
-    def fraction_inside(self, points: np.ndarray) -> float:
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        if points.shape[0] == 0:
-            return float("nan")
-        return float(self.contains_points(points).mean())
-
     # ------------------------------------------------------------------
     def is_invariant_along(self, trajectory: np.ndarray, tolerance: float = 1e-6) -> bool:
         """Check forward invariance along a sampled trajectory.
@@ -102,14 +81,6 @@ class AttractiveInvariant:
             return True
         first_inside = int(np.argmax(inside))
         return bool(np.all(inside[first_inside:]))
-
-    def certificate_nonincreasing_along(self, trajectory: np.ndarray,
-                                        mode_name: str,
-                                        tolerance: float = 1e-6) -> bool:
-        """Check that one mode's certificate never increases along a trajectory."""
-        trajectory = np.atleast_2d(np.asarray(trajectory, dtype=float))
-        values = self.level_sets[mode_name].certificate.evaluate_many(trajectory)
-        return bool(np.all(np.diff(values) <= tolerance))
 
     # ------------------------------------------------------------------
     def summary_rows(self) -> List[Tuple[str, float, int]]:

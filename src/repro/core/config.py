@@ -9,8 +9,8 @@ and add only their stage-specific fields.
 
 These are *data* objects: the live solver state (cache, counters) lives on
 a :class:`~repro.sdp.context.SolveContext`, which is threaded through the
-stage classes separately.  A stage's ``solver_settings`` win over the
-context's default settings for that stage's solves.
+stage classes separately.  A stage's ``solver_settings`` are the settings of
+that stage's solves; the context carries none of its own.
 """
 
 from __future__ import annotations

@@ -150,7 +150,6 @@ class ParametricInclusionFamily:
                  multiplier_degree: int = 2,
                  domain: Optional[SemialgebraicSet] = None,
                  probes: Tuple[float, float] = (0.0, 1.0),
-                 check_affinity: bool = True,
                  cone: str = "psd",
                  context: Optional[SolveContext] = None,
                  multiplier_support: str = "dense"):
@@ -169,7 +168,6 @@ class ParametricInclusionFamily:
             return program, lam
 
         self.family = ParametricSOSProgram(build, probes=probes,
-                                           check_affinity=check_affinity,
                                            name="inclusion_family",
                                            context=context)
 

@@ -59,7 +59,7 @@ def run_mode_property_two(model, options: "InevitabilityOptions",
     plus the wall-clock of each stage (keys ``"advection"``, ``"inclusion"`` and —
     only when an escape search ran — ``"escape"``).
     """
-    outer = model.outer_set_polynomial(margin=options.outer_set_margin)
+    outer = model.outer_set_polynomial()
     field_polys = model.nominal_fields()[mode_name]
     domain = model.mode_domain(mode_name)
     timings: Dict[str, float] = {}
@@ -84,7 +84,7 @@ def run_mode_property_two(model, options: "InevitabilityOptions",
             for target_name, sublevel in invariant.sublevel_polynomials().items():
                 inclusion = check_sublevel_inclusion(
                     advection.final_polynomial, sublevel,
-                    multiplier_degree=options.advection.inclusion_multiplier_degree,
+                    multiplier_degree=options.advection.multiplier_degree,
                     domain=domain,
                     cone=cone,
                     context=context,
@@ -171,7 +171,6 @@ class InevitabilityOptions:
     advection: AdvectionOptions = field(default_factory=AdvectionOptions)
     escape: EscapeOptions = field(default_factory=EscapeOptions)
     advection_modes: Optional[Sequence[str]] = None   # default: all pumping modes
-    outer_set_margin: float = 1.0
     verify_property_two: bool = True
     attempt_escape_on_inconclusive: bool = True
     # Domain over which each mode's level curve is maximised: ``"mode"`` uses

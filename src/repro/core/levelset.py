@@ -53,18 +53,12 @@ class LevelSetOptions(StageConfig):
     bisection_tolerance: float = 1e-3
     max_bisection_iterations: int = 40
     initial_upper_bound: Optional[float] = None
-    #: Warm-start each query from the previous round's iterates at the same
-    #: slot (all queries of one maximisation share the same SDP structure).
-    warm_start: bool = True
     #: ``"batched"`` — parametric compile + K-section through the batch ADMM
     #: engine; ``"serial"`` — the per-level reference path.
     strategy: str = "batched"
     #: Number of candidate levels probed per batched round (the ``K`` of
     #: K-section); the bracket shrinks by ``K+1`` per round.
     levels_per_round: int = 6
-    #: Verify the affine-in-theta decomposition with a third structural
-    #: compile when building each parametric family.
-    check_affinity: bool = True
 
 
 @dataclass
@@ -98,7 +92,8 @@ class LevelSetMaximizer:
         self.options = options or LevelSetOptions()
         self.context = context
         # Per-inequality warm-start data carried across bisection levels
-        # (reset at the start of each maximisation).  The batched path keys
+        # (reset at the start of each maximisation; all queries of one
+        # maximisation share the same SDP structure).  The batched path keys
         # by (family index -> {level: data}); the serial path by family index.
         self._warm_starts: Dict[object, object] = {}
         self._rejections: Dict[int, int] = {}
@@ -112,12 +107,12 @@ class LevelSetMaximizer:
             inclusion = check_sublevel_inclusion(
                 inner, -constraint,
                 multiplier_degree=self.options.multiplier_degree,
-                warm_start=self._warm_starts.get(k) if self.options.warm_start else None,
+                warm_start=self._warm_starts.get(k),
                 cone=cone,
                 context=self.context,
                 **self.options.solver_settings,
             )
-            if self.options.warm_start and inclusion.warm_start_data is not None:
+            if inclusion.warm_start_data is not None:
                 self._warm_starts[k] = inclusion.warm_start_data
             if not inclusion.holds:
                 return False
@@ -211,17 +206,15 @@ class LevelSetMaximizer:
                 break
             family = families[j]
             problems = [family.bind(float(levels[i])) for i in alive]
-            starts = [self._nearest_warm_start(j, float(levels[i]))
-                      if options.warm_start else None for i in alive]
+            starts = [self._nearest_warm_start(j, float(levels[i])) for i in alive]
             results = solve_conic_problems(
                 problems, warm_starts=starts,
                 context=self.context, **options.solver_settings)
             for position, i in enumerate(alive):
                 result = results[position]
-                if options.warm_start:
-                    warm = result.info.get("warm_start_data")
-                    if warm is not None:
-                        self._warm_starts.setdefault(j, {})[float(levels[i])] = warm
+                warm = result.info.get("warm_start_data")
+                if warm is not None:
+                    self._warm_starts.setdefault(j, {})[float(levels[i])] = warm
                 if not (result.status.is_success and result.x is not None):
                     ok[i] = False
                     self._rejections[j] = self._rejections.get(j, 0) + 1
@@ -251,7 +244,6 @@ class LevelSetMaximizer:
             ParametricInclusionFamily(
                 certificate, -constraint,
                 multiplier_degree=options.multiplier_degree,
-                check_affinity=options.check_affinity,
                 cone=cone,
                 context=self.context,
             ).compile()

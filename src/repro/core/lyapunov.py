@@ -9,19 +9,20 @@ sought such that (Theorem 1):
 (c) ``V_{q'}(G(x)) <= V_q(x)`` across every jump from ``q`` to ``q'``.
 
 Every constraint is relaxed to an SOS membership through the S-procedure.
-Condition (b) is quantified over the uncertain-parameter box either by vertex
-enumeration (exact for dynamics affine in the parameters — the CP PLL case)
-or by treating parameters as extra indeterminates with interval constraints.
+Condition (a) is imposed globally (``V_q - eps ||x||^2`` SOS).  Condition (b)
+is quantified over the uncertain-parameter box by vertex enumeration (exact
+for dynamics affine in the parameters — the CP PLL case).  The decrease and
+jump domains are made compact by one ball ``R^2 - ||x||^2 >= 0`` covering the
+state box.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 
-from ..exceptions import CertificateError
 from ..hybrid import HybridSystem, Mode
 from ..polynomial import ParametricPolynomial, Polynomial, VariableVector
 from ..sdp import SolveContext, cone_for_relaxation, relaxation_ladder
@@ -38,6 +39,15 @@ from .config import StageConfig
 
 LOGGER = get_logger("core.lyapunov")
 
+#: Tolerances of the Gram-certificate soundness gate used by the "auto"
+#: ladder before accepting a cheap-cone solution (reuses
+#: SOSCertificate.is_numerically_sos on the reconstructed Gram matrices).
+#: The residual tolerance is calibrated against the first-order ADMM solver:
+#: converged moderate-accuracy solves reconstruct to ~1e-3..1e-2 while
+#: infeasible cheap-cone attempts leave residuals of order 1e-1.
+RELAXATION_EIG_TOL = -1e-6
+RELAXATION_RES_TOL = 2e-2
+
 
 @dataclass
 class LyapunovSynthesisOptions(StageConfig):
@@ -50,25 +60,14 @@ class LyapunovSynthesisOptions(StageConfig):
 
     certificate_degree: int = 2
     positivity_margin: float = 1e-3      # epsilon * ||x||^2 lower bound on V_q
-    decrease_margin: float = 0.0         # 0 = negative *semi*-definite Lie derivative
-    jump_margin: float = 0.0             # slack required across jumps
-    common_certificate: bool = False     # force V_1 = ... = V_m (ablation)
-    parameter_handling: str = "vertex"   # "vertex" | "interval"
     domain_boxes: Optional[Sequence[Tuple[float, float]]] = None  # state box for S-procedure
-    positivity_global: bool = True       # require V - eps||x||^2 SOS globally (stronger, smaller SDP)
-    box_in_decrease: bool = False        # intersect decrease domains with the state box
-    box_in_jumps: bool = False           # intersect jump domains with the state box
     # Practical-stability relaxation: require the Lie-derivative decrease only where
     # the voltage deviation exceeds this radius (a tube around the lock manifold).
-    # 0.0 reproduces the paper's condition verbatim; see DESIGN.md ("formulation note")
-    # for why the verbatim condition is degenerate for constant-current pumping.
+    # 0.0 reproduces the paper's condition verbatim, which cannot hold for
+    # constant-current pumping: near lock the constant pump current adds a term
+    # linear in the state to the Lie derivative, and that term changes sign.
     lock_tube_radius: float = 0.5
     voltage_indices: Optional[Sequence[int]] = None  # defaults to all states except the last (phase)
-    # How the decrease/jump domains are made compact for the S-procedure (Putinar-style
-    # certificates generally need a compactness constraint): "ball" adds a single
-    # ``R^2 - ||x||^2 >= 0`` constraint covering the state box, "box" adds one interval
-    # constraint per state, "none" leaves the domain as is.
-    compactness: str = "ball"
     validate_samples: int = 1500
     validation_tolerance: float = 1e-4
     # Extra equality constraints intersected into a mode's domains, keyed by
@@ -78,14 +77,6 @@ class LyapunovSynthesisOptions(StageConfig):
     # over the full over-approximated flow strip, which is infeasible for
     # dynamics that do not control the switching coordinate.
     mode_equalities: Optional[Mapping[str, Sequence[Polynomial]]] = None
-    # Tolerances of the Gram-certificate soundness gate used by the "auto"
-    # ladder before accepting a cheap-cone solution (reuses
-    # SOSCertificate.is_numerically_sos on the reconstructed Gram matrices).
-    # The residual tolerance is calibrated against the first-order ADMM
-    # solver: converged moderate-accuracy solves reconstruct to ~1e-3..1e-2
-    # while infeasible cheap-cone attempts leave residuals of order 1e-1.
-    relaxation_eig_tol: float = -1e-6
-    relaxation_res_tol: float = 2e-2
 
 
 @dataclass
@@ -120,10 +111,6 @@ class LyapunovResult:
             raise KeyError(f"no certificate for mode {mode_name!r}")
         return self.certificates[mode_name].certificate
 
-    @property
-    def all_validations_passed(self) -> bool:
-        return all(report.passed for report in self.validation_reports)
-
 
 class MultipleLyapunovSynthesizer:
     """Builds and solves SOS program 1 of the paper for a hybrid system."""
@@ -133,10 +120,13 @@ class MultipleLyapunovSynthesizer:
                  region_box: Optional[Sequence[Tuple[float, float]]] = None,
                  context: Optional[SolveContext] = None):
         self.system = system
-        self.options = options or LyapunovSynthesisOptions()
-        self.context = context
+        options = options or LyapunovSynthesisOptions()
         if region_box is not None:
-            self.options.domain_boxes = list(region_box)
+            # A copy: the caller's options must not carry this box into the
+            # next synthesizer built from them.
+            options = replace(options, domain_boxes=list(region_box))
+        self.options = options
+        self.context = context
 
     # ------------------------------------------------------------------
     # Domains
@@ -170,12 +160,6 @@ class MultipleLyapunovSynthesizer:
         """Public access to a mode's full domain (used by the job engine)."""
         return self._mode_domain(self.system.mode(mode_name))
 
-    def _positivity_domain(self, mode: Mode) -> Optional[SemialgebraicSet]:
-        """Domain for condition (a); ``None`` means global positivity."""
-        if self.options.positivity_global:
-            return None
-        return self._mode_domain(mode)
-
     def _lock_tube_constraint(self) -> Optional[Polynomial]:
         """``sum_i v_i^2 - r^2 >= 0`` over the voltage states (None when disabled)."""
         radius = self.options.lock_tube_radius
@@ -192,33 +176,23 @@ class MultipleLyapunovSynthesizer:
         return poly
 
     def _compactness_constraints(self) -> Tuple[Polynomial, ...]:
-        """Constraints making the S-procedure domains compact (see options)."""
+        """The ball ``R^2 - ||x||^2 >= 0`` covering the state box (Putinar-style
+        S-procedure certificates generally need a compact domain)."""
         boxes = self.options.domain_boxes
-        if boxes is None or self.options.compactness == "none":
+        if boxes is None:
             return ()
         state_vars = self.system.state_variables
-        if self.options.compactness == "box":
-            constraints = []
-            for i, (lo, hi) in enumerate(boxes):
-                xi = Polynomial.from_variable(state_vars[i], state_vars)
-                constraints.append((xi - lo) * (hi - xi))
-            return tuple(constraints)
-        if self.options.compactness == "ball":
-            radius_sq = sum(max(lo * lo, hi * hi) for lo, hi in boxes)
-            poly = Polynomial.constant(state_vars, float(radius_sq))
-            for v in state_vars:
-                xi = Polynomial.from_variable(v, state_vars)
-                poly = poly - xi * xi
-            return (poly,)
-        raise CertificateError(f"unknown compactness mode {self.options.compactness!r}")
+        radius_sq = sum(max(lo * lo, hi * hi) for lo, hi in boxes)
+        poly = Polynomial.constant(state_vars, float(radius_sq))
+        for v in state_vars:
+            xi = Polynomial.from_variable(v, state_vars)
+            poly = poly - xi * xi
+        return (poly,)
 
     def _decrease_domain(self, mode: Mode) -> SemialgebraicSet:
         """Domain for condition (b)."""
         domain = mode.flow_set
         extra: List[Polynomial] = list(self._compactness_constraints())
-        if self.options.box_in_decrease and self.options.domain_boxes is not None \
-                and self.options.compactness != "box":
-            domain = domain.with_box(self.options.domain_boxes)
         tube = self._lock_tube_constraint()
         if tube is not None:
             extra.append(tube)
@@ -232,42 +206,26 @@ class MultipleLyapunovSynthesizer:
         return self._with_mode_equalities(mode.name, domain)
 
     def _jump_domain(self, guard: SemialgebraicSet) -> SemialgebraicSet:
-        domain = guard
         extra = self._compactness_constraints()
-        if self.options.box_in_jumps and self.options.domain_boxes is not None \
-                and self.options.compactness != "box":
-            domain = domain.with_box(self.options.domain_boxes)
-        if extra:
-            domain = SemialgebraicSet(
-                domain.variables,
-                inequalities=domain.inequalities + tuple(extra),
-                equalities=domain.equalities,
-                name=f"{domain.name}_compact",
-            )
-        return domain
+        if not extra:
+            return guard
+        return SemialgebraicSet(
+            guard.variables,
+            inequalities=guard.inequalities + extra,
+            equalities=guard.equalities,
+            name=f"{guard.name}_compact",
+        )
 
     # ------------------------------------------------------------------
     # Vector fields under parameter uncertainty
     # ------------------------------------------------------------------
-    def _mode_fields(self, mode: Mode) -> List[Tuple[Tuple[Polynomial, ...], Optional[Dict]]]:
-        """Vector fields to impose the decrease condition on.
-
-        Vertex handling returns one state-only field per parameter-box corner;
-        interval handling returns a single field over state+parameter
-        variables (the caller then adds the parameter interval constraints).
-        """
+    def _mode_fields(self, mode: Mode) -> List[Tuple[Polynomial, ...]]:
+        """Vector fields to impose the decrease condition on: one state-only
+        field per parameter-box corner."""
         if not self.system.parameter_variables or not mode.has_parameters:
-            return [(mode.flow_map_with_parameters({}), None)]
-        if self.options.parameter_handling == "vertex":
-            fields = []
-            for assignment in self.system.parameter_vertex_assignments():
-                fields.append((mode.flow_map_with_parameters(assignment), assignment))
-            return fields
-        if self.options.parameter_handling == "interval":
-            return [(mode.flow_map, {"symbolic": True})]
-        raise CertificateError(
-            f"unknown parameter handling {self.options.parameter_handling!r}"
-        )
+            return [mode.flow_map_with_parameters({})]
+        return [mode.flow_map_with_parameters(assignment)
+                for assignment in self.system.parameter_vertex_assignments()]
 
     # ------------------------------------------------------------------
     # Program construction
@@ -283,98 +241,54 @@ class MultipleLyapunovSynthesizer:
         program = SOSProgram(name=f"lyapunov_{self.system.name}",
                              default_cone=cone, context=self.context)
 
-        templates: Dict[str, ParametricPolynomial] = {}
-        shared: Optional[ParametricPolynomial] = None
-        for mode in self.system.modes:
-            if options.common_certificate:
-                if shared is None:
-                    shared = program.new_polynomial_variable(
-                        state_vars, options.certificate_degree, name="V", min_degree=2)
-                templates[mode.name] = shared
-            else:
-                templates[mode.name] = program.new_polynomial_variable(
-                    state_vars, options.certificate_degree, name=f"V_{mode.name}",
-                    min_degree=2)
+        templates: Dict[str, ParametricPolynomial] = {
+            mode.name: program.new_polynomial_variable(
+                state_vars, options.certificate_degree, name=f"V_{mode.name}",
+                min_degree=2)
+            for mode in self.system.modes
+        }
 
-        # (a) positivity on each mode domain (V(0)=0 holds by construction since
-        # the template has no constant/linear monomials).  With
-        # ``positivity_global`` the stronger global condition is imposed, which
-        # needs no S-procedure multipliers at all.
+        # (a) global positivity ``V - eps ||x||^2`` SOS (V(0)=0 holds by
+        # construction since the template has no constant/linear monomials);
+        # stronger than positivity on the mode domain and needs no S-procedure
+        # multipliers.
+        margin = Polynomial.zero(state_vars)
+        for v in state_vars:
+            xi = Polynomial.from_variable(v, state_vars)
+            margin = margin + xi * xi
         for mode in self.system.modes:
-            pos_domain = self._positivity_domain(mode)
-            if pos_domain is None:
-                margin = Polynomial.zero(state_vars)
-                for v in state_vars:
-                    xi = Polynomial.from_variable(v, state_vars)
-                    margin = margin + xi * xi
-                program.add_sos_constraint(
-                    templates[mode.name] - margin * options.positivity_margin,
-                    name=f"pos_{mode.name}",
-                )
-                if options.common_certificate:
-                    break
-            else:
-                add_positivity_on_set(
-                    program, templates[mode.name], pos_domain,
-                    multiplier_degree=options.multiplier_degree,
-                    name=f"pos_{mode.name}", strictness=options.positivity_margin,
-                )
+            program.add_sos_constraint(
+                templates[mode.name] - margin * options.positivity_margin,
+                name=f"pos_{mode.name}",
+            )
 
-        # (b) Lie-derivative decrease on each mode domain for every parameter vertex
-        # (or symbolically over the parameter box).
+        # (b) Lie-derivative decrease on each mode domain for every parameter vertex.
         for mode in self.system.modes:
             domain = self._decrease_domain(mode)
-            for k, (field_polys, assignment) in enumerate(self._mode_fields(mode)):
-                if assignment is not None and assignment.get("symbolic"):
-                    # Parameters as indeterminates: extend variables and domain.
-                    full_vars = state_vars.union(self.system.parameter_variables)
-                    extended = SemialgebraicSet(
-                        full_vars,
-                        inequalities=tuple(
-                            p.with_variables(full_vars) for p in domain.inequalities
-                        ) + self.system.parameter_constraints(),
-                        equalities=tuple(
-                            p.with_variables(full_vars) for p in domain.equalities
-                        ),
-                        name=f"{domain.name}_params",
-                    )
-                    template = templates[mode.name].with_variables(full_vars)
-                    lie = template.lie_derivative(
-                        [f.with_variables(full_vars) for f in field_polys]
-                        + [Polynomial.zero(full_vars)] * len(self.system.parameter_variables)
-                    )
-                    add_positivity_on_set(
-                        program, -lie, extended,
-                        multiplier_degree=options.multiplier_degree,
-                        name=f"dec_{mode.name}_{k}",
-                        strictness=options.decrease_margin,
-                    )
-                else:
-                    lie = templates[mode.name].lie_derivative(list(field_polys))
-                    add_positivity_on_set(
-                        program, -lie, domain,
-                        multiplier_degree=options.multiplier_degree,
-                        name=f"dec_{mode.name}_{k}",
-                        strictness=options.decrease_margin,
-                    )
+            for k, field_polys in enumerate(self._mode_fields(mode)):
+                lie = templates[mode.name].lie_derivative(list(field_polys))
+                add_positivity_on_set(
+                    program, -lie, domain,
+                    multiplier_degree=options.multiplier_degree,
+                    name=f"dec_{mode.name}_{k}",
+                )
 
         # (c) non-increase across jumps: V_target(G(x)) <= V_source(x) on the guard.
-        if not options.common_certificate:
-            for transition in self.system.transitions:
-                source = templates[transition.source]
-                target = templates[transition.target]
-                if transition.is_identity_reset:
-                    target_after = target
-                else:
-                    reset = [r.with_variables(state_vars)
-                             for r in transition.reset_polynomials()]
-                    target_after = _compose_parametric(target, reset, state_vars)
-                expr = source - target_after - options.jump_margin
-                add_positivity_on_set(
-                    program, expr, self._jump_domain(transition.guard_set),
-                    multiplier_degree=options.multiplier_degree,
-                    name=f"jump_{transition.name}",
-                )
+        for transition in self.system.transitions:
+            source = templates[transition.source]
+            target = templates[transition.target]
+            if transition.is_identity_reset:
+                target_after = target
+            else:
+                reset = [r.with_variables(state_vars)
+                         for r in transition.reset_polynomials()]
+                target_after = _compose_parametric(target, reset, state_vars)
+            add_positivity_on_set(
+                program, source - target_after,
+                self._jump_domain(transition.guard_set),
+                multiplier_degree=options.multiplier_degree,
+                name=f"jump_{transition.name}",
+            )
 
         return program, templates
 
@@ -404,16 +318,12 @@ class MultipleLyapunovSynthesizer:
         for mode in self.system.modes:
             certificate = certificates[mode.name].with_variables(state_vars)
             domain = self._decrease_domain(mode)
-            for k, (field_polys, assignment) in enumerate(self._mode_fields(mode)):
-                if assignment is not None and assignment.get("symbolic"):
-                    raise CertificateError(
-                        "decrease probes require vertex parameter handling")
+            for k, field_polys in enumerate(self._mode_fields(mode)):
                 lie = certificate.lie_derivative(list(field_polys))
                 add_positivity_on_set(
                     program, -lie, domain,
                     multiplier_degree=options.multiplier_degree,
                     name=f"probe_dec_{mode.name}_{k}",
-                    strictness=options.decrease_margin,
                 )
         return program
 
@@ -439,10 +349,7 @@ class MultipleLyapunovSynthesizer:
         for mode in self.system.modes:
             certificate = certificates[mode.name].with_variables(state_vars)
             decrease_domain = self._decrease_domain(mode)
-            for k, (field_polys, assignment) in enumerate(self._mode_fields(mode)):
-                if assignment is not None and assignment.get("symbolic"):
-                    field_polys = mode.flow_map_with_parameters(
-                        self.system.nominal_parameters())
+            for k, field_polys in enumerate(self._mode_fields(mode)):
                 reports.append(validate_decrease_along_field(
                     certificate, list(field_polys), decrease_domain, bounds,
                     num_samples=samples,
@@ -486,8 +393,7 @@ class MultipleLyapunovSynthesizer:
         if result.solution is None or not result.solution.certificates:
             return False
         return all(cert.is_numerically_sos(
-                       eig_tol=self.options.relaxation_eig_tol,
-                       res_tol=self.options.relaxation_res_tol)
+                       eig_tol=RELAXATION_EIG_TOL, res_tol=RELAXATION_RES_TOL)
                    for cert in result.solution.certificates.values())
 
     def _synthesize_with(self, relaxation: str, start: float) -> LyapunovResult:
@@ -554,10 +460,7 @@ class MultipleLyapunovSynthesizer:
                 name=f"positivity[{mode.name}]",
             ))
             decrease_domain = self._decrease_domain(mode)
-            for k, (field_polys, assignment) in enumerate(self._mode_fields(mode)):
-                if assignment is not None and assignment.get("symbolic"):
-                    field_polys = mode.flow_map_with_parameters(
-                        self.system.nominal_parameters())
+            for k, field_polys in enumerate(self._mode_fields(mode)):
                 reports.append(validate_decrease_along_field(
                     cert.certificate, list(field_polys), decrease_domain, bounds,
                     num_samples=options.validate_samples,

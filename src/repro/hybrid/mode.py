@@ -78,10 +78,6 @@ class Mode:
     def has_parameters(self) -> bool:
         return len(self.parameter_variables) > 0
 
-    def full_variables(self) -> VariableVector:
-        """States followed by parameters."""
-        return self.state_variables.union(self.parameter_variables)
-
     # ------------------------------------------------------------------
     def flow_map_with_parameters(self,
                                  parameter_values: Mapping[Variable, float]

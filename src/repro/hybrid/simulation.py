@@ -10,7 +10,7 @@ hybrid time domain, matching the formal solution concept of the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, Mapping, Optional, Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -23,18 +23,18 @@ from .time_domain import ArcSegment, HybridArc, HybridTimeInterval
 
 LOGGER = get_logger("hybrid.simulation")
 
+#: Jump budget of one simulation; reaching it ends the simulation.
+MAX_JUMPS = 10000
+
 
 @dataclass
 class SimulationSettings:
     """Options for :class:`HybridSimulator`."""
 
     max_flow_time: float = 100.0
-    max_jumps: int = 10000
     max_step: float = 0.05
     rtol: float = 1e-8
     atol: float = 1e-10
-    min_dwell_time: float = 1e-9
-    samples_per_segment: int = 0  # 0 = use the integrator's own steps
     terminal_radius: Optional[float] = None  # stop early when near the equilibrium
 
 
@@ -141,13 +141,10 @@ class HybridSimulator:
             def rhs(t, y):
                 return vector_field(y)
 
-            t_span = (t_now, horizon)
-            t_eval = None
-            if settings.samples_per_segment:
-                t_eval = np.linspace(t_now, horizon, settings.samples_per_segment)
             solution = solve_ivp(
-                rhs, t_span, state, events=events or None, max_step=settings.max_step,
-                rtol=settings.rtol, atol=settings.atol, dense_output=False, t_eval=t_eval,
+                rhs, (t_now, horizon), state, events=events or None,
+                max_step=settings.max_step, rtol=settings.rtol, atol=settings.atol,
+                dense_output=False,
             )
             if not solution.success:  # pragma: no cover - integrator failure is exceptional
                 raise ModelError(f"ODE integration failed in mode {mode_name}: {solution.message}")
@@ -184,21 +181,10 @@ class HybridSimulator:
             state = transition.apply_reset(state)
             mode_name = transition.target
             jumps += 1
-            if jumps >= settings.max_jumps:
+            if jumps >= MAX_JUMPS:
                 termination = "max_jumps"
                 break
         else:  # pragma: no cover - loop guard exit
             termination = "max_flow_time"
 
         return SimulationResult(arc=arc, termination=termination, parameters=params)
-
-    # ------------------------------------------------------------------
-    def simulate_batch(
-        self,
-        initial_states: Sequence[Sequence[float]],
-        parameters: Optional[Mapping[Variable, float]] = None,
-        max_flow_time: Optional[float] = None,
-    ) -> List[SimulationResult]:
-        """Simulate many initial conditions with shared settings."""
-        return [self.simulate(x0, parameters=parameters, max_flow_time=max_flow_time)
-                for x0 in initial_states]

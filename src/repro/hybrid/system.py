@@ -79,9 +79,6 @@ class HybridSystem:
     def transitions_from(self, mode_name: str) -> Tuple[Transition, ...]:
         return tuple(t for t in self.transitions if t.source == mode_name)
 
-    def transitions_into(self, mode_name: str) -> Tuple[Transition, ...]:
-        return tuple(t for t in self.transitions if t.target == mode_name)
-
     def equilibrium_modes(self) -> Tuple[Mode, ...]:
         """Modes whose flow set contains the equilibrium (the index set I_0)."""
         return tuple(m for m in self.modes if m.contains_equilibrium)
@@ -91,10 +88,6 @@ class HybridSystem:
     # ------------------------------------------------------------------
     def nominal_parameters(self) -> Dict[Variable, float]:
         return {p: self.parameter_intervals[p].center for p in self.parameter_variables}
-
-    def sample_parameters(self, rng: np.random.Generator) -> Dict[Variable, float]:
-        return {p: float(self.parameter_intervals[p].sample(rng, 1)[0])
-                for p in self.parameter_variables}
 
     def parameter_vertex_assignments(self) -> List[Dict[Variable, float]]:
         """All corner combinations of the parameter box (for vertex enumeration)."""
@@ -123,11 +116,6 @@ class HybridSystem:
     # ------------------------------------------------------------------
     def active_modes(self, state: Sequence[float], tolerance: float = 1e-9) -> Tuple[Mode, ...]:
         return tuple(m for m in self.modes if m.admits(state, tolerance=tolerance))
-
-    def enabled_transitions(self, mode_name: str, state: Sequence[float],
-                            tolerance: float = 1e-9) -> Tuple[Transition, ...]:
-        return tuple(t for t in self.transitions_from(mode_name)
-                     if t.is_enabled(state, tolerance=tolerance))
 
     def is_equilibrium(self, state: Sequence[float], tolerance: float = 1e-7,
                        parameters: Optional[Mapping[Variable, float]] = None) -> bool:

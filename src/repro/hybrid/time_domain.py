@@ -34,9 +34,6 @@ class HybridTimeInterval:
     def duration(self) -> float:
         return self.t_end - self.t_start
 
-    def contains(self, t: float, tolerance: float = 1e-12) -> bool:
-        return self.t_start - tolerance <= t <= self.t_end + tolerance
-
 
 class HybridTimeDomain:
     """An ordered collection of :class:`HybridTimeInterval` pieces."""
@@ -156,12 +153,6 @@ class HybridArc:
             raise ValueError("empty hybrid arc")
         return self.segments[-1].final_state
 
-    @property
-    def final_mode(self) -> str:
-        if not self.segments:
-            raise ValueError("empty hybrid arc")
-        return self.segments[-1].mode
-
     def mode_sequence(self) -> Tuple[str, ...]:
         return tuple(segment.mode for segment in self.segments)
 
@@ -170,20 +161,6 @@ class HybridArc:
         if not self.segments:
             return np.empty((0, 0))
         return np.vstack([segment.states for segment in self.segments])
-
-    def all_times(self) -> np.ndarray:
-        if not self.segments:
-            return np.empty(0)
-        return np.concatenate([segment.times for segment in self.segments])
-
-    def state_at_time(self, t: float) -> np.ndarray:
-        """State at ordinary time ``t`` (first interval containing ``t``)."""
-        for segment in self.segments:
-            if segment.interval.contains(t):
-                idx = int(np.searchsorted(segment.times, t))
-                idx = min(max(idx, 0), segment.times.shape[0] - 1)
-                return segment.states[idx]
-        raise ValueError(f"time {t} is outside the arc's hybrid time domain")
 
     def distance_to(self, point: Sequence[float]) -> np.ndarray:
         """Euclidean distance of every sample to ``point`` (convergence checks)."""

@@ -90,16 +90,6 @@ class Transition:
             return state.copy()
         return self._reset_stack().evaluate(state)
 
-    def apply_reset_many(self, states: np.ndarray) -> np.ndarray:
-        """Vectorised reset for an ``(m, n)`` array of pre-jump states."""
-        states = np.atleast_2d(np.asarray(states, dtype=float))
-        if self.reset_map is None:
-            return states.copy()
-        return self._reset_stack().evaluate_many(states)
-
-    def is_enabled(self, state: Sequence[float], tolerance: float = 1e-9) -> bool:
-        return self.guard_set.contains(state, tolerance=tolerance)
-
     def describe(self) -> str:
         reset = "identity" if self.is_identity_reset else "polynomial"
         return f"Transition({self.name}: guard with {len(self.guard_set.inequalities)} ineqs, reset={reset})"

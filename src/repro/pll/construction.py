@@ -161,8 +161,10 @@ def build_pll_hybrid_system(
     )
 
     # Identity-reset transitions; guards over-approximate the PFD edge events in
-    # difference coordinates (see DESIGN.md).  Triggers give the simulator an
-    # executable abstraction.
+    # difference coordinates, which drop the reference waveform that fixes the
+    # exact edge instants, so each guard is the whole strip where the phase
+    # error has the new sign.  Triggers give the simulator an executable
+    # abstraction.
     up_guard = SemialgebraicSet(state_vars, inequalities=(phase, pb - phase),
                                 name="guard_e_nonneg")
     down_guard = SemialgebraicSet(state_vars, inequalities=(-phase, phase + pb),

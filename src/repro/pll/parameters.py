@@ -165,10 +165,6 @@ class PLLParameters:
         nominal = self.nominal()
         return (self.lock_frequency() - self.f_free) / nominal["k_vco"]
 
-    def control_voltage_state(self) -> str:
-        """Which filter voltage drives the VCO (``v2`` for order 3, ``v3`` for order 4)."""
-        return "v2" if self.order == 3 else "v3"
-
     def averaged_state_matrix(self, values: Optional[Dict[str, float]] = None) -> np.ndarray:
         """State matrix of the *averaged* (phase-error proportional) linear model.
 

@@ -62,14 +62,6 @@ class StateScaling:
     def time_to_normalized(self, t_seconds: float) -> float:
         return t_seconds * self.time_scale
 
-    def time_to_physical(self, tau: float) -> float:
-        return tau / self.time_scale
-
-    def rate_to_normalized(self, rate_physical: Sequence[float]) -> np.ndarray:
-        """Convert a physical time-derivative vector to normalised units."""
-        rate_physical = np.asarray(rate_physical, dtype=float)
-        return rate_physical / (np.array(self.scale) * self.time_scale)
-
     def describe(self) -> str:
         rows = ", ".join(
             f"{name}: (x-{off:g})/{sc:g}"

@@ -69,13 +69,6 @@ class Monomial:
     def is_constant(self) -> bool:
         return self.degree == 0
 
-    def is_even(self) -> bool:
-        """True when every exponent is even (needed for diagonal Gram entries)."""
-        return all(e % 2 == 0 for e in self.exponents)
-
-    def involves(self, index: int) -> bool:
-        return self.exponents[index] > 0
-
     # -- algebra -----------------------------------------------------------
     def __mul__(self, other: "Monomial") -> "Monomial":
         if not isinstance(other, Monomial):
@@ -91,11 +84,6 @@ class Monomial:
         if not other.divides(self):
             raise ValueError(f"{other} does not divide {self}")
         return Monomial(tuple(a - b for a, b in zip(self.exponents, other.exponents)))
-
-    def pow(self, power: int) -> "Monomial":
-        if power < 0:
-            raise ValueError("monomial powers must be non-negative")
-        return Monomial(tuple(e * power for e in self.exponents))
 
     def differentiate(self, index: int) -> Tuple[float, "Monomial"]:
         """Return ``(coefficient, monomial)`` of d/dx_index applied to self."""

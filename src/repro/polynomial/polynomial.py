@@ -567,10 +567,6 @@ class Polynomial:
             self.variables, self._exponents[keep], self._coefficients[keep],
             canonical=True)
 
-    def round_coefficients(self, decimals: int = 12) -> "Polynomial":
-        return Polynomial._from_arrays(
-            self.variables, self._exponents, np.round(self._coefficients, decimals))
-
     # ------------------------------------------------------------------
     # Quadratic-form helpers
     # ------------------------------------------------------------------
@@ -666,10 +662,6 @@ class PolynomialStack:
             self._coeff_matrix[k, inverse[offset:offset + count]] = \
                 poly.coefficient_array
             offset += count
-
-    @property
-    def num_polynomials(self) -> int:
-        return self._coeff_matrix.shape[0]
 
     def evaluate(self, point: Sequence[float]) -> np.ndarray:
         """Values of all stacked polynomials at one point, shape ``(k,)``."""

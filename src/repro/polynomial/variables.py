@@ -80,10 +80,6 @@ class VariableVector(Sequence[Variable]):
         self._variables: Tuple[Variable, ...] = vars_tuple
         self._index = {v: i for i, v in enumerate(vars_tuple)}
 
-    @classmethod
-    def from_names(cls, *names: str) -> "VariableVector":
-        return cls(Variable(name) for name in names)
-
     def index(self, variable: Variable) -> int:  # type: ignore[override]
         try:
             return self._index[variable]

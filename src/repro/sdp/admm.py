@@ -68,36 +68,42 @@ def unpack_warm_start(warm_start: Optional[WarmStart],
     return arrays[0], arrays[1], arrays[2]
 
 
+#: Diagonal regularisation of the KKT matrix; also absorbs redundant rows.
+KKT_REGULARIZATION = 1e-9
+#: Iterations between adaptive-``rho`` updates.
+RHO_UPDATE_INTERVAL = 100
+#: Relative primal-residual improvement that resets the stall clock.
+STALL_IMPROVEMENT = 0.9
+#: Relaxation factor ``alpha`` blending the new x-iterate with the previous z.
+OVER_RELAXATION = 1.6
+#: Iterations between residual-history samples.
+HISTORY_STRIDE = 25
+#: Early infeasibility detection (SCS/OSQP-style divergence check): on an
+#: infeasible instance the splitting converges to the positive distance
+#: between the affine set and the cone, so the primal residual locks onto a
+#: plateau far above the feasibility tolerance while the dual residual stays
+#: below it.  A plateau stable to ``INFEASIBILITY_REL_CHANGE`` across
+#: ``INFEASIBILITY_STREAK`` consecutive check windows (every
+#: ``INFEASIBILITY_INTERVAL`` iterations from ``INFEASIBILITY_MIN_ITERATION``
+#: on) fires thousands of iterations before the generic stall window — this
+#: is what makes rejected levels cheap in bisection/K-section loops.
+INFEASIBILITY_INTERVAL = 100
+INFEASIBILITY_MIN_ITERATION = 300
+INFEASIBILITY_REL_CHANGE = 1e-3
+INFEASIBILITY_STREAK = 2
+
+
 @dataclass
 class ADMMSettings:
     """Tuning knobs of the ADMM solver."""
 
     max_iterations: int = 20000
     rho: float = 1.0
-    adaptive_rho: bool = True
-    rho_update_interval: int = 100
     eps_abs: float = 1e-7
     eps_rel: float = 1e-6
-    kkt_regularization: float = 1e-9
     stall_window: int = 2500
-    stall_improvement: float = 0.9
-    scale_problem: bool = True
-    over_relaxation: float = 1.6
-    history_stride: int = 25
-    verbose: bool = False
-    #: Early infeasibility detection (SCS/OSQP-style divergence check): on an
-    #: infeasible instance the splitting converges to the positive distance
-    #: between the affine set and the cone, so the primal residual locks onto
-    #: a plateau far above the feasibility tolerance while the dual residual
-    #: stays below it.  A plateau stable to ``infeasibility_rel_change``
-    #: across ``infeasibility_streak`` consecutive check windows fires
-    #: thousands of iterations before the generic stall window — this is
-    #: what makes rejected levels cheap in bisection/K-section loops.
+    #: Plateau-based early infeasibility detection (see the module constants).
     infeasibility_detection: bool = True
-    infeasibility_interval: int = 100
-    infeasibility_min_iteration: int = 300
-    infeasibility_rel_change: float = 1e-3
-    infeasibility_streak: int = 2
 
 
 class ADMMConicSolver:
@@ -121,7 +127,7 @@ class ADMMConicSolver:
         settings = self.settings
         original = problem
         try:
-            problem, scaling = presolve(problem, scale=settings.scale_problem)
+            problem, scaling = presolve(problem)
         except ValueError as exc:
             return SolverResult(
                 status=SolverStatus.INFEASIBLE_SUSPECTED,
@@ -140,7 +146,7 @@ class ADMMConicSolver:
         # KKT matrix [[rho I, A^T], [A, -reg I]]; refactorised when rho changes.
         def factorize(current_rho: float):
             upper = sp.hstack([current_rho * sp.identity(n, format="csc"), A.T])
-            lower = sp.hstack([A, -settings.kkt_regularization * sp.identity(m, format="csc")])
+            lower = sp.hstack([A, -KKT_REGULARIZATION * sp.identity(m, format="csc")])
             kkt = sp.vstack([upper, lower]).tocsc()
             return NUMPY_BACKEND.kkt_factor(kkt)
 
@@ -171,7 +177,7 @@ class ADMMConicSolver:
         # last improved by a meaningful relative amount.
         best_primal = np.inf
         best_primal_at = 0
-        alpha = settings.over_relaxation
+        alpha = OVER_RELAXATION
         dual_residual = float("nan")
         primal_snapshot = np.inf
         frozen_streak = 0
@@ -198,10 +204,10 @@ class ADMMConicSolver:
             eps_primal = settings.eps_abs * sqrt_n + settings.eps_rel * scale_primal
             eps_dual = settings.eps_abs * sqrt_n + settings.eps_rel * scale_dual
 
-            if iteration % settings.history_stride == 0 or iteration == 1:
+            if iteration % HISTORY_STRIDE == 0 or iteration == 1:
                 history.record(primal_residual, dual_residual, float(c @ x))
 
-            if primal_residual < best_primal * settings.stall_improvement:
+            if primal_residual < best_primal * STALL_IMPROVEMENT:
                 best_primal_at = iteration
             best_primal = min(best_primal, primal_residual)
 
@@ -213,17 +219,17 @@ class ADMMConicSolver:
             # plateau far above feasibility (with the dual residual below it)
             # means the split has converged to the affine-set/cone separation.
             if settings.infeasibility_detection and \
-                    iteration % settings.infeasibility_interval == 0:
-                if iteration >= settings.infeasibility_min_iteration:
+                    iteration % INFEASIBILITY_INTERVAL == 0:
+                if iteration >= INFEASIBILITY_MIN_ITERATION:
                     frozen = primal_residual > 100 * eps_primal and \
                         dual_residual < primal_residual and \
                         abs(primal_residual - primal_snapshot) <= \
-                        settings.infeasibility_rel_change * primal_residual
+                        INFEASIBILITY_REL_CHANGE * primal_residual
                     frozen_streak = frozen_streak + 1 if frozen else 0
                 else:
                     frozen_streak = 0
                 primal_snapshot = primal_residual
-                if frozen_streak >= settings.infeasibility_streak:
+                if frozen_streak >= INFEASIBILITY_STREAK:
                     status = SolverStatus.INFEASIBLE_SUSPECTED
                     break
 
@@ -235,7 +241,7 @@ class ADMMConicSolver:
                 status = SolverStatus.INFEASIBLE_SUSPECTED
                 break
 
-            if settings.adaptive_rho and iteration % settings.rho_update_interval == 0:
+            if iteration % RHO_UPDATE_INTERVAL == 0:
                 if primal_residual > 10.0 * dual_residual and rho < 1e6:
                     rho *= 2.0
                     u /= 2.0
@@ -275,6 +281,4 @@ class ADMMConicSolver:
                                     "u": u.copy()},
             },
         )
-        if settings.verbose:  # pragma: no cover - logging only
-            print(f"[admm] {result.summary()}")
         return result

@@ -1,7 +1,7 @@
 """The dense and sparse factorisation kernels of the conic-solver hot loops.
 
 Every stacked ``eigh`` of the PSD cone projection and every KKT
-factorisation of the ADMM and alternating-projection solvers goes through
+factorisation of the single and batched ADMM loops goes through
 the one :data:`NUMPY_BACKEND` instance, so a profiler or a test can observe
 exactly those calls by wrapping the two :class:`NumpyBackend` methods.
 """

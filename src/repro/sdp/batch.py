@@ -36,7 +36,21 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from .admm import ADMMConicSolver, ADMMSettings, WarmStart, unpack_warm_start
+from .admm import (
+    HISTORY_STRIDE,
+    INFEASIBILITY_INTERVAL,
+    INFEASIBILITY_MIN_ITERATION,
+    INFEASIBILITY_REL_CHANGE,
+    INFEASIBILITY_STREAK,
+    KKT_REGULARIZATION,
+    OVER_RELAXATION,
+    RHO_UPDATE_INTERVAL,
+    STALL_IMPROVEMENT,
+    ADMMConicSolver,
+    ADMMSettings,
+    WarmStart,
+    unpack_warm_start,
+)
 from .backend import NUMPY_BACKEND
 from .cones import project_onto_cone_many
 from .problem import ConicProblem
@@ -107,7 +121,7 @@ class BatchADMMSolver:
         prepped: List[Tuple[int, ConicProblem, ConicProblem, object]] = []
         for i, problem in enumerate(problems):
             try:
-                scaled, scaling = presolve(problem, scale=settings.scale_problem)
+                scaled, scaling = presolve(problem)
             except ValueError as exc:
                 results[i] = SolverResult(
                     status=SolverStatus.INFEASIBLE_SUSPECTED,
@@ -138,7 +152,6 @@ class BatchADMMSolver:
                 unique_A.append(A)
             group_of[col] = group
 
-        regularization = settings.kkt_regularization
         kkt_cache: Dict[Tuple[int, float], sp.csc_matrix] = {}
         lu_cache: Dict[Tuple[int, float], object] = {}
 
@@ -148,7 +161,7 @@ class BatchADMMSolver:
             if kkt is None:
                 A = unique_A[group]
                 upper = sp.hstack([rho_value * sp.identity(n, format="csc"), A.T])
-                lower = sp.hstack([A, -regularization * sp.identity(m, format="csc")])
+                lower = sp.hstack([A, -KKT_REGULARIZATION * sp.identity(m, format="csc")])
                 kkt = sp.vstack([upper, lower]).tocsc()
                 kkt_cache[cache_key] = kkt
             return kkt
@@ -202,7 +215,7 @@ class BatchADMMSolver:
                 warm_flags[col] = True
 
         rho = np.full(batch, float(settings.rho))
-        alpha = settings.over_relaxation
+        alpha = OVER_RELAXATION
         sqrt_n = float(np.sqrt(n))
         best_primal = np.full(batch, np.inf)
         best_primal_at = np.zeros(batch, dtype=np.int64)
@@ -274,13 +287,13 @@ class BatchADMMSolver:
             eps_dual = settings.eps_abs * sqrt_n + settings.eps_rel * scale_dual
             last_dual[act] = dual
 
-            if iteration % settings.history_stride == 0 or iteration == 1:
+            if iteration % HISTORY_STRIDE == 0 or iteration == 1:
                 objectives = np.einsum("ij,ij->i", C_act, x_act)
                 for position, col in enumerate(act):
                     histories[col].record(primal[position], dual[position],
                                           float(objectives[position]))
 
-            improved = primal < best_primal[act] * settings.stall_improvement
+            improved = primal < best_primal[act] * STALL_IMPROVEMENT
             best_primal_at[act[improved]] = iteration
             best_primal[act] = np.minimum(best_primal[act], primal)
 
@@ -291,17 +304,17 @@ class BatchADMMSolver:
             # with the dual residual below it.
             frozen_fire = np.zeros(act.shape[0], dtype=bool)
             if settings.infeasibility_detection and \
-                    iteration % settings.infeasibility_interval == 0:
-                if iteration >= settings.infeasibility_min_iteration:
+                    iteration % INFEASIBILITY_INTERVAL == 0:
+                if iteration >= INFEASIBILITY_MIN_ITERATION:
                     frozen = (primal > 100.0 * eps_primal) & (dual < primal) \
                         & (np.abs(primal - primal_snapshot[act])
-                           <= settings.infeasibility_rel_change * primal)
+                           <= INFEASIBILITY_REL_CHANGE * primal)
                     frozen_streak[act] = np.where(frozen, frozen_streak[act] + 1, 0)
                 else:
                     frozen_streak[act] = 0
                 primal_snapshot[act] = primal
                 frozen_fire = (~converged) & \
-                    (frozen_streak[act] >= settings.infeasibility_streak)
+                    (frozen_streak[act] >= INFEASIBILITY_STREAK)
 
             stalled = (~converged) & (~frozen_fire) \
                 & ((iteration - best_primal_at[act]) > settings.stall_window) \
@@ -315,8 +328,7 @@ class BatchADMMSolver:
             keep = ~(converged | frozen_fire | stalled)
             active = act[keep]
 
-            if settings.adaptive_rho and iteration % settings.rho_update_interval == 0 \
-                    and active.size:
+            if iteration % RHO_UPDATE_INTERVAL == 0 and active.size:
                 primal_keep = primal[keep]
                 dual_keep = dual[keep]
                 raise_rho = (primal_keep > 10.0 * dual_keep) & (rho[active] < 1e6)
@@ -366,6 +378,4 @@ class BatchADMMSolver:
                     "batch_wall_time": elapsed,
                 },
             )
-            if settings.verbose:  # pragma: no cover - logging only
-                print(f"[batch-admm {col + 1}/{batch}] {results[i].summary()}")
         return results  # type: ignore[return-value]

@@ -30,9 +30,6 @@ class ScalingData:
     row_scale: np.ndarray
     cost_scale: float
 
-    def unscale_objective(self, value: float) -> float:
-        return value * self.cost_scale
-
 
 def row_inf_norms(A: sp.spmatrix) -> np.ndarray:
     """Per-row infinity norms of a sparse matrix (no CSC/dense round-trips).

@@ -11,7 +11,7 @@ really an affine family
 
 over a fixed cone and cost vector.  :class:`ParametricSOSProgram` recovers
 ``(A0, A1, b0, b1)`` from two structural compiles at distinct probe values
-(optionally verifying affinity at a third), aligns both matrices on the union
+(verifying affinity at a third), aligns both matrices on the union
 sparsity pattern, and thereafter :meth:`bind` assembles the problem for any
 ``θ`` with a single ``data0 + θ·data1`` array operation — no polynomial
 arithmetic, no coefficient matching, no Gram-table work.
@@ -55,7 +55,6 @@ class ParametricSOSProgram:
 
     def __init__(self, build: Callable[[float], BuildResult],
                  probes: Tuple[float, float] = (0.0, 1.0),
-                 check_affinity: bool = True,
                  name: str = "parametric_sos",
                  context: Optional[object] = None):
         if float(probes[0]) == float(probes[1]):
@@ -64,12 +63,11 @@ class ParametricSOSProgram:
         self.context = context
         self._build = build
         self._probes = (float(probes[0]), float(probes[1]))
-        self._check_affinity = check_affinity
         self._compiled = False
         self._program: Optional[SOSProgram] = None
         self._payload: Any = None
-        #: Number of full structural compiles performed (2, or 3 with the
-        #: affinity check) — bisection probes through :meth:`bind` add zero.
+        #: Number of full structural compiles performed (3: two probes and
+        #: the affinity check) — bisection probes through :meth:`bind` add zero.
         self.num_structure_compiles = 0
         #: Number of :meth:`bind` calls served from the affine decomposition.
         self.num_binds = 0
@@ -87,12 +85,6 @@ class ParametricSOSProgram:
         """Whatever the build callable returned alongside the canonical program."""
         self.compile()
         return self._payload
-
-    @property
-    def conic_shape(self) -> Tuple[int, int]:
-        """``(rows, cols)`` of the bound constraint matrix (compiles if needed)."""
-        self.compile()
-        return self._shape
 
     @property
     def dims(self):
@@ -178,20 +170,19 @@ class ParametricSOSProgram:
         self._payload = payload
         self._compiled = True
 
-        if self._check_affinity:
-            theta_c = theta_a + 0.5 * span
-            _, _, problem_c = self._build_at(theta_c)
-            bound = self.bind(theta_c)
-            self.num_binds -= 1  # verification probe, not a user bind
-            scale = 1.0 + float(np.abs(bound.A.data).max(initial=0.0))
-            difference = abs(problem_c.A - bound.A)
-            max_difference = float(difference.data.max(initial=0.0)) if difference.nnz else 0.0
-            if max_difference > 1e-9 * scale or \
-                    not np.allclose(problem_c.b, bound.b, atol=1e-9 * scale):
-                raise ParametricProgramError(
-                    f"family {self.name!r} is not affine in theta "
-                    f"(midpoint deviation {max_difference:.2e})"
-                )
+        theta_c = theta_a + 0.5 * span
+        _, _, problem_c = self._build_at(theta_c)
+        bound = self.bind(theta_c)
+        self.num_binds -= 1  # verification probe, not a user bind
+        scale = 1.0 + float(np.abs(bound.A.data).max(initial=0.0))
+        difference = abs(problem_c.A - bound.A)
+        max_difference = float(difference.data.max(initial=0.0)) if difference.nnz else 0.0
+        if max_difference > 1e-9 * scale or \
+                not np.allclose(problem_c.b, bound.b, atol=1e-9 * scale):
+            raise ParametricProgramError(
+                f"family {self.name!r} is not affine in theta "
+                f"(midpoint deviation {max_difference:.2e})"
+            )
         return self
 
     # ------------------------------------------------------------------
@@ -275,7 +266,6 @@ class MultiParametricSOSProgram:
     def __init__(self, build: Callable[[Dict[str, float]], BuildResult],
                  base: Mapping[str, float],
                  steps: Optional[Mapping[str, float]] = None,
-                 check_affinity: bool = True,
                  name: str = "multi_parametric_sos",
                  context: Optional[object] = None):
         self.axes: Tuple[str, ...] = tuple(sorted(base))
@@ -294,7 +284,6 @@ class MultiParametricSOSProgram:
                 # the PLL models) or unity at a zero base.
                 step = abs(self._base[axis]) or 1.0
             self._steps[axis] = step
-        self._check_affinity = check_affinity
         self._compiled = False
         self._program: Optional[SOSProgram] = None
         self._payload: Any = None
@@ -369,20 +358,19 @@ class MultiParametricSOSProgram:
         self._payload = payload
         self._compiled = True
 
-        if self._check_affinity:
-            probe = {axis: self._base[axis] + 0.5 * self._steps[axis]
-                     for axis in self.axes}
-            _, _, problem_p = self._build_at(probe)
-            bound = self.bind(probe)
-            self.num_binds -= 1  # verification probe, not a user bind
-            scale = 1.0 + float(np.abs(bound.A.data).max(initial=0.0))
-            difference = abs(problem_p.A - bound.A)
-            max_difference = float(difference.data.max(initial=0.0)) if difference.nnz else 0.0
-            if max_difference > 1e-9 * scale or \
-                    not np.allclose(problem_p.b, bound.b, atol=1e-9 * scale):
-                raise ParametricProgramError(
-                    f"family {self.name!r} is not jointly affine in "
-                    f"{list(self.axes)} (probe deviation {max_difference:.2e})")
+        probe = {axis: self._base[axis] + 0.5 * self._steps[axis]
+                 for axis in self.axes}
+        _, _, problem_p = self._build_at(probe)
+        bound = self.bind(probe)
+        self.num_binds -= 1  # verification probe, not a user bind
+        scale = 1.0 + float(np.abs(bound.A.data).max(initial=0.0))
+        difference = abs(problem_p.A - bound.A)
+        max_difference = float(difference.data.max(initial=0.0)) if difference.nnz else 0.0
+        if max_difference > 1e-9 * scale or \
+                not np.allclose(problem_p.b, bound.b, atol=1e-9 * scale):
+            raise ParametricProgramError(
+                f"family {self.name!r} is not jointly affine in "
+                f"{list(self.axes)} (probe deviation {max_difference:.2e})")
         return self
 
     # ------------------------------------------------------------------

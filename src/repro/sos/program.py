@@ -243,17 +243,6 @@ class SOSSolution:
             return expr
         return expr.instantiate(self.assignment)
 
-    def max_gram_violation(self) -> float:
-        """Most negative Gram eigenvalue across all SOS constraints (0 if none)."""
-        if not self.certificates:
-            return 0.0
-        return min(cert.min_eigenvalue for cert in self.certificates.values())
-
-    def max_reconstruction_error(self) -> float:
-        if not self.certificates:
-            return 0.0
-        return max(cert.reconstruction_error for cert in self.certificates.values())
-
 
 class SOSProgram:
     """A container for SOS constraints compiled to a conic SDP.

@@ -40,7 +40,13 @@ class ValidationReport:
         return self.min_value >= -self.tolerance
 
     def __str__(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
+        if not self.passed:
+            status = "FAIL"
+        elif self.num_in_domain == 0:
+            # No sample landed in the domain, so the check proved nothing.
+            status = "VACUOUS"
+        else:
+            status = "PASS"
         return (f"[{status}] {self.name}: min={self.min_value:.3e} over "
                 f"{self.num_in_domain}/{self.num_samples} in-domain samples "
                 f"(tol={self.tolerance:g})")

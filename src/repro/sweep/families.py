@@ -23,7 +23,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, Mapping, Optional, Tuple
 
 import numpy as np

@@ -36,7 +36,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..core.lyapunov import MultipleLyapunovSynthesizer
+from ..core.lyapunov import (
+    RELAXATION_EIG_TOL,
+    RELAXATION_RES_TOL,
+    MultipleLyapunovSynthesizer,
+)
 from ..engine.serialize import certificates_from_data
 from ..scenarios.registry import build_problem
 from ..sdp import SolveContext, cone_for_relaxation
@@ -195,8 +199,7 @@ def run_sweep_shard(payload: Dict[str, object], context: SolveContext
                     solution = structure.interpret(result, with_certificates=True)
                     sound = bool(solution.certificates) and all(
                         certificate.is_numerically_sos(
-                            eig_tol=options.relaxation_eig_tol,
-                            res_tol=options.relaxation_res_tol)
+                            eig_tol=RELAXATION_EIG_TOL, res_tol=RELAXATION_RES_TOL)
                         for certificate in solution.certificates.values())
                     if not sound:
                         continue

@@ -38,12 +38,6 @@ class Interval:
         return cls(float(value), float(value))
 
     @classmethod
-    def from_center(cls, center: Number, half_width: Number) -> "Interval":
-        if half_width < 0:
-            raise ValueError("half width must be non-negative")
-        return cls(float(center) - float(half_width), float(center) + float(half_width))
-
-    @classmethod
     def coerce(cls, value: Union["Interval", Number, Tuple[Number, Number]]) -> "Interval":
         if isinstance(value, Interval):
             return value
@@ -73,17 +67,11 @@ class Interval:
     def contains_interval(self, other: "Interval") -> bool:
         return self.lower <= other.lower and other.upper <= self.upper
 
-    def intersects(self, other: "Interval") -> bool:
-        return self.lower <= other.upper and other.lower <= self.upper
-
     def clamp(self, value: Number) -> float:
         return min(max(float(value), self.lower), self.upper)
 
     def sample(self, rng: np.random.Generator, size: int = 1) -> np.ndarray:
         return rng.uniform(self.lower, self.upper, size=size)
-
-    def endpoints(self) -> Tuple[float, float]:
-        return (self.lower, self.upper)
 
     def linspace(self, count: int) -> np.ndarray:
         return np.linspace(self.lower, self.upper, count)

@@ -99,11 +99,20 @@ class TestDeprecationHygiene:
             ADMMSettings(max_iterations=2000, rho=2.5)
 
     def test_unknown_setting_type_error_lists_new_knobs(self):
-        # The removed array-namespace and asynchronous-batch knobs are now
-        # unknown to the solver; the error lists the knobs that exist.
+        # The removed array-namespace and asynchronous-batch knobs, and the
+        # solver constants that used to be settings, are unknown to the
+        # solver; the error lists the knobs that exist.
         problem = _ball_family().bind(1.0)
         for knob, value in (("array_backend", "numpy"), ("async_mode", True),
-                            ("staleness_bound", 25)):
+                            ("staleness_bound", 25), ("adaptive_rho", False),
+                            ("rho_update_interval", 50),
+                            ("kkt_regularization", 1e-8),
+                            ("stall_improvement", 0.8), ("scale_problem", False),
+                            ("over_relaxation", 1.0), ("history_stride", 10),
+                            ("verbose", True), ("infeasibility_interval", 50),
+                            ("infeasibility_min_iteration", 100),
+                            ("infeasibility_rel_change", 1e-2),
+                            ("infeasibility_streak", 3)):
             with pytest.raises(TypeError) as excinfo:
                 solve_conic_problem(problem, context=SolveContext(name="typo"),
                                     **{knob: value})

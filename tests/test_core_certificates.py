@@ -80,6 +80,16 @@ class TestLyapunovAndLevelSets:
         assert V(1.0, 1.0) > 0
         assert V.lie_derivative([-poly_vars(xy)[0], -poly_vars(xy)[1]])(0.5, 0.5) <= 1e-8
 
+    def test_region_box_does_not_leak_into_reused_options(self, xy):
+        system = linear_decay_system(xy)
+        options = LyapunovSynthesisOptions(certificate_degree=2, validate_samples=0)
+        boxed = MultipleLyapunovSynthesizer(system, options=options,
+                                            region_box=[(-9, 9)] * 2)
+        assert boxed.options.domain_boxes == [(-9, 9)] * 2
+        assert options.domain_boxes is None
+        reused = MultipleLyapunovSynthesizer(system, options=options)
+        assert reused.options.domain_boxes is None
+
     def test_level_set_maximization(self, xy):
         px, py = poly_vars(xy)
         V = px * px + py * py

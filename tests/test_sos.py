@@ -147,6 +147,14 @@ class TestValidation:
         bad = validate_nonnegativity(px, None, bounds, num_samples=500)
         assert not bad.passed
         assert bad.argmin is not None
+        assert str(good).startswith("[PASS]") and str(bad).startswith("[FAIL]")
+        # A domain no sample reaches (here ``x = 1/2``): the verdict stays
+        # unchanged, but the report is labelled vacuous rather than PASS.
+        pinned = SemialgebraicSet(xy, equalities=(px - 0.5,))
+        vacuous = validate_nonnegativity(px, pinned, bounds, num_samples=500)
+        assert vacuous.num_in_domain == 0
+        assert vacuous.passed
+        assert str(vacuous).startswith("[VACUOUS]")
 
     def test_validate_decrease(self, xy):
         px, py = polys(xy)
