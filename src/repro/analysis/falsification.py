@@ -18,7 +18,7 @@ offending trajectory so it can be inspected or turned into a regression test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -27,7 +27,7 @@ from ..core.attractive import AttractiveInvariant
 from ..pll.model import PLLVerificationModel
 from ..polynomial import PolynomialStack
 
-RelayTrajectory = np.ndarray  # shape (steps, n_states)
+RelayTrajectory = np.ndarray  # shape (steps + 1, n) or (B, steps + 1, n)
 
 
 @dataclass
@@ -44,6 +44,11 @@ class FalsificationFinding:
                 f"from x0={np.round(self.initial_state, 4).tolist()}")
 
 
+def _step_count(duration: float, dt: float) -> int:
+    """Euler steps that cover ``duration``, rounded (0.3 / 0.1 is 3 steps, not 2)."""
+    return int(round(duration / dt))
+
+
 def simulate_relay_abstraction(model: PLLVerificationModel,
                                initial_state: Sequence[float],
                                duration: float = 60.0,
@@ -53,29 +58,109 @@ def simulate_relay_abstraction(model: PLLVerificationModel,
     This is the executable counterpart of the verification model: the charge
     pump is up whenever the phase difference is positive and down whenever it
     is negative (mode 1 is a measure-zero sliding surface in this abstraction).
+
+    ``initial_state`` is one state, giving a ``(steps + 1, n)`` trajectory, or
+    a ``(B, n)`` batch, giving ``(B, steps + 1, n)``.  The batch is integrated
+    together: each row picks its mode from the sign of its own ``e``.
     """
     fields = model.nominal_fields()
-    variables = model.state_variables
-    # One stacked evaluator per mode: the whole vector field is a single
-    # array contraction per step instead of a dictionary walk per component.
-    up = PolynomialStack(fields["mode2"], variables)
-    down = PolynomialStack(fields["mode3"], variables)
-    idle = PolynomialStack(fields["mode1"], variables)
-    state = np.asarray(initial_state, dtype=float).copy()
-    steps = int(duration / dt)
-    trajectory = np.empty((steps + 1, state.shape[0]))
-    trajectory[0] = state
+    # The mode2, mode3 and mode1 fields in one stack: a step is a single
+    # evaluate_many over the batch, and each row then takes its mode's block.
+    stack = PolynomialStack(fields["mode2"] + fields["mode3"] + fields["mode1"],
+                            model.state_variables)
+    initial = np.asarray(initial_state, dtype=float)
+    state = np.atleast_2d(initial)
+    batch, n = state.shape
+    rows = np.arange(batch)
+    steps = _step_count(duration, dt)
+    trajectories = np.empty((batch, steps + 1, n))
+    trajectories[:, 0] = state
     for k in range(steps):
-        e = state[-1]
-        if e > 0:
-            field = up
-        elif e < 0:
-            field = down
-        else:
-            field = idle
-        state = state + dt * field.evaluate(state)
-        trajectory[k + 1] = state
-    return trajectory
+        e = state[:, -1]
+        mode = 2 - 2 * (e > 0) - (e < 0)  # 0: mode2 (e > 0), 1: mode3, 2: mode1
+        rates = stack.evaluate_many(state).reshape(batch, 3, n)[rows, mode]
+        state = state + dt * rates
+        trajectories[:, k + 1] = state
+    return trajectories[0] if initial.ndim == 1 else trajectories
+
+
+def _simulate_states(model: PLLVerificationModel,
+                     initial_states: Optional[Sequence[Sequence[float]]],
+                     count: int, rng: Optional[np.random.Generator], seed: int,
+                     duration: float, dt: float) -> np.ndarray:
+    """``(B, steps + 1, n)`` trajectories from the given states, or from ``count``
+    states drawn with ``rng``/``seed``; no states give no trajectories."""
+    if initial_states is None:
+        initial_states = random_initial_states(model, count, rng=rng, seed=seed)
+    states = np.asarray(initial_states, dtype=float).reshape(
+        -1, len(model.state_variables))
+    if states.shape[0] == 0:
+        return states[:, None, :]
+    return simulate_relay_abstraction(model, states, duration=duration, dt=dt)
+
+
+def _invariant_convergence_findings(
+    invariant: AttractiveInvariant, trajectories: np.ndarray, lock_radius: float,
+    tolerance: float, check_invariance: bool, tube_radius: Optional[float],
+) -> List[FalsificationFinding]:
+    findings: List[FalsificationFinding] = []
+    for trajectory in trajectories:
+        inside_mask = invariant.contains_points(trajectory) \
+            if check_invariance else np.zeros(0, dtype=bool)
+        if inside_mask.any():
+            first_inside = int(np.argmax(inside_mask))
+            later = trajectory[first_inside::25]
+            margins = invariant.membership_margins(later)
+            if tube_radius is not None:
+                off_tube = np.linalg.norm(later[:, :-1], axis=1) > tube_radius
+                margins = margins[off_tube]
+            worst = float(margins.max()) if margins.size else 0.0
+            if worst > tolerance:
+                findings.append(FalsificationFinding(
+                    claim="forward invariance of X1",
+                    initial_state=trajectory[0].copy(),
+                    worst_value=worst,
+                    step_index=first_inside,
+                ))
+        final_voltages = trajectory[-1][:-1]
+        if np.linalg.norm(final_voltages) > lock_radius:
+            findings.append(FalsificationFinding(
+                claim="convergence to the lock neighbourhood",
+                initial_state=trajectory[0].copy(),
+                worst_value=float(np.linalg.norm(final_voltages)),
+                step_index=trajectory.shape[0] - 1,
+            ))
+    return findings
+
+
+def _decrease_findings(
+    certificates: Dict[str, "np.ndarray"], trajectories: np.ndarray,
+    tolerance: float, tube_radius: float,
+) -> List[FalsificationFinding]:
+    findings: List[FalsificationFinding] = []
+    for trajectory in trajectories:
+        e_values = trajectory[:, -1]
+        in_mode = {"mode2": e_values > 1e-6, "mode3": e_values < -1e-6,
+                   "mode1": np.abs(e_values) <= 1e-6}
+        # Only count decrease where the practical-stability tube does not apply.
+        off_tube = np.linalg.norm(trajectory[:, :-1], axis=1) > tube_radius
+        for mode_name, certificate in certificates.items():
+            mask = in_mode.get(mode_name, in_mode["mode1"]) & off_tube
+            if mask.sum() < 3:
+                continue
+            steps = np.where(mask)[0]
+            increases = np.diff(certificate.evaluate_many(trajectory[mask]))
+            consecutive = np.diff(steps) == 1
+            increases = increases[consecutive]
+            if increases.size and float(increases.max()) > tolerance:
+                worst = int(np.argmax(increases))
+                findings.append(FalsificationFinding(
+                    claim=f"V non-increasing along {mode_name} flow",
+                    initial_state=trajectory[0].copy(),
+                    worst_value=float(increases[worst]),
+                    step_index=int(steps[1:][consecutive][worst]),
+                ))
+    return findings
 
 
 def check_invariant_convergence(
@@ -106,36 +191,11 @@ def check_invariant_convergence(
     practical-stability tube, where the decrease condition was deliberately
     not enforced.
     """
-    if initial_states is None:
-        initial_states = random_initial_states(model, count, rng=rng, seed=seed)
-    findings: List[FalsificationFinding] = []
-    for x0 in initial_states:
-        trajectory = simulate_relay_abstraction(model, x0, duration=duration, dt=dt)
-        inside_mask = invariant.contains_points(trajectory)
-        if check_invariance and inside_mask.any():
-            first_inside = int(np.argmax(inside_mask))
-            later = trajectory[first_inside::25]
-            margins = invariant.membership_margins(later)
-            if tube_radius is not None:
-                off_tube = np.linalg.norm(later[:, :-1], axis=1) > tube_radius
-                margins = margins[off_tube]
-            worst = float(margins.max()) if margins.size else 0.0
-            if worst > tolerance:
-                findings.append(FalsificationFinding(
-                    claim="forward invariance of X1",
-                    initial_state=np.asarray(x0, dtype=float),
-                    worst_value=worst,
-                    step_index=first_inside,
-                ))
-        final_voltages = trajectory[-1][:-1]
-        if np.linalg.norm(final_voltages) > lock_radius:
-            findings.append(FalsificationFinding(
-                claim="convergence to the lock neighbourhood",
-                initial_state=np.asarray(x0, dtype=float),
-                worst_value=float(np.linalg.norm(final_voltages)),
-                step_index=trajectory.shape[0] - 1,
-            ))
-    return findings
+    trajectories = _simulate_states(model, initial_states, count, rng, seed,
+                                    duration, dt)
+    return _invariant_convergence_findings(
+        invariant, trajectories, lock_radius, tolerance, check_invariance,
+        tube_radius)
 
 
 def check_certificate_decrease_along_trajectories(
@@ -158,37 +218,12 @@ def check_certificate_decrease_along_trajectories(
     practical-stability tube of radius ``tube_radius`` (where the decrease
     condition was enforced).  As with :func:`check_invariant_convergence`,
     omitted ``initial_states`` are drawn with the explicit ``rng``/``seed``.
+    A finding's ``step_index`` is the trajectory step at which the worst
+    increase ends.
     """
-    if initial_states is None:
-        initial_states = random_initial_states(model, count, rng=rng, seed=seed)
-    findings: List[FalsificationFinding] = []
-    for x0 in initial_states:
-        trajectory = simulate_relay_abstraction(model, x0, duration=duration, dt=dt)
-        e_values = trajectory[:, -1]
-        voltage_norm = np.linalg.norm(trajectory[:, :-1], axis=1)
-        for mode_name, certificate in certificates.items():
-            if mode_name == "mode2":
-                mask = e_values > 1e-6
-            elif mode_name == "mode3":
-                mask = e_values < -1e-6
-            else:
-                mask = np.abs(e_values) <= 1e-6
-            # Only count decrease where the practical-stability tube does not apply.
-            mask = mask & (voltage_norm > tube_radius)
-            if mask.sum() < 3:
-                continue
-            values = certificate.evaluate_many(trajectory[mask])
-            increases = np.diff(values)
-            consecutive = np.diff(np.where(mask)[0]) == 1
-            increases = increases[consecutive]
-            if increases.size and float(increases.max()) > tolerance:
-                findings.append(FalsificationFinding(
-                    claim=f"V non-increasing along {mode_name} flow",
-                    initial_state=np.asarray(x0, dtype=float),
-                    worst_value=float(increases.max()),
-                    step_index=int(np.argmax(increases)),
-                ))
-    return findings
+    trajectories = _simulate_states(model, initial_states, count, rng, seed,
+                                    duration, dt)
+    return _decrease_findings(certificates, trajectories, tolerance, tube_radius)
 
 
 def run_falsification(
@@ -208,10 +243,11 @@ def run_falsification(
 ) -> List[FalsificationFinding]:
     """Run the full simulation cross-check with one explicit random stream.
 
-    Draws ``count`` initial states once and feeds the *same* states to the
-    invariant-convergence and certificate-decrease checks, so a campaign is
-    fully determined by (``rng`` | ``seed``) — the property the verification
-    engine relies on for reproducible runs.
+    Draws ``count`` initial states once and simulates them together, once,
+    over ``duration``.  The invariant-convergence claims read the whole
+    trajectories and the certificate-decrease claim reads their first 20
+    time units, so a campaign is fully determined by (``rng`` | ``seed``) —
+    the property the verification engine relies on for reproducible runs.
 
     ``check_invariance`` defaults to off here: the engine's per-mode levels
     are maximised independently, so the union-invariance claim is stronger
@@ -224,21 +260,16 @@ def run_falsification(
     distinguish "no findings" from "no states could be sampled" (the engine)
     draw the states themselves and pass them in.
     """
-    if initial_states is None:
-        rng = rng if rng is not None else np.random.default_rng(seed)
-        initial_states = random_initial_states(model, count, rng=rng)
-    states = np.asarray(initial_states, dtype=float)
-    if states.shape[0] == 0:
-        return []
-    findings = check_invariant_convergence(
-        model, invariant, states, duration=duration, dt=dt,
-        lock_radius=lock_radius, tolerance=tolerance,
-        check_invariance=check_invariance, tube_radius=tube_radius)
+    trajectories = _simulate_states(model, initial_states, count, rng, seed,
+                                    duration, dt)
+    findings = _invariant_convergence_findings(
+        invariant, trajectories, lock_radius, tolerance, check_invariance,
+        tube_radius)
     if certificates:
-        findings.extend(check_certificate_decrease_along_trajectories(
-            model, certificates, states, duration=min(duration, 20.0), dt=dt,
-            tolerance=tolerance,
-            tube_radius=tube_radius if tube_radius is not None else 0.55))
+        prefix = trajectories[:, :_step_count(min(duration, 20.0), dt) + 1]
+        findings.extend(_decrease_findings(
+            certificates, prefix, tolerance,
+            tube_radius if tube_radius is not None else 0.55))
     return findings
 
 
