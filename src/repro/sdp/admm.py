@@ -93,6 +93,14 @@ INFEASIBILITY_REL_CHANGE = 1e-3
 INFEASIBILITY_STREAK = 2
 
 
+def kkt_matrix(A: sp.csc_matrix, rho: float) -> sp.csc_matrix:
+    """The x-update's KKT matrix ``[[rho I, A^T], [A, -reg I]]`` (CSC)."""
+    m, n = A.shape
+    upper = sp.hstack([rho * sp.identity(n, format="csc"), A.T])
+    lower = sp.hstack([A, -KKT_REGULARIZATION * sp.identity(m, format="csc")])
+    return sp.vstack([upper, lower]).tocsc()
+
+
 @dataclass
 class ADMMSettings:
     """Tuning knobs of the ADMM solver."""
@@ -143,12 +151,9 @@ class ADMMConicSolver:
         b = problem.b
 
         rho = settings.rho
-        # KKT matrix [[rho I, A^T], [A, -reg I]]; refactorised when rho changes.
+        # The KKT matrix is refactorised when rho changes.
         def factorize(current_rho: float):
-            upper = sp.hstack([current_rho * sp.identity(n, format="csc"), A.T])
-            lower = sp.hstack([A, -KKT_REGULARIZATION * sp.identity(m, format="csc")])
-            kkt = sp.vstack([upper, lower]).tocsc()
-            return NUMPY_BACKEND.kkt_factor(kkt)
+            return NUMPY_BACKEND.kkt_factor(kkt_matrix(A, current_rho))
 
         try:
             lu = factorize(rho)

@@ -9,23 +9,24 @@ the per-iteration Python and LAPACK dispatch overhead ``B`` times over.
 operator-splitting iteration as :class:`~repro.sdp.admm.ADMMConicSolver`:
 
 * the iterates live in ``(B, n)`` row-contiguous arrays, one problem per row;
-* the x-update is one sparse solve for the whole active set: when all active
-  problems share the same ``A`` and ``rho`` (parameter sweeps in ``b``) a
-  single cached ``splu`` factorisation handles the batch as a multi-RHS
-  solve; otherwise the per-problem KKT blocks are assembled into one
-  block-diagonal factorisation that is only recomputed when the active set
-  or a problem's adaptive ``rho`` changes — never per iteration;
+* the x-update solves each active row against the KKT factor of its own
+  ``(A, rho)`` pair: problems whose presolved ``A`` is bitwise equal form
+  one group, each distinct (group, ``rho``) pair is factorised once with the
+  matrix :class:`ADMMConicSolver` factorises, and the rows of one pair are
+  solved as one multi-RHS solve.  A factor is kept only while an active
+  problem still uses it, and a factorisation failure ends just the problems
+  of that pair with ``NUMERICAL_ERROR``;
 * the z-update projects all PSD blocks of all problems through one stacked
   ``eigh`` (:func:`~repro.sdp.cones.project_onto_cone_many`);
 * residuals, tolerances, stall detection and adaptive-``rho`` updates are
   vectorised per problem, and finished problems leave the active set while
   their state rows keep their last iterate.
 
-There is **no cross-problem coupling**: each problem follows exactly the
-iteration it would follow in a standalone :class:`ADMMConicSolver.solve`, so
-per-problem statuses match the serial solver.  Batches whose members turn out
-not to share a structure (different cone dims or constraint counts after
-presolve) transparently fall back to serial solves.
+There is **no cross-problem coupling**: each problem runs exactly the
+iteration of a standalone :class:`ADMMConicSolver.solve` (same KKT matrix,
+same ``splu``), so per-problem iterates, statuses and iteration counts match
+the serial solver bit for bit.  Batches whose members differ in cone
+dimensions fall back to serial solves.
 """
 
 from __future__ import annotations
@@ -42,13 +43,13 @@ from .admm import (
     INFEASIBILITY_MIN_ITERATION,
     INFEASIBILITY_REL_CHANGE,
     INFEASIBILITY_STREAK,
-    KKT_REGULARIZATION,
     OVER_RELAXATION,
     RHO_UPDATE_INTERVAL,
     STALL_IMPROVEMENT,
     ADMMConicSolver,
     ADMMSettings,
     WarmStart,
+    kkt_matrix,
     unpack_warm_start,
 )
 from .backend import NUMPY_BACKEND
@@ -56,22 +57,6 @@ from .cones import project_onto_cone_many
 from .problem import ConicProblem
 from .result import SolveHistory, SolverResult, SolverStatus
 from .scaling import presolve
-
-
-def _block_diag_csc(blocks: List[sp.csc_matrix], size: int) -> sp.csc_matrix:
-    """Block-diagonal CSC assembly of equally sized square CSC blocks.
-
-    Plain array concatenation with offsets — ~100x cheaper than
-    ``scipy.sparse.block_diag`` (which routes through COO) for the epoch
-    refactorisations of the batch loop.
-    """
-    nnz_offsets = np.cumsum([0] + [b.nnz for b in blocks])
-    data = np.concatenate([b.data for b in blocks])
-    indices = np.concatenate([b.indices + i * size for i, b in enumerate(blocks)])
-    indptr = np.concatenate(
-        [b.indptr[(1 if i else 0):] + nnz_offsets[i] for i, b in enumerate(blocks)])
-    total = size * len(blocks)
-    return sp.csc_matrix((data, indices, indptr), shape=(total, total))
 
 
 def row_norms(block: np.ndarray) -> np.ndarray:
@@ -98,9 +83,8 @@ class BatchADMMSolver:
                     ) -> List[SolverResult]:
         """Solve ``problems`` together; returns one :class:`SolverResult` each.
 
-        All problems must share cone dimensions and, after presolve, the
-        equality-row count; otherwise the batch silently degrades to serial
-        solves with identical semantics.
+        All problems must share cone dimensions; otherwise the batch
+        degrades to serial solves with identical semantics.
         """
         start = time.perf_counter()
         problems = list(problems)
@@ -134,81 +118,30 @@ class BatchADMMSolver:
             return results  # type: ignore[return-value]
 
         n = dims.total
-        m = prepped[0][2].num_constraints
-        if any(entry[2].num_constraints != m for entry in prepped[1:]):
-            return self._solve_serial(problems, warm_starts)
-
-        # Deduplicate coefficient matrices: problems differing only in b (or
-        # in nothing) share one KKT factorisation and one multi-RHS solve.
         batch = len(prepped)
+        # Problems whose presolved A is bitwise equal (a sweep in b, or a
+        # parametric family whose parameter enters b only) form one group
+        # and share its KKT factors.
         group_of = np.zeros(batch, dtype=np.int64)
         group_keys: Dict[tuple, int] = {}
         unique_A: List[sp.csc_matrix] = []
         for col, (_, _, scaled, _) in enumerate(prepped):
             A = scaled.A.tocsc()
-            key = (A.nnz, A.indptr.tobytes(), A.indices.tobytes(), A.data.tobytes())
+            key = (A.shape, A.indptr.tobytes(), A.indices.tobytes(), A.data.tobytes())
             group = group_keys.setdefault(key, len(unique_A))
             if group == len(unique_A):
                 unique_A.append(A)
             group_of[col] = group
 
-        kkt_cache: Dict[Tuple[int, float], sp.csc_matrix] = {}
-        lu_cache: Dict[Tuple[int, float], object] = {}
-
-        def kkt_block(group: int, rho_value: float) -> sp.csc_matrix:
-            cache_key = (group, rho_value)
-            kkt = kkt_cache.get(cache_key)
-            if kkt is None:
-                A = unique_A[group]
-                upper = sp.hstack([rho_value * sp.identity(n, format="csc"), A.T])
-                lower = sp.hstack([A, -KKT_REGULARIZATION * sp.identity(m, format="csc")])
-                kkt = sp.vstack([upper, lower]).tocsc()
-                kkt_cache[cache_key] = kkt
-            return kkt
-
-        def get_lu(group: int, rho_value: float):
-            cache_key = (group, rho_value)
-            lu = lu_cache.get(cache_key)
-            if lu is None:
-                lu = NUMPY_BACKEND.kkt_factor(kkt_block(group, rho_value))
-                lu_cache[cache_key] = lu
-            return lu
-
-        def build_epoch(cols: np.ndarray):
-            """``(lu, shared)`` for the problems in ``cols``.
-
-            ``lu`` is ``None`` when a factorisation failed: the per-problem
-            culprits are then recorded in ``numerical_failures``, and when
-            every per-problem KKT is healthy only the assembled block-diagonal
-            failed (the caller falls back to serial solves).
-            """
-            groups_rhos = [(int(group_of[col]), float(rho[col])) for col in cols]
-            shared = len(set(groups_rhos)) == 1
-            try:
-                if shared:
-                    return get_lu(*groups_rhos[0]), True
-                return NUMPY_BACKEND.kkt_factor(_block_diag_csc(
-                    [kkt_block(g, r) for g, r in groups_rhos], n + m)), False
-            except RuntimeError:  # pragma: no cover - singular KKT
-                for col, (g, r) in zip(cols, groups_rhos):
-                    try:
-                        get_lu(g, r)
-                    except RuntimeError as exc:
-                        numerical_failures[int(col)] = \
-                            f"KKT factorization failed: {exc}"
-                        statuses[int(col)] = SolverStatus.NUMERICAL_ERROR
-                return None, shared
-
         # Row-contiguous (B, n) state; each problem is one row.
         C = np.zeros((batch, n))
-        B = np.zeros((batch, m))
         X = np.zeros((batch, n))
         Z = np.zeros((batch, n))
         U = np.zeros((batch, n))
+        b_rows = [scaled.b for _, _, scaled, _ in prepped]
         warm_flags = np.zeros(batch, dtype=bool)
         for col, (i, _, scaled, _) in enumerate(prepped):
             C[col] = scaled.c
-            B[col] = scaled.b
             initial = unpack_warm_start(warm_starts[i], n)
             if initial is not None:
                 X[col], Z[col], U[col] = initial
@@ -227,49 +160,74 @@ class BatchADMMSolver:
         histories = [SolveHistory() for _ in range(batch)]
         numerical_failures: Dict[int, str] = {}
 
+        # One KKT factor per (A group, rho) pair that an active problem uses:
+        # the matrix ADMMConicSolver.solve factorises for that problem at that
+        # rho.  A factor leaves the cache once no active problem uses it.
+        factors: Dict[Tuple[int, float], object] = {}
+
+        def plan_epoch(active: np.ndarray, iteration: int):
+            """Factor the active set's (A group, rho) pairs.
+
+            Returns the pairs as ``(factor, positions in active, rhs buffer)``
+            plus the columns whose factorisation failed (they end
+            ``NUMERICAL_ERROR`` at ``iteration``, like the serial solver).
+            """
+            wanted: Dict[Tuple[int, float], List[int]] = {}
+            for position, col in enumerate(active):
+                wanted.setdefault((int(group_of[col]), float(rho[col])), []).append(position)
+            for key in [key for key in factors if key not in wanted]:
+                del factors[key]
+            pairs, failed = [], []
+            for key, positions in wanted.items():
+                cols = active[positions]
+                lu = factors.get(key)
+                if lu is None:
+                    group, rho_value = key
+                    try:
+                        lu = NUMPY_BACKEND.kkt_factor(kkt_matrix(unique_A[group], rho_value))
+                    except RuntimeError as exc:
+                        for col in cols:
+                            numerical_failures[int(col)] = f"KKT factorization failed: {exc}"
+                            statuses[col] = SolverStatus.NUMERICAL_ERROR
+                            final_iteration[col] = iteration
+                        failed.extend(cols)
+                        continue
+                    factors[key] = lu
+                # Fortran-ordered (n + m, k) right-hand sides, the layout
+                # SuperLU solves; the lower block is the constant b.
+                rhs = np.empty((n + unique_A[key[0]].shape[0], len(cols)), order="F")
+                rhs[n:] = np.stack([b_rows[col] for col in cols], axis=1)
+                pairs.append((lu, np.asarray(positions), rhs))
+            return pairs, failed
+
         # Every termination criterion is checked every iteration; finished
         # problems leave the active index but their state rows stay in place
         # (their last iterate is the final answer).
         active = np.arange(batch)
         epoch_key: Optional[tuple] = None
-        epoch_lu = None
-        epoch_shared = False
-        rho_act = C_act = W = None
+        pairs: list = []
+        rho_act = C_act = None
 
         for iteration in range(1, settings.max_iterations + 1):
+            # The factors change only when the active set or a rho does.
+            while active.size and epoch_key != (active.tobytes(), rho[active].tobytes()):
+                pairs, failed = plan_epoch(active, iteration)
+                if failed:
+                    active = active[~np.isin(active, failed)]
+                    continue
+                epoch_key = (active.tobytes(), rho[active].tobytes())
+                rho_act = rho[active][:, None]
+                C_act = C[active]
             if active.size == 0:
                 break
 
-            # x-update: one sparse solve for the whole active set.
-            current_key = (active.tobytes(), rho[active].tobytes())
-            if current_key != epoch_key:
-                epoch_lu, epoch_shared = build_epoch(active)
-                if epoch_lu is None:
-                    failed = [c for c in active if c in numerical_failures]
-                    if not failed:  # pragma: no cover - block-diag-only failure
-                        # Every per-problem KKT is healthy: preserve the
-                        # per-problem parity guarantee by solving serially.
-                        return self._solve_serial(problems, warm_starts)
-                    for col in failed:
-                        final_iteration[col] = iteration
-                    active = active[~np.isin(active, failed)]
-                    epoch_key = None
-                    if active.size == 0:
-                        break
-                    continue
-                epoch_key = current_key
-                k = active.size
-                rho_act = rho[active][:, None]
-                C_act = C[active]
-                W = np.empty((k, n + m))
-                W[:, n:] = B[active]
-            k = active.size
-            W[:, :n] = rho_act * (Z[active] - U[active]) - C_act
-            if epoch_shared:
-                x_act = epoch_lu.solve(W.T)[:n].T
-            else:
-                sol = epoch_lu.solve(W.reshape(-1))
-                x_act = sol.reshape((k, n + m))[:, :n]
+            # x-update: each active row against its own (A group, rho) factor,
+            # one multi-RHS solve per pair.
+            W = rho_act * (Z[active] - U[active]) - C_act
+            x_act = np.empty_like(W)
+            for lu, positions, rhs in pairs:
+                rhs[:n] = W[positions].T
+                x_act[positions] = lu.solve(rhs)[:n].T
             X[active] = x_act
 
             act = active

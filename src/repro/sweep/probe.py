@@ -16,9 +16,15 @@ point.  Per point, acceptance mirrors the synthesis pipeline's ladder:
    filter that skips conic solves in clearly-degraded regions);
 2. a conic decrease-probe solve per ladder rung; cheap rungs (dsos/sdsos/
    chordal) are accepted only when the recovered Gram certificates are
-   numerically sound in the full PSD sense, the final rung accepts the
-   solver's candidate — exactly `MultipleLyapunovSynthesizer.synthesize`'s
-   escalation semantics applied to a fixed certificate.
+   numerically sound in the full PSD sense, measured against the point's own
+   decrease polynomials, the final rung accepts the solver's candidate —
+   exactly `MultipleLyapunovSynthesizer.synthesize`'s escalation semantics
+   applied to a fixed certificate.
+
+The shard validates every point first, then walks the ladder once: each rung
+solves the probes of all its pending points as one
+:meth:`~repro.sdp.SolveContext.solve_many` batch, and the points it does not
+certify move on to the next rung.
 
 The conic data of each rung's probe family is decomposed affinely over the
 sweep axes by :class:`~repro.sos.parametric.MultiParametricSOSProgram`
@@ -92,7 +98,6 @@ class _RungStructure:
                         "falling back to per-point rebuilds",
                         scenario, rung, exc)
             self.mode = "rebuild"
-        self._last_program = None
 
     def _probe_program(self, params: Dict[str, float]):
         problem = _point_problem(self._scenario, {**self._anchor, **params})
@@ -101,20 +106,34 @@ class _RungStructure:
             self._certificates, cone=self.cone,
             name=f"sweep_probe_{self._scenario}_{self.rung}")
 
-    def conic_at(self, params: Dict[str, float]):
-        """The point's conic problem: an array bind, or a rebuild fallback."""
-        if self.family is not None:
-            return self.family.bind(params)
+    def _rebuild(self, params: Dict[str, float]):
+        """``(program, conic)`` compiled from scratch at ``params``."""
         program = self._probe_program(params)
-        self._last_program = program
-        self.rebuild_compiles += 1
-        return program.compile()[0].build()
+        return program, program.compile()[0].build()
 
-    def interpret(self, result, with_certificates: bool = False):
+    def conic_at(self, params: Dict[str, float]):
+        """The point's conic problem and the program a rebuild compiled it from.
+
+        A parametric rung binds arrays and returns no program; the rebuild
+        fallback returns the point's own program for :meth:`certificates_at`.
+        """
         if self.family is not None:
-            return self.family.interpret(result, with_certificates=with_certificates)
-        return self._last_program.interpret_result(
-            result, with_certificates=with_certificates)
+            return self.family.bind(params), None
+        program, conic = self._rebuild(params)
+        self.rebuild_compiles += 1
+        return conic, program
+
+    def certificates_at(self, params: Dict[str, float], result, program=None):
+        """The point's Gram certificates from a solve of its probe.
+
+        Reconstruction residuals are measured against the point's own
+        decrease polynomials: ``program`` is the point's rebuilt probe when
+        :meth:`conic_at` returned one, otherwise a fresh build at ``params``
+        (the parametric template holds the base point's polynomials).
+        """
+        if program is None:
+            program, _ = self._rebuild(params)
+        return program.interpret_result(result, with_certificates=True).certificates
 
     def stats(self) -> Dict[str, object]:
         parametric = self.family
@@ -156,7 +175,10 @@ def run_sweep_shard(payload: Dict[str, object], context: SolveContext
                 context)
         return structures[rung]
 
+    # Phase 1: sampling validation of every point.  Points that pass it
+    # (or are not sampled) are pending on the ladder's first rung.
     outcomes: List[Dict[str, object]] = []
+    pending: List[tuple] = []   # (outcome, params, validated, solver settings)
     for entry in payload["points"]:
         index = int(entry["index"])
         params = {k: float(v) for k, v in entry["params"].items()}
@@ -181,32 +203,43 @@ def run_sweep_shard(payload: Dict[str, object], context: SolveContext
             "sampling": sampling_ok,
             "attempts": [],
         }
-        if sampling_ok:
-            # The ladder: cheapest rung first; the final rung accepts the
-            # solver candidate (sampling already passed), cheaper rungs
-            # must also reconstruct numerically sound PSD Gram matrices.
-            for position, rung in enumerate(rungs):
-                final = position == len(rungs) - 1
-                structure = structure_for(rung)
-                conic = structure.conic_at(params)
-                result = context.solve(conic, **settings)
-                outcome["attempts"].append(rung)
-                if result.x is None:
-                    continue
-                if final and not validated and not result.is_success:
-                    continue
-                if not final:
-                    solution = structure.interpret(result, with_certificates=True)
-                    sound = bool(solution.certificates) and all(
-                        certificate.is_numerically_sos(
-                            eig_tol=RELAXATION_EIG_TOL, res_tol=RELAXATION_RES_TOL)
-                        for certificate in solution.certificates.values())
-                    if not sound:
-                        continue
-                outcome["certified"] = True
-                outcome["rung"] = rung
-                break
         outcomes.append(outcome)
+        if sampling_ok:
+            pending.append((outcome, params, validated, settings))
+
+    # Phase 2: the ladder, cheapest rung first.  Each rung solves its pending
+    # points as one batch (one per distinct solver configuration); the points
+    # it does not certify go on to the next rung.  The final rung accepts
+    # the solver candidate (sampling already passed), cheaper rungs must
+    # also reconstruct numerically sound PSD Gram matrices.
+    for position, rung in enumerate(rungs):
+        if not pending:
+            break
+        final = position == len(rungs) - 1
+        structure = structure_for(rung)
+        batches: Dict[str, Tuple[Dict[str, object], list]] = {}
+        for point in pending:
+            settings = point[3]
+            batches.setdefault(repr(sorted(settings.items())),
+                               (settings, []))[1].append(point)
+        for settings, points in batches.values():
+            bound = [structure.conic_at(params) for _, params, _, _ in points]
+            results = context.solve_many([conic for conic, _ in bound], **settings)
+            for (outcome, params, validated, _), (_, program), result in \
+                    zip(points, bound, results):
+                outcome["attempts"].append(rung)
+                accepted = result.x is not None and \
+                    (validated or result.is_success or not final)
+                if accepted and not final:
+                    grams = structure.certificates_at(params, result, program)
+                    accepted = bool(grams) and all(
+                        gram.is_numerically_sos(
+                            eig_tol=RELAXATION_EIG_TOL, res_tol=RELAXATION_RES_TOL)
+                        for gram in grams.values())
+                if accepted:
+                    outcome["certified"] = True
+                    outcome["rung"] = rung
+        pending = [point for point in pending if not point[0]["certified"]]
 
     outcomes.sort(key=lambda o: o["index"])
     certified = sum(1 for o in outcomes if o["certified"])

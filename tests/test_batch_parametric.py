@@ -24,6 +24,8 @@ from repro.sdp import (
     project_onto_cone_many,
     solve_conic_problems,
 )
+from repro.sdp.backend import NUMPY_BACKEND
+from repro.sdp.scaling import presolve
 from repro.sos import (
     ParametricProgramError,
     ParametricSOSProgram,
@@ -131,6 +133,116 @@ class TestBatchADMMSolver:
         problems = [_feasibility_problem(t) for t in (1.0, 2.0)]
         results = solve_conic_problems(problems)
         assert all(r.status.is_success for r in results)
+
+
+#: Started at rho=100 with tolerances no member meets early, these members
+#: drive their adaptive rho apart (down to 3.125, up to 800) across three
+#: distinct presolved ``A`` matrices.
+DIVERGING_SETTINGS = ADMMSettings(max_iterations=1500, rho=100.0,
+                                  eps_abs=1e-12, eps_rel=1e-12)
+DIVERGING_CASES = [(1.0, 0.5, 0.0), (1.0, 0.5, 1.0), (1.0, 2.0, 1.0),
+                   (-1.0, 0.5, 0.0), (-1.0, 2.0, 1.0), (30.0, 2.0, 1.0),
+                   (30.0, 0.5, 0.0)]
+
+
+def _coupled_problem(rhs_nonneg, coupling, cost):
+    """Two PSD blocks and a nonneg pair coupled by ``coupling``; ``cost``
+    weights the trace of the 4x4 block."""
+    builder = ConicProblemBuilder()
+    small, _ = builder.add_psd_block(3)
+    large, _ = builder.add_psd_block(4)
+    nonneg, _ = builder.add_nonneg_block(2)
+    local, coeff = builder.psd_entry_local_index(small, 0, 0)
+    builder.add_equality_row({(small, local): coeff}, rhs=2.0)
+    local, coeff = builder.psd_entry_local_index(small, 0, 1)
+    other, other_coeff = builder.psd_entry_local_index(large, 1, 2)
+    builder.add_equality_row({(small, local): coeff,
+                              (large, other): coupling * other_coeff}, rhs=0.5)
+    local, coeff = builder.psd_entry_local_index(large, 0, 0)
+    builder.add_equality_row({(nonneg, 0): 1.0, (large, local): coeff},
+                             rhs=rhs_nonneg)
+    if cost:
+        for i in range(4):
+            local, _ = builder.psd_entry_local_index(large, i, i)
+            builder.add_cost(large, local, cost)
+        builder.add_cost(nonneg, 1, -cost)
+        local, coeff = builder.psd_entry_local_index(large, 3, 3)
+        builder.add_equality_row({(nonneg, 1): 1.0, (large, local): -coeff},
+                                 rhs=0.0)
+    return builder.build()
+
+
+def _kkt_key(kkt, n):
+    """``(rho, A)`` of a KKT matrix ``[[rho I, A^T], [A, -reg I]]``."""
+    kkt = kkt.tocsc()
+    A = kkt[n:, :n].tocsc()
+    return (float(kkt[0, 0]), A.shape, A.indptr.tobytes(),
+            A.indices.tobytes(), A.data.tobytes())
+
+
+class TestBatchPerPairFactors:
+    """The batch loop runs each member's own serial iteration exactly."""
+
+    def _problems(self):
+        return [_coupled_problem(*case) for case in DIVERGING_CASES]
+
+    def _spy_factor(self, monkeypatch, n, fail_for=None):
+        original = NUMPY_BACKEND.kkt_factor
+        keys = []
+
+        def kkt_factor(kkt):
+            key = _kkt_key(kkt, n)
+            keys.append(key)
+            if fail_for is not None and key[1:] == fail_for:
+                raise RuntimeError("injected singular KKT")
+            return original(kkt)
+
+        monkeypatch.setattr(NUMPY_BACKEND, "kkt_factor", kkt_factor)
+        return keys
+
+    def test_members_bit_identical_to_serial(self):
+        problems = self._problems()
+        serial = [ADMMConicSolver(DIVERGING_SETTINGS).solve(p) for p in problems]
+        batch = BatchADMMSolver(DIVERGING_SETTINGS).solve_batch(problems)
+        rhos = {r.info["rho_final"] for r in serial}
+        assert min(rhos) < DIVERGING_SETTINGS.rho < max(rhos)
+        for expected, got in zip(serial, batch):
+            assert got.status == expected.status
+            assert got.iterations == expected.iterations
+            assert got.info["rho_final"] == expected.info["rho_final"]
+            np.testing.assert_array_equal(got.x, expected.x)
+
+    def test_one_factor_per_distinct_pair(self, monkeypatch):
+        problems = self._problems()
+        keys = self._spy_factor(monkeypatch, problems[0].dims.total)
+        for problem in problems:
+            ADMMConicSolver(DIVERGING_SETTINGS).solve(problem)
+        serial_pairs = set(keys)
+        assert len({key[1:] for key in serial_pairs}) >= 2  # A groups
+        keys.clear()
+        BatchADMMSolver(DIVERGING_SETTINGS).solve_batch(problems)
+        assert len(keys) == len(serial_pairs)
+        assert set(keys) == serial_pairs
+
+    def test_factor_failure_ends_only_its_member(self, monkeypatch):
+        problems = self._problems()
+        faulty = _coupled_problem(1.0, 3.0, 1.0)  # its own A group
+        scaled, _ = presolve(faulty)
+        A = scaled.A.tocsc()
+        fail_for = (A.shape, A.indptr.tobytes(), A.indices.tobytes(),
+                    A.data.tobytes())
+        serial = [ADMMConicSolver(DIVERGING_SETTINGS).solve(p) for p in problems]
+        self._spy_factor(monkeypatch, faulty.dims.total, fail_for=fail_for)
+        batch = BatchADMMSolver(DIVERGING_SETTINGS).solve_batch(
+            problems[:2] + [faulty] + problems[2:])
+        failed = batch.pop(2)
+        assert failed.status == SolverStatus.NUMERICAL_ERROR
+        assert failed.x is None
+        assert "injected singular KKT" in failed.info["reason"]
+        for expected, got in zip(serial, batch):
+            assert got.status == expected.status
+            assert got.iterations == expected.iterations
+            np.testing.assert_array_equal(got.x, expected.x)
 
 
 class TestParametricSOSProgram:

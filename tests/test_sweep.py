@@ -158,6 +158,37 @@ class TestSweepShard:
         assert stats["mode"] == "parametric"
         assert stats["binds"] == 2
 
+    def test_cheap_rung_residual_uses_the_point_polynomials(self, tmp_path):
+        from repro.engine.serialize import certificates_from_data
+        from repro.sdp import SolveContext
+        from repro.sweep.probe import _RungStructure
+
+        certificates = certificates_from_data(self._anchor(str(tmp_path)))
+        context = SolveContext(name="probe")
+        structure = _RungStructure(
+            "vanderpol", "dsos", certificates, {},
+            base={"mu": 0.8, "stiffness": 0.9},
+            steps={"mu": 0.4, "stiffness": 0.2}, context=context)
+        params = {"mu": 1.2, "stiffness": 1.1}   # not the base point
+        conic, program = structure.conic_at(params)
+        assert program is None and structure.mode == "parametric"
+        result = context.solve(conic, max_iterations=3000)
+
+        used = structure.certificates_at(params, result)
+        fresh_program = structure._probe_program(params)
+        fresh_program.compile()[0].build()
+        fresh = fresh_program.interpret_result(
+            result, with_certificates=True).certificates
+        template = structure.family.interpret(
+            result, with_certificates=True).certificates
+        assert used and set(used) == set(fresh)
+        for name, certificate in used.items():
+            assert certificate.reconstruction_error == \
+                fresh[name].reconstruction_error
+        # The base point's template polynomials give other residuals.
+        assert any(template[name].reconstruction_error
+                   != fresh[name].reconstruction_error for name in fresh)
+
     def test_unknown_step_still_errors(self):
         outcome = _execute_job({"scenario": "vanderpol", "step": "nonsense"})
         assert outcome["status"] == "error"
@@ -261,6 +292,78 @@ class TestSweepRunner:
         runner = SweepRunner(SweepOptions(samples=5))
         with pytest.raises(SweepError, match="--samples"):
             runner.resolve_family("vanderpol_grid")
+
+
+# ----------------------------------------------------------------------
+# Rung batches: one solve_many per rung with pending points
+# ----------------------------------------------------------------------
+#: A 2x2 grid on the edge of the certified region: one point fails sampling,
+#: two certify on ``dsos`` and one escalates to ``sdsos``.
+EDGE_GRID = {"mu": (1.0, 4.0, 2), "stiffness": (3.0, 4.0, 2)}
+
+
+def _outcomes(report):
+    return [(p["index"], p["certified"], p["rung"], p["attempts"], p["sampling"])
+            for p in report.points]
+
+
+class TestSweepBatching:
+    def test_rung_batches_match_per_point_solves(self, tmp_path, monkeypatch):
+        from repro.sdp import SolveContext
+
+        family = get_sweep_family("vanderpol_grid").reconfigure(grid=EDGE_GRID)
+        assert family.relaxation == "auto"
+        batch_sizes = []
+        solve_many = SolveContext.solve_many
+
+        def counted(self, problems, warm_starts=None, **settings):
+            batch_sizes.append(len(problems))
+            return solve_many(self, problems, warm_starts, **settings)
+
+        monkeypatch.setattr(SolveContext, "solve_many", counted)
+        batched = SweepRunner(SweepOptions(
+            jobs=1, cache_dir=str(tmp_path / "batched"))).run(family)
+
+        def per_point(self, problems, warm_starts=None, **settings):
+            return [self.solve(problem, **settings) for problem in problems]
+
+        monkeypatch.setattr(SolveContext, "solve_many", per_point)
+        reference = SweepRunner(SweepOptions(
+            jobs=1, cache_dir=str(tmp_path / "reference"))).run(family)
+
+        assert _outcomes(batched) == _outcomes(reference)
+        assert [p["rung"] for p in batched.points] == ["dsos", None, "dsos", "sdsos"]
+        assert not batched.points[1]["sampling"]
+        # One batch per rung that still has pending points: 3 on dsos, 1 on sdsos.
+        assert batch_sizes == [3, 1]
+
+        monkeypatch.setattr(SolveContext, "solve_many", counted)
+        warm = SweepRunner(SweepOptions(
+            jobs=1, cache_dir=str(tmp_path / "batched"))).run(family)
+        assert warm.run["counters"].get("solved", 0) == 0
+        assert _outcomes(warm) == _outcomes(batched)
+
+    def test_rebuild_mode_interprets_each_point_with_its_program(
+            self, tmp_path, monkeypatch):
+        from repro.sos import MultiParametricSOSProgram, ParametricProgramError
+
+        parametric = SweepRunner(SweepOptions(
+            jobs=1, cache_dir=str(tmp_path / "parametric"))).run(_small_family())
+
+        def not_affine(self):
+            raise ParametricProgramError("forced per-point rebuilds")
+
+        monkeypatch.setattr(MultiParametricSOSProgram, "compile", not_affine)
+        rebuilt = SweepRunner(SweepOptions(
+            jobs=1, cache_dir=str(tmp_path / "rebuild"))).run(_small_family())
+        stats = rebuilt.run["structures"]
+        assert {rung: entry["mode"] for rung, entry in stats.items()} == \
+            {"dsos": "rebuild"}
+        assert stats["dsos"]["rebuild_compiles"] == 4
+        # Every point certifies on dsos, as it did per point before batching.
+        assert [(p["certified"], p["rung"], p["attempts"])
+                for p in rebuilt.points] == [(True, "dsos", ["dsos"])] * 4
+        assert _outcomes(rebuilt) == _outcomes(parametric)
 
 
 # ----------------------------------------------------------------------
