@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 
@@ -27,11 +28,11 @@ from ..hybrid import HybridSystem, Mode
 from ..polynomial import ParametricPolynomial, Polynomial, VariableVector
 from ..sdp import SolveContext, cone_for_relaxation, relaxation_ladder
 from ..sos import (
+    DecreaseSamplingPlan,
     SemialgebraicSet,
     SOSProgram,
     SOSSolution,
     add_positivity_on_set,
-    validate_decrease_along_field,
     validate_nonnegativity,
 )
 from ..utils import get_logger
@@ -169,11 +170,7 @@ class MultipleLyapunovSynthesizer:
         indices = self.options.voltage_indices
         if indices is None:
             indices = range(len(state_vars) - 1)
-        poly = Polynomial.constant(state_vars, -float(radius) ** 2)
-        for i in indices:
-            xi = Polynomial.from_variable(state_vars[i], state_vars)
-            poly = poly + xi * xi
-        return poly
+        return _lock_tube(state_vars, float(radius), tuple(indices))
 
     def _compactness_constraints(self) -> Tuple[Polynomial, ...]:
         """The ball ``R^2 - ||x||^2 >= 0`` covering the state box (Putinar-style
@@ -181,13 +178,8 @@ class MultipleLyapunovSynthesizer:
         boxes = self.options.domain_boxes
         if boxes is None:
             return ()
-        state_vars = self.system.state_variables
-        radius_sq = sum(max(lo * lo, hi * hi) for lo, hi in boxes)
-        poly = Polynomial.constant(state_vars, float(radius_sq))
-        for v in state_vars:
-            xi = Polynomial.from_variable(v, state_vars)
-            poly = poly - xi * xi
-        return (poly,)
+        return (_compactness_ball(self.system.state_variables,
+                                  tuple((lo, hi) for lo, hi in boxes)),)
 
     def _decrease_domain(self, mode: Mode) -> SemialgebraicSet:
         """Domain for condition (b)."""
@@ -328,17 +320,20 @@ class MultipleLyapunovSynthesizer:
         return program
 
     def validate_certificate_decrease(self, certificates: Mapping[str, Polynomial],
-                                      num_samples: Optional[int] = None
-                                      ) -> List[object]:
+                                      plan: DecreaseSamplingPlan) -> List[object]:
         """Sampling-based decrease check of fixed certificates on every mode.
 
         The deterministic (seeded) companion of :meth:`decrease_probe_program`
         — a conic feasibility claim is only accepted once the extracted-level
         numeric check agrees, mirroring :meth:`_validate` without the
         positivity half (which is parameter-independent).
+
+        ``plan`` shares the drawn samples and the certificate gradients
+        between calls (a sweep shard passes one plan for all its points), so
+        each call evaluates only its own vector fields.
         """
         options = self.options
-        samples = options.validate_samples if num_samples is None else num_samples
+        samples = options.validate_samples
         if samples <= 0:
             return []
         bounds = options.domain_boxes
@@ -350,9 +345,8 @@ class MultipleLyapunovSynthesizer:
             certificate = certificates[mode.name].with_variables(state_vars)
             decrease_domain = self._decrease_domain(mode)
             for k, field_polys in enumerate(self._mode_fields(mode)):
-                reports.append(validate_decrease_along_field(
-                    certificate, list(field_polys), decrease_domain, bounds,
-                    num_samples=samples,
+                reports.append(plan.validate_decrease(
+                    certificate, field_polys, decrease_domain, bounds, samples,
                     tolerance=options.validation_tolerance,
                     name=f"probe_decrease[{mode.name}#{k}]",
                 ))
@@ -450,6 +444,8 @@ class MultipleLyapunovSynthesizer:
         bounds = options.domain_boxes
         if bounds is None:
             bounds = [(-1.0, 1.0)] * self.system.num_states
+        # The vertex fields of one mode share its samples and gradient.
+        plan = DecreaseSamplingPlan()
         reports = []
         for mode in self.system.modes:
             cert = certificates[mode.name]
@@ -461,13 +457,36 @@ class MultipleLyapunovSynthesizer:
             ))
             decrease_domain = self._decrease_domain(mode)
             for k, field_polys in enumerate(self._mode_fields(mode)):
-                reports.append(validate_decrease_along_field(
-                    cert.certificate, list(field_polys), decrease_domain, bounds,
-                    num_samples=options.validate_samples,
+                reports.append(plan.validate_decrease(
+                    cert.certificate, field_polys, decrease_domain, bounds,
+                    options.validate_samples,
                     tolerance=options.validation_tolerance,
                     name=f"decrease[{mode.name}#{k}]",
                 ))
         return reports
+
+
+@lru_cache(maxsize=32)
+def _lock_tube(state_vars: VariableVector, radius: float,
+               indices: Tuple[int, ...]) -> Polynomial:
+    """``sum_{i in indices} x_i^2 - radius^2`` (built once per options)."""
+    poly = Polynomial.constant(state_vars, -radius ** 2)
+    for i in indices:
+        xi = Polynomial.from_variable(state_vars[i], state_vars)
+        poly = poly + xi * xi
+    return poly
+
+
+@lru_cache(maxsize=32)
+def _compactness_ball(state_vars: VariableVector,
+                      boxes: Tuple[Tuple[float, float], ...]) -> Polynomial:
+    """``R^2 - ||x||^2`` with ``R`` the radius of the ball covering ``boxes``."""
+    radius_sq = sum(max(lo * lo, hi * hi) for lo, hi in boxes)
+    poly = Polynomial.constant(state_vars, float(radius_sq))
+    for v in state_vars:
+        xi = Polynomial.from_variable(v, state_vars)
+        poly = poly - xi * xi
+    return poly
 
 
 def _compose_parametric(template: ParametricPolynomial,

@@ -10,10 +10,16 @@ with iterations
     z^{k+1} = Proj_K(x^{k+1} + u^k)
     u^{k+1} = u^k + x^{k+1} - z^{k+1}
 
-The x-update is an equality-constrained quadratic programme whose KKT matrix
-is constant across iterations, so it is factorised once (sparse LU with a
-small diagonal regularisation that also absorbs redundant equality rows).
-This is the same splitting used by SCS-style solvers, specialised to equality
+The x-update is the Euclidean projection of ``w = z - u - c/rho`` onto the
+affine set ``{Ax = b}``:
+
+    x = w - A^T (A A^T + rho*reg I)^{-1} (A w - b)
+
+This is the Schur complement of the x-update's KKT system
+``[[rho I, A^T], [A, -reg I]]`` (O'Donoghue et al., 2016), so only the m x m
+matrix ``A A^T + rho*reg I`` is factorised (sparse LU, once per ``rho``);
+the small regularisation ``reg`` absorbs redundant equality rows.  This is
+the same splitting used by SCS-style solvers, specialised to equality
 constraints plus cone membership, which is exactly the shape of SOS
 feasibility problems.
 """
@@ -68,7 +74,8 @@ def unpack_warm_start(warm_start: Optional[WarmStart],
     return arrays[0], arrays[1], arrays[2]
 
 
-#: Diagonal regularisation of the KKT matrix; also absorbs redundant rows.
+#: Diagonal regularisation of the x-update's KKT matrix, scaled by ``rho`` in
+#: its Schur complement; also absorbs redundant equality rows.
 KKT_REGULARIZATION = 1e-9
 #: Iterations between adaptive-``rho`` updates.
 RHO_UPDATE_INTERVAL = 100
@@ -93,12 +100,37 @@ INFEASIBILITY_REL_CHANGE = 1e-3
 INFEASIBILITY_STREAK = 2
 
 
-def kkt_matrix(A: sp.csc_matrix, rho: float) -> sp.csc_matrix:
-    """The x-update's KKT matrix ``[[rho I, A^T], [A, -reg I]]`` (CSC)."""
-    m, n = A.shape
-    upper = sp.hstack([rho * sp.identity(n, format="csc"), A.T])
-    lower = sp.hstack([A, -KKT_REGULARIZATION * sp.identity(m, format="csc")])
-    return sp.vstack([upper, lower]).tocsc()
+def schur_matrix(gram: sp.csc_matrix, rho: float) -> sp.csc_matrix:
+    """The x-update's m x m matrix ``A A^T + rho*reg I`` from ``gram = A A^T``.
+
+    The Schur complement of the KKT matrix ``[[rho I, A^T], [A, -reg I]]``
+    scaled by ``rho``; keeping the regularisation proportional to ``rho``
+    makes the projection exactly the KKT solve's.
+    """
+    shift = (rho * KKT_REGULARIZATION) * sp.identity(gram.shape[0], format="csc")
+    return (gram + shift).tocsc()
+
+
+def project_affine(factor, A: sp.csc_matrix, A_T: sp.csr_matrix, w: np.ndarray,
+                   b: np.ndarray) -> np.ndarray:
+    """The x-update ``w - A^T (A A^T + rho*reg I)^{-1} (A w - b)``.
+
+    ``factor`` is the factorised :func:`schur_matrix` of ``A`` at ``rho`` and
+    ``A_T`` is ``A.T``, formed once by the caller (a sparse transpose costs
+    more than the product).  ``w`` and ``b`` are vectors, or ``(n, k)`` and
+    ``(m, k)`` column stacks solved as one multi-RHS solve.
+    """
+    return w - A_T @ factor.solve(A @ w - b)
+
+
+#: Reason reported for a problem with a NaN or inf in ``c``, ``A`` or ``b``.
+NON_FINITE_REASON = "problem data is not finite"
+
+
+def has_finite_data(problem: ConicProblem) -> bool:
+    """Whether ``c``, ``A`` and ``b`` of ``problem`` are all finite."""
+    return bool(np.isfinite(problem.c).all() and np.isfinite(problem.b).all()
+                and np.isfinite(problem.A.data).all())
 
 
 @dataclass
@@ -144,25 +176,35 @@ class ADMMConicSolver:
             )
 
         n = problem.num_variables
-        m = problem.num_constraints
         dims = problem.dims
         c = problem.c
         A = problem.A.tocsc()
         b = problem.b
 
+        def numerical_error(reason: str) -> SolverResult:
+            return SolverResult(
+                status=SolverStatus.NUMERICAL_ERROR,
+                info={"reason": reason},
+                solve_time=time.perf_counter() - start,
+            )
+
+        # A NaN or inf would reach the stacked eigh of the cone projection.
+        if not has_finite_data(problem):
+            return numerical_error(NON_FINITE_REASON)
+
+        A_T = A.T
         rho = settings.rho
-        # The KKT matrix is refactorised when rho changes.
+        c_over_rho = c / rho
+        # The m x m Schur matrix is refactorised when rho changes.
+        gram = (A @ A_T).tocsc()
+
         def factorize(current_rho: float):
-            return NUMPY_BACKEND.kkt_factor(kkt_matrix(A, current_rho))
+            return NUMPY_BACKEND.kkt_factor(schur_matrix(gram, current_rho))
 
         try:
             lu = factorize(rho)
-        except RuntimeError as exc:  # pragma: no cover - singular KKT is pathological
-            return SolverResult(
-                status=SolverStatus.NUMERICAL_ERROR,
-                info={"reason": f"KKT factorization failed: {exc}"},
-                solve_time=time.perf_counter() - start,
-            )
+        except RuntimeError as exc:
+            return numerical_error(f"KKT factorization failed: {exc}")
 
         initial = unpack_warm_start(warm_start, n)
         if initial is not None:
@@ -171,11 +213,6 @@ class ADMMConicSolver:
             x = np.zeros(n)
             z = np.zeros(n)
             u = np.zeros(n)
-        # Persistent right-hand-side buffer: the only per-iteration allocation
-        # left on the x-update path is the triangular solve's own output.  The
-        # lower block is the constant b, written once.
-        rhs = np.empty(n + m)
-        rhs[n:] = b
         history = SolveHistory()
         status = SolverStatus.MAX_ITERATIONS
         # Stall detection: track the best primal residual seen so far and when it
@@ -190,13 +227,7 @@ class ADMMConicSolver:
 
         iteration = 0
         for iteration in range(1, settings.max_iterations + 1):
-            rhs_x = rhs[:n]
-            rhs_x[:] = z
-            rhs_x -= u
-            rhs_x *= rho
-            rhs_x -= c
-            sol = lu.solve(rhs)
-            x = sol[:n]
+            x = project_affine(lu, A, A_T, z - u - c_over_rho, b)
             x_relaxed = alpha * x + (1.0 - alpha) * z
             z_prev = z
             z = project_onto_cone(x_relaxed + u, dims)
@@ -247,14 +278,20 @@ class ADMMConicSolver:
                 break
 
             if iteration % RHO_UPDATE_INTERVAL == 0:
+                previous_rho = rho
                 if primal_residual > 10.0 * dual_residual and rho < 1e6:
                     rho *= 2.0
                     u /= 2.0
-                    lu = factorize(rho)
                 elif dual_residual > 10.0 * primal_residual and rho > 1e-6:
                     rho /= 2.0
                     u *= 2.0
-                    lu = factorize(rho)
+                if rho != previous_rho:
+                    c_over_rho = c / rho
+                    try:
+                        lu = factorize(rho)
+                    except RuntimeError as exc:
+                        # The batch solver ends such a member the same way.
+                        return numerical_error(f"KKT factorization failed: {exc}")
 
         # Report the cone-feasible iterate z (it satisfies the cone exactly and
         # Ax = b approximately through x ≈ z).

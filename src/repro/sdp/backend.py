@@ -1,9 +1,11 @@
 """The dense and sparse factorisation kernels of the conic-solver hot loops.
 
-Every stacked ``eigh`` of the PSD cone projection and every KKT
-factorisation of the single and batched ADMM loops goes through
-the one :data:`NUMPY_BACKEND` instance, so a profiler or a test can observe
-exactly those calls by wrapping the two :class:`NumpyBackend` methods.
+Every stacked ``eigh`` of the PSD cone projection and every factorisation
+of the x-update's m x m Schur matrix ``A A^T + rho*reg I`` (the Schur
+complement of its KKT system) in the single and batched ADMM loops goes
+through the one :data:`NUMPY_BACKEND` instance, so a profiler or a test can
+observe exactly those calls by wrapping the two :class:`NumpyBackend`
+methods.
 """
 
 from __future__ import annotations
@@ -22,9 +24,10 @@ class NumpyBackend:
         """Eigendecomposition of a stack of symmetric matrices."""
         return np.linalg.eigh(matrices)
 
-    def kkt_factor(self, kkt: sp.spmatrix) -> spla.SuperLU:
-        """LU-factorise a sparse KKT matrix; ``solve(rhs)`` on the result."""
-        return spla.splu(kkt.tocsc())
+    def kkt_factor(self, matrix: sp.spmatrix) -> spla.SuperLU:
+        """LU-factorise the x-update's sparse Schur matrix; ``solve(rhs)`` on
+        the result."""
+        return spla.splu(matrix.tocsc())
 
 
 #: The instance every solver loop calls through.

@@ -9,13 +9,14 @@ the per-iteration Python and LAPACK dispatch overhead ``B`` times over.
 operator-splitting iteration as :class:`~repro.sdp.admm.ADMMConicSolver`:
 
 * the iterates live in ``(B, n)`` row-contiguous arrays, one problem per row;
-* the x-update solves each active row against the KKT factor of its own
-  ``(A, rho)`` pair: problems whose presolved ``A`` is bitwise equal form
-  one group, each distinct (group, ``rho``) pair is factorised once with the
-  matrix :class:`ADMMConicSolver` factorises, and the rows of one pair are
-  solved as one multi-RHS solve.  A factor is kept only while an active
-  problem still uses it, and a factorisation failure ends just the problems
-  of that pair with ``NUMERICAL_ERROR``;
+* the x-update projects each active row onto its own ``{Ax = b}`` through
+  the m x m Schur matrix ``A A^T + rho*reg I`` of its ``(A, rho)`` pair:
+  problems whose presolved ``A`` is bitwise equal form one group, each
+  distinct (group, ``rho``) pair is factorised once with the matrix
+  :class:`ADMMConicSolver` factorises, and the rows of one pair are solved
+  as one multi-RHS solve between two sparse products with ``A``.  A factor
+  is kept only while an active problem still uses it, and a factorisation
+  failure ends just the problems of that pair with ``NUMERICAL_ERROR``;
 * the z-update projects all PSD blocks of all problems through one stacked
   ``eigh`` (:func:`~repro.sdp.cones.project_onto_cone_many`);
 * residuals, tolerances, stall detection and adaptive-``rho`` updates are
@@ -23,10 +24,12 @@ operator-splitting iteration as :class:`~repro.sdp.admm.ADMMConicSolver`:
   their state rows keep their last iterate.
 
 There is **no cross-problem coupling**: each problem runs exactly the
-iteration of a standalone :class:`ADMMConicSolver.solve` (same KKT matrix,
+iteration of a standalone :class:`ADMMConicSolver.solve` (same Schur matrix,
 same ``splu``), so per-problem iterates, statuses and iteration counts match
-the serial solver bit for bit.  Batches whose members differ in cone
-dimensions fall back to serial solves.
+the serial solver bit for bit.  A problem whose data holds a NaN or inf ends
+with ``NUMERICAL_ERROR`` before the loop instead of poisoning the stacked
+``eigh``.  Batches whose members differ in cone dimensions fall back to
+serial solves.
 """
 
 from __future__ import annotations
@@ -43,13 +46,16 @@ from .admm import (
     INFEASIBILITY_MIN_ITERATION,
     INFEASIBILITY_REL_CHANGE,
     INFEASIBILITY_STREAK,
+    NON_FINITE_REASON,
     OVER_RELAXATION,
     RHO_UPDATE_INTERVAL,
     STALL_IMPROVEMENT,
     ADMMConicSolver,
     ADMMSettings,
     WarmStart,
-    kkt_matrix,
+    has_finite_data,
+    project_affine,
+    schur_matrix,
     unpack_warm_start,
 )
 from .backend import NUMPY_BACKEND
@@ -113,6 +119,13 @@ class BatchADMMSolver:
                     solve_time=time.perf_counter() - start,
                 )
                 continue
+            if not has_finite_data(scaled):
+                results[i] = SolverResult(
+                    status=SolverStatus.NUMERICAL_ERROR,
+                    info={"reason": NON_FINITE_REASON},
+                    solve_time=time.perf_counter() - start,
+                )
+                continue
             prepped.append((i, problem, scaled, scaling))
         if not prepped:
             return results  # type: ignore[return-value]
@@ -121,7 +134,7 @@ class BatchADMMSolver:
         batch = len(prepped)
         # Problems whose presolved A is bitwise equal (a sweep in b, or a
         # parametric family whose parameter enters b only) form one group
-        # and share its KKT factors.
+        # and share its Schur factors.
         group_of = np.zeros(batch, dtype=np.int64)
         group_keys: Dict[tuple, int] = {}
         unique_A: List[sp.csc_matrix] = []
@@ -132,6 +145,8 @@ class BatchADMMSolver:
             if group == len(unique_A):
                 unique_A.append(A)
             group_of[col] = group
+        transposes = [A.T for A in unique_A]
+        grams = [(A @ A_T).tocsc() for A, A_T in zip(unique_A, transposes)]
 
         # Row-contiguous (B, n) state; each problem is one row.
         C = np.zeros((batch, n))
@@ -160,7 +175,7 @@ class BatchADMMSolver:
         histories = [SolveHistory() for _ in range(batch)]
         numerical_failures: Dict[int, str] = {}
 
-        # One KKT factor per (A group, rho) pair that an active problem uses:
+        # One Schur factor per (A group, rho) pair that an active problem uses:
         # the matrix ADMMConicSolver.solve factorises for that problem at that
         # rho.  A factor leaves the cache once no active problem uses it.
         factors: Dict[Tuple[int, float], object] = {}
@@ -168,9 +183,10 @@ class BatchADMMSolver:
         def plan_epoch(active: np.ndarray, iteration: int):
             """Factor the active set's (A group, rho) pairs.
 
-            Returns the pairs as ``(factor, positions in active, rhs buffer)``
-            plus the columns whose factorisation failed (they end
-            ``NUMERICAL_ERROR`` at ``iteration``, like the serial solver).
+            Returns the pairs as ``(factor, A, A.T, positions in active,
+            (m, k) right-hand sides b)`` plus the columns whose factorisation
+            failed (they end ``NUMERICAL_ERROR`` at ``iteration``, like the
+            serial solver).
             """
             wanted: Dict[Tuple[int, float], List[int]] = {}
             for position, col in enumerate(active):
@@ -180,11 +196,11 @@ class BatchADMMSolver:
             pairs, failed = [], []
             for key, positions in wanted.items():
                 cols = active[positions]
+                group, rho_value = key
                 lu = factors.get(key)
                 if lu is None:
-                    group, rho_value = key
                     try:
-                        lu = NUMPY_BACKEND.kkt_factor(kkt_matrix(unique_A[group], rho_value))
+                        lu = NUMPY_BACKEND.kkt_factor(schur_matrix(grams[group], rho_value))
                     except RuntimeError as exc:
                         for col in cols:
                             numerical_failures[int(col)] = f"KKT factorization failed: {exc}"
@@ -193,11 +209,9 @@ class BatchADMMSolver:
                         failed.extend(cols)
                         continue
                     factors[key] = lu
-                # Fortran-ordered (n + m, k) right-hand sides, the layout
-                # SuperLU solves; the lower block is the constant b.
-                rhs = np.empty((n + unique_A[key[0]].shape[0], len(cols)), order="F")
-                rhs[n:] = np.stack([b_rows[col] for col in cols], axis=1)
-                pairs.append((lu, np.asarray(positions), rhs))
+                b_cols = np.stack([b_rows[col] for col in cols], axis=1)
+                pairs.append((lu, unique_A[group], transposes[group],
+                              np.asarray(positions), b_cols))
             return pairs, failed
 
         # Every termination criterion is checked every iteration; finished
@@ -206,7 +220,7 @@ class BatchADMMSolver:
         active = np.arange(batch)
         epoch_key: Optional[tuple] = None
         pairs: list = []
-        rho_act = C_act = None
+        C_act = C_over_rho = None
 
         for iteration in range(1, settings.max_iterations + 1):
             # The factors change only when the active set or a rho does.
@@ -216,18 +230,17 @@ class BatchADMMSolver:
                     active = active[~np.isin(active, failed)]
                     continue
                 epoch_key = (active.tobytes(), rho[active].tobytes())
-                rho_act = rho[active][:, None]
                 C_act = C[active]
+                C_over_rho = C_act / rho[active][:, None]
             if active.size == 0:
                 break
 
-            # x-update: each active row against its own (A group, rho) factor,
-            # one multi-RHS solve per pair.
-            W = rho_act * (Z[active] - U[active]) - C_act
+            # x-update: each active row projected through its own (A group,
+            # rho) factor, one multi-RHS solve per pair.
+            W = Z[active] - U[active] - C_over_rho
             x_act = np.empty_like(W)
-            for lu, positions, rhs in pairs:
-                rhs[:n] = W[positions].T
-                x_act[positions] = lu.solve(rhs)[:n].T
+            for lu, A, A_T, positions, b_cols in pairs:
+                x_act[positions] = project_affine(lu, A, A_T, W[positions].T, b_cols).T
             X[active] = x_act
 
             act = active

@@ -88,7 +88,7 @@ def solve_conic_problems(problems: Sequence[ConicProblem],
 
     Two or more uncached problems go through
     :class:`~repro.sdp.batch.BatchADMMSolver` — one iteration loop, stacked
-    cone projections, multi-RHS KKT solves and per-problem convergence
+    cone projections, multi-RHS x-update solves and per-problem convergence
     masking; a single one through :class:`~repro.sdp.admm.ADMMConicSolver`.
     Per-problem statuses match solving each problem alone.  ``context``
     selects the governing :class:`~repro.sdp.context.SolveContext` (the

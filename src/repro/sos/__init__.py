@@ -21,6 +21,7 @@ from .sprocedure import (
     interval_constraints,
 )
 from .validation import (
+    DecreaseSamplingPlan,
     ValidationReport,
     minimum_on_level_set,
     sample_box,
@@ -48,6 +49,7 @@ __all__ = [
     "interval_constraints",
     "ball_constraint",
     "ValidationReport",
+    "DecreaseSamplingPlan",
     "validate_nonnegativity",
     "validate_decrease_along_field",
     "minimum_on_level_set",

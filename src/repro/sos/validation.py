@@ -16,11 +16,11 @@ search engine, the returned certificate is what carries the proof.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..polynomial import Polynomial
+from ..polynomial import Polynomial, PolynomialStack
 from .sprocedure import SemialgebraicSet
 
 
@@ -94,17 +94,23 @@ def validate_nonnegativity(
         in_domain = points[domain.contains_many(points)]
     else:
         in_domain = points
-    if in_domain.shape[0] == 0:
+    return _minimum_report(name, num_samples, in_domain,
+                           polynomial.evaluate_many(in_domain), tolerance)
+
+
+def _minimum_report(name: str, num_samples: int, points: np.ndarray,
+                    values: np.ndarray, tolerance: float) -> ValidationReport:
+    """The report of ``values`` at the in-domain ``points`` (vacuous when empty)."""
+    if points.shape[0] == 0:
         return ValidationReport(name=name, num_samples=num_samples, num_in_domain=0,
                                 min_value=float("inf"), argmin=None, tolerance=tolerance)
-    values = polynomial.evaluate_many(in_domain)
     idx = int(np.argmin(values))
     return ValidationReport(
         name=name,
         num_samples=num_samples,
-        num_in_domain=int(in_domain.shape[0]),
+        num_in_domain=int(points.shape[0]),
         min_value=float(values[idx]),
-        argmin=in_domain[idx],
+        argmin=points[idx],
         tolerance=tolerance,
     )
 
@@ -123,6 +129,64 @@ def validate_decrease_along_field(
     lie = certificate.lie_derivative(list(vector_field))
     return validate_nonnegativity(-lie, domain, bounds, num_samples=num_samples,
                                   tolerance=tolerance, seed=seed, name=name)
+
+
+def _polynomial_key(poly: Polynomial) -> tuple:
+    """Exact content key of a polynomial: its variables and term arrays."""
+    exponents = poly.exponent_matrix
+    return (poly.variables.names, exponents.shape, exponents.tobytes(),
+            poly.coefficient_array.tobytes())
+
+
+class DecreaseSamplingPlan:
+    """:func:`validate_decrease_along_field` with its samples drawn once.
+
+    Drawing the samples, filtering them by the domain and evaluating the
+    certificate gradient depend only on the certificate, the domain, the
+    bounds and the sample count; the plan does that once per distinct
+    combination and evaluates each check's vector field at the kept samples.
+    Checks that differ only in the field (the vertex fields of one mode, or
+    the points of a parameter sweep) share one draw.  The key is the *content* of the certificate and of the
+    domain's polynomials, so a check whose domain moves (say, with a swept
+    flow set) draws its own samples.
+    """
+
+    def __init__(self) -> None:
+        self._draws: Dict[tuple, Tuple[np.ndarray, np.ndarray]] = {}
+
+    def __len__(self) -> int:
+        return len(self._draws)
+
+    def validate_decrease(
+        self,
+        certificate: Polynomial,
+        vector_field: Sequence[Polynomial],
+        domain: Optional[SemialgebraicSet],
+        bounds: Sequence[Tuple[float, float]],
+        num_samples: int,
+        tolerance: float,
+        name: str,
+    ) -> ValidationReport:
+        """The report of :func:`validate_decrease_along_field` (seed 0), from
+        ``-grad V . f`` at the plan's samples."""
+        domain_key = None if domain is None else (
+            domain.variables.names,
+            tuple(_polynomial_key(g) for g in domain.inequalities),
+            tuple(_polynomial_key(h) for h in domain.equalities))
+        key = (_polynomial_key(certificate), domain_key,
+               tuple((float(lo), float(hi)) for lo, hi in bounds), int(num_samples))
+        draw = self._draws.get(key)
+        if draw is None:
+            points = sample_box(bounds, num_samples, seed=0)
+            if domain is not None:
+                points = points[domain.contains_many(points)]
+            gradient = PolynomialStack(certificate.gradient(),
+                                       certificate.variables).evaluate_many(points)
+            draw = self._draws[key] = (points, gradient)
+        points, gradient = draw
+        field = PolynomialStack(vector_field, certificate.variables).evaluate_many(points)
+        return _minimum_report(name, num_samples, points,
+                               -np.einsum("ij,ij->i", gradient, field), tolerance)
 
 
 def minimum_on_level_set(

@@ -13,7 +13,9 @@ point.  Per point, acceptance mirrors the synthesis pipeline's ladder:
 
 1. deterministic sampling validation of the Lie-derivative decrease at the
    point's dynamics (seeded, pure NumPy — the decisive gate, and a cheap
-   filter that skips conic solves in clearly-degraded regions);
+   filter that skips conic solves in clearly-degraded regions).  The shard
+   draws the samples and evaluates the certificate gradients once per mode
+   and decrease domain; each point evaluates only its own vector fields;
 2. a conic decrease-probe solve per ladder rung; cheap rungs (dsos/sdsos/
    chordal) are accepted only when the recovered Gram certificates are
    numerically sound in the full PSD sense, measured against the point's own
@@ -50,7 +52,7 @@ from ..core.lyapunov import (
 from ..engine.serialize import certificates_from_data
 from ..scenarios.registry import build_problem
 from ..sdp import SolveContext, cone_for_relaxation
-from ..sos import MultiParametricSOSProgram, ParametricProgramError
+from ..sos import DecreaseSamplingPlan, MultiParametricSOSProgram, ParametricProgramError
 from ..utils import get_logger
 
 LOGGER = get_logger("sweep.probe")
@@ -176,7 +178,10 @@ def run_sweep_shard(payload: Dict[str, object], context: SolveContext
         return structures[rung]
 
     # Phase 1: sampling validation of every point.  Points that pass it
-    # (or are not sampled) are pending on the ladder's first rung.
+    # (or are not sampled) are pending on the ladder's first rung.  The
+    # samples and certificate gradients are drawn once per mode and decrease
+    # domain for the whole shard; each point evaluates only its own fields.
+    sampling_plan = DecreaseSamplingPlan()
     outcomes: List[Dict[str, object]] = []
     pending: List[tuple] = []   # (outcome, params, validated, solver settings)
     for entry in payload["points"]:
@@ -188,7 +193,8 @@ def run_sweep_shard(payload: Dict[str, object], context: SolveContext
         settings.update(probe_settings)
 
         synthesizer = _synthesizer(problem, context)
-        reports = synthesizer.validate_certificate_decrease(certificates)
+        reports = synthesizer.validate_certificate_decrease(
+            certificates, plan=sampling_plan)
         # With sampling disabled (validate_samples=0) the conic solve is the
         # only evidence, so the final rung then demands full convergence
         # instead of accepting any candidate.

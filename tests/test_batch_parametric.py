@@ -4,6 +4,8 @@ level-set maximiser."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from repro.core import LevelSetMaximizer, LevelSetOptions
 from repro.core.inclusion import (
@@ -24,6 +26,7 @@ from repro.sdp import (
     project_onto_cone_many,
     solve_conic_problems,
 )
+from repro.sdp.admm import KKT_REGULARIZATION, project_affine, schur_matrix
 from repro.sdp.backend import NUMPY_BACKEND
 from repro.sdp.scaling import presolve
 from repro.sos import (
@@ -172,12 +175,14 @@ def _coupled_problem(rhs_nonneg, coupling, cost):
     return builder.build()
 
 
-def _kkt_key(kkt, n):
-    """``(rho, A)`` of a KKT matrix ``[[rho I, A^T], [A, -reg I]]``."""
-    kkt = kkt.tocsc()
-    A = kkt[n:, :n].tocsc()
-    return (float(kkt[0, 0]), A.shape, A.indptr.tobytes(),
-            A.indices.tobytes(), A.data.tobytes())
+def _csc_bytes(matrix):
+    matrix = matrix.tocsc()
+    return (matrix.shape, matrix.indptr.tobytes(), matrix.indices.tobytes(),
+            matrix.data.tobytes())
+
+
+def _presolved_A(problem):
+    return presolve(problem)[0].A.tocsc()
 
 
 class TestBatchPerPairFactors:
@@ -186,16 +191,22 @@ class TestBatchPerPairFactors:
     def _problems(self):
         return [_coupled_problem(*case) for case in DIVERGING_CASES]
 
-    def _spy_factor(self, monkeypatch, n, fail_for=None):
+    def _spy_factor(self, monkeypatch, fail_problem=None, fail_call=None):
+        """Record the bytes of every factored matrix.  Raise for
+        ``fail_problem``'s first Schur matrix (at the initial rho) or on the
+        ``fail_call``-th factorisation (1-based)."""
         original = NUMPY_BACKEND.kkt_factor
+        fail_key = None
+        if fail_problem is not None:
+            A = _presolved_A(fail_problem)
+            fail_key = _csc_bytes(schur_matrix((A @ A.T).tocsc(), DIVERGING_SETTINGS.rho))
         keys = []
 
-        def kkt_factor(kkt):
-            key = _kkt_key(kkt, n)
-            keys.append(key)
-            if fail_for is not None and key[1:] == fail_for:
+        def kkt_factor(matrix):
+            keys.append(_csc_bytes(matrix))
+            if keys[-1] == fail_key or len(keys) == fail_call:
                 raise RuntimeError("injected singular KKT")
-            return original(kkt)
+            return original(matrix)
 
         monkeypatch.setattr(NUMPY_BACKEND, "kkt_factor", kkt_factor)
         return keys
@@ -214,27 +225,29 @@ class TestBatchPerPairFactors:
 
     def test_one_factor_per_distinct_pair(self, monkeypatch):
         problems = self._problems()
-        keys = self._spy_factor(monkeypatch, problems[0].dims.total)
+        keys = self._spy_factor(monkeypatch)
+        # (A group, factored matrix) of every serial factorisation; the
+        # matrix bytes identify rho within a group.
+        groups = {}
+        serial_pairs = set()
         for problem in problems:
+            group = groups.setdefault(_csc_bytes(_presolved_A(problem)), len(groups))
+            keys.clear()
             ADMMConicSolver(DIVERGING_SETTINGS).solve(problem)
-        serial_pairs = set(keys)
-        assert len({key[1:] for key in serial_pairs}) >= 2  # A groups
+            serial_pairs.update((group, key) for key in keys)
+        assert len(groups) >= 2
         keys.clear()
         BatchADMMSolver(DIVERGING_SETTINGS).solve_batch(problems)
         assert len(keys) == len(serial_pairs)
-        assert set(keys) == serial_pairs
+        assert sorted(keys) == sorted(key for _, key in serial_pairs)
 
     def test_factor_failure_ends_only_its_member(self, monkeypatch):
         problems = self._problems()
-        faulty = _coupled_problem(1.0, 3.0, 1.0)  # its own A group
-        scaled, _ = presolve(faulty)
-        A = scaled.A.tocsc()
-        fail_for = (A.shape, A.indptr.tobytes(), A.indices.tobytes(),
-                    A.data.tobytes())
+        faulty = _coupled_problem(1.0, 3.0, 1.0)  # its own A and A A^T
+        members = problems[:2] + [faulty] + problems[2:]
         serial = [ADMMConicSolver(DIVERGING_SETTINGS).solve(p) for p in problems]
-        self._spy_factor(monkeypatch, faulty.dims.total, fail_for=fail_for)
-        batch = BatchADMMSolver(DIVERGING_SETTINGS).solve_batch(
-            problems[:2] + [faulty] + problems[2:])
+        self._spy_factor(monkeypatch, fail_problem=faulty)
+        batch = BatchADMMSolver(DIVERGING_SETTINGS).solve_batch(members)
         failed = batch.pop(2)
         assert failed.status == SolverStatus.NUMERICAL_ERROR
         assert failed.x is None
@@ -243,6 +256,60 @@ class TestBatchPerPairFactors:
             assert got.status == expected.status
             assert got.iterations == expected.iterations
             np.testing.assert_array_equal(got.x, expected.x)
+
+    def test_serial_refactorization_failure_matches_batch(self, monkeypatch):
+        # This problem raises rho, so its second factorisation is a
+        # refactorisation inside the loop.
+        problem = self._problems()[3]
+        keys = self._spy_factor(monkeypatch, fail_call=2)
+        serial = ADMMConicSolver(DIVERGING_SETTINGS).solve(problem)
+        assert len(keys) == 2
+        keys.clear()
+        batch, = BatchADMMSolver(DIVERGING_SETTINGS).solve_batch([problem])
+        assert len(keys) == 2
+        for result in (serial, batch):
+            assert result.status == SolverStatus.NUMERICAL_ERROR
+            assert result.x is None
+            assert "injected singular KKT" in result.info["reason"]
+
+    def test_non_finite_member_fails_alone(self):
+        problems = self._problems()[:3]
+        poisoned = _coupled_problem(1.0, 0.5, 0.0)
+        poisoned.b[0] = np.nan
+        members = problems[:1] + [poisoned] + problems[1:]
+        serial = [ADMMConicSolver(DIVERGING_SETTINGS).solve(p) for p in members]
+        batch = BatchADMMSolver(DIVERGING_SETTINGS).solve_batch(members)
+        for results in (serial, batch):
+            failed = results.pop(1)
+            assert failed.status == SolverStatus.NUMERICAL_ERROR
+            assert failed.x is None
+        for expected, got in zip(serial, batch):
+            assert got.status == expected.status
+            assert got.iterations == expected.iterations
+            np.testing.assert_array_equal(got.x, expected.x)
+
+
+class TestSchurXUpdate:
+    """The m x m x-update equals the (n + m) KKT solve it replaces."""
+
+    @pytest.mark.parametrize("rho", [1e-6, 1.0, 1e6])
+    def test_matches_kkt_solve_with_redundant_row(self, rho):
+        rng = np.random.default_rng(7)
+        n = 12
+        rows = rng.standard_normal((3, n))
+        rows[rows < -0.8] = 0.0
+        # The third row is the sum of the first two, with a consistent b.
+        A = sp.csc_matrix(np.vstack([rows[:2], rows[0] + rows[1], rows[2]]))
+        b = np.array([0.3, -1.2, 0.3 - 1.2, 0.7])
+        w = rng.standard_normal(n)
+        factor = NUMPY_BACKEND.kkt_factor(schur_matrix((A @ A.T).tocsc(), rho))
+        x = project_affine(factor, A, A.T, w, b)
+
+        m = A.shape[0]
+        kkt = sp.bmat([[rho * sp.identity(n), A.T],
+                       [A, -KKT_REGULARIZATION * sp.identity(m)]], format="csc")
+        reference = spla.spsolve(kkt, np.concatenate([rho * w, b]))[:n]
+        assert np.linalg.norm(x - reference) <= 1e-10 * np.linalg.norm(reference)
 
 
 class TestParametricSOSProgram:

@@ -367,6 +367,117 @@ class TestSweepBatching:
 
 
 # ----------------------------------------------------------------------
+# Decrease samples drawn once per shard
+# ----------------------------------------------------------------------
+def _pll3_test_certificates(problem):
+    """Arbitrary quartic certificates, one per pll3 mode: the reuse under
+    test is sampling arithmetic, which any fixed polynomials exercise."""
+    from repro.polynomial import Polynomial
+
+    state_vars = problem.system.state_variables
+    rng = np.random.default_rng(3)
+    certificates = {}
+    for mode in problem.system.modes:
+        M = rng.standard_normal((len(state_vars), len(state_vars)))
+        quadratic = Polynomial.from_quadratic_form(
+            state_vars, M @ M.T + np.eye(len(state_vars)))
+        certificates[mode.name] = quadratic + 0.1 * quadratic * quadratic
+    return certificates
+
+
+def _reference_reports(synthesizer, certificates, prefix="probe_decrease"):
+    """Per-point decrease checks through the symbolic Lie derivative."""
+    from repro.sos import validate_decrease_along_field
+
+    options = synthesizer.options
+    state_vars = synthesizer.system.state_variables
+    reports = []
+    for mode in synthesizer.system.modes:
+        domain = synthesizer._decrease_domain(mode)
+        for k, field in enumerate(synthesizer._mode_fields(mode)):
+            reports.append(validate_decrease_along_field(
+                certificates[mode.name].with_variables(state_vars), list(field),
+                domain, options.domain_boxes,
+                num_samples=options.validate_samples,
+                tolerance=options.validation_tolerance,
+                name=f"{prefix}[{mode.name}#{k}]"))
+    return reports
+
+
+def _assert_reports_match(got, expected):
+    assert len(got) == len(expected)
+    for report, reference in zip(got, expected):
+        assert report.name == reference.name
+        assert report.num_samples == reference.num_samples
+        assert report.num_in_domain == reference.num_in_domain
+        assert report.passed == reference.passed
+        assert report.tolerance == reference.tolerance
+        assert report.min_value == pytest.approx(reference.min_value, rel=1e-12)
+        if reference.argmin is None:
+            assert report.argmin is None
+        else:
+            np.testing.assert_array_equal(report.argmin, reference.argmin)
+
+
+class TestDecreaseSamplingPlan:
+    def test_ladder_points_match_per_point_reference(self):
+        from repro.core.lyapunov import MultipleLyapunovSynthesizer
+        from repro.sos import DecreaseSamplingPlan
+
+        family = get_sweep_family("pll3_ip_ladder").reconfigure(samples=12)
+        certificates = _pll3_test_certificates(build_problem("pll3"))
+        plan = DecreaseSamplingPlan()
+        for point in family.points():
+            problem = build_problem("pll3", params=dict(point.params))
+            problem.fill_option_defaults()
+            synthesizer = MultipleLyapunovSynthesizer(
+                problem.system, options=problem.options.lyapunov)
+            reports = synthesizer.validate_certificate_decrease(
+                certificates, plan=plan)
+            assert reports
+            _assert_reports_match(
+                reports, _reference_reports(synthesizer, certificates))
+        # One draw per mode: i_p moves the fields, not the decrease domains.
+        assert len(plan) == len(certificates)
+
+    def test_distinct_domains_draw_their_own_samples(self):
+        from dataclasses import replace
+
+        from repro.core.lyapunov import MultipleLyapunovSynthesizer
+        from repro.sos import DecreaseSamplingPlan
+
+        problem = build_problem("pll3").fill_option_defaults()
+        certificates = _pll3_test_certificates(problem)
+        plan = DecreaseSamplingPlan()
+        for radius in (0.8, 0.5, 0.8):
+            options = replace(problem.options.lyapunov, lock_tube_radius=radius)
+            synthesizer = MultipleLyapunovSynthesizer(problem.system, options=options)
+            _assert_reports_match(
+                synthesizer.validate_certificate_decrease(certificates, plan=plan),
+                _reference_reports(synthesizer, certificates))
+        assert len(plan) == 2 * len(certificates)
+
+    def test_synthesis_validation_matches_reference(self):
+        from repro.core.lyapunov import ModeCertificate, MultipleLyapunovSynthesizer
+
+        problem = build_problem("pll3").fill_option_defaults()
+        certificates = _pll3_test_certificates(problem)
+        synthesizer = MultipleLyapunovSynthesizer(
+            problem.system, options=problem.options.lyapunov)
+        state_vars = synthesizer.system.state_variables
+        mode_certificates = {
+            mode.name: ModeCertificate(
+                mode_name=mode.name,
+                certificate=certificates[mode.name].with_variables(state_vars),
+                domain=synthesizer._mode_domain(mode))
+            for mode in synthesizer.system.modes}
+        reports = [report for report in synthesizer._validate(mode_certificates)
+                   if report.name.startswith("decrease[")]
+        _assert_reports_match(
+            reports, _reference_reports(synthesizer, certificates, prefix="decrease"))
+
+
+# ----------------------------------------------------------------------
 # Cache telemetry surfaces (satellite: hit rates in reports)
 # ----------------------------------------------------------------------
 class TestCacheTelemetry:
