@@ -14,18 +14,24 @@ certificate coordinates, and test the claims directly —
 
 A failed check is reported as a :class:`FalsificationFinding` with the
 offending trajectory so it can be inspected or turned into a regression test.
+
+The trajectories come from forward Euler on the relay abstraction, whose
+mode fields are affine.  :func:`simulate_relay_abstraction` propagates them
+exactly many steps at a time: within one mode, ``j`` Euler steps are one
+precomputed affine map, and a block ends at the first state that switches
+mode.  The result differs from the step-by-step recursion only by rounding.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.attractive import AttractiveInvariant
 from ..pll.model import PLLVerificationModel
-from ..polynomial import PolynomialStack
+from ..polynomial import Polynomial
 
 RelayTrajectory = np.ndarray  # shape (steps + 1, n) or (B, steps + 1, n)
 
@@ -49,6 +55,63 @@ def _step_count(duration: float, dt: float) -> int:
     return int(round(duration / dt))
 
 
+#: Steps one iteration of the relay integrator advances a row at most.
+_BLOCK_STEPS = 256
+
+#: The integrator's mode order: index 0 is ``e > 0``, 1 is ``e < 0`` and 2
+#: is the ``e = 0`` sliding surface.
+_RELAY_MODES = ("mode2", "mode3", "mode1")
+
+
+def _relay_mode(e: np.ndarray) -> np.ndarray:
+    """Index into :data:`_RELAY_MODES` of the mode the sign of ``e`` picks."""
+    return 2 - 2 * (e > 0) - (e < 0)
+
+
+def _affine_field(name: str, field: Sequence[Polynomial],
+                  variables) -> Tuple[np.ndarray, np.ndarray]:
+    """``(A, b)`` with ``field(x) = A x + b``, read from the coefficients."""
+    units = np.eye(len(variables), dtype=int)
+    linear, offset = [], []
+    for component in field:
+        component = component.with_variables(variables)
+        if component.degree > 1:
+            raise ValueError(
+                f"the relay abstraction needs affine mode fields, but {name} "
+                f"has degree {component.degree}")
+        linear.append([component.coefficient(unit) for unit in units])
+        offset.append(component.constant_term())
+    return np.array(linear), np.array(offset)
+
+
+def _block_maps(model: PLLVerificationModel,
+                dt: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Every mode's first :data:`_BLOCK_STEPS` Euler steps as affine maps.
+
+    Returns ``powers`` of shape ``(3, L, n, n)`` and ``offsets`` of shape
+    ``(3, L, n)`` in :data:`_RELAY_MODES` order: ``j`` steps in mode ``m``
+    take ``x`` to ``powers[m, j-1] @ x + offsets[m, j-1]``, that is
+    ``M^j x + Σ_{i<j} M^i dt b`` with ``M = I + dt A``.
+    """
+    fields = model.nominal_fields()
+    variables = model.state_variables
+    n = len(variables)
+    powers = np.empty((3, _BLOCK_STEPS, n, n))
+    offsets = np.empty((3, _BLOCK_STEPS, n))
+    for m, name in enumerate(_RELAY_MODES):
+        linear, offset = _affine_field(name, fields[name], variables)
+        powers[m, 0], offsets[m, 0] = np.eye(n) + dt * linear, dt * offset
+        # Doubling: a + b steps are b steps after a, so with the maps of
+        # 1..a steps known, those of a+1..2a follow in one stacked product.
+        a = 1
+        while a < _BLOCK_STEPS:
+            b = min(a, _BLOCK_STEPS - a)
+            powers[m, a:a + b] = powers[m, :b] @ powers[m, a - 1]
+            offsets[m, a:a + b] = powers[m, :b] @ offsets[m, a - 1] + offsets[m, :b]
+            a += b
+    return powers, offsets
+
+
 def simulate_relay_abstraction(model: PLLVerificationModel,
                                initial_state: Sequence[float],
                                duration: float = 60.0,
@@ -60,27 +123,43 @@ def simulate_relay_abstraction(model: PLLVerificationModel,
     is negative (mode 1 is a measure-zero sliding surface in this abstraction).
 
     ``initial_state`` is one state, giving a ``(steps + 1, n)`` trajectory, or
-    a ``(B, n)`` batch, giving ``(B, steps + 1, n)``.  The batch is integrated
-    together: each row picks its mode from the sign of its own ``e``.
+    a ``(B, n)`` batch, giving ``(B, steps + 1, n)``.
+
+    Every mode's field is affine, ``A_m x + b_m`` (a field of higher degree
+    raises ``ValueError``), so ``j`` Euler steps in one mode are the exact
+    affine map ``M_m^j x + Σ_{i<j} M_m^i dt b_m`` with ``M_m = I + dt A_m``.
+    Each iteration advances every unfinished row up to 256 steps through its
+    mode's precomputed maps, from its own state.  A row keeps the steps up to
+    and including the first state whose sign of ``e`` picks another mode,
+    and resumes from there in that mode.  So each row switches at its own
+    steps, independently of the rest of the batch, and visits the modes the
+    step-by-step recursion visits; the states differ from that recursion
+    only by rounding.
     """
-    fields = model.nominal_fields()
-    # The mode2, mode3 and mode1 fields in one stack: a step is a single
-    # evaluate_many over the batch, and each row then takes its mode's block.
-    stack = PolynomialStack(fields["mode2"] + fields["mode3"] + fields["mode1"],
-                            model.state_variables)
+    powers, offsets = _block_maps(model, dt)
     initial = np.asarray(initial_state, dtype=float)
-    state = np.atleast_2d(initial)
-    batch, n = state.shape
-    rows = np.arange(batch)
+    batch, n = np.atleast_2d(initial).shape
     steps = _step_count(duration, dt)
     trajectories = np.empty((batch, steps + 1, n))
-    trajectories[:, 0] = state
-    for k in range(steps):
-        e = state[:, -1]
-        mode = 2 - 2 * (e > 0) - (e < 0)  # 0: mode2 (e > 0), 1: mode3, 2: mode1
-        rates = stack.evaluate_many(state).reshape(batch, 3, n)[rows, mode]
-        state = state + dt * rates
-        trajectories[:, k + 1] = state
+    trajectories[:, 0] = initial
+    done = np.zeros(batch, dtype=int)  # steps each row has filled in
+    active = np.flatnonzero(done < steps)
+    while active.size:
+        x = trajectories[active, done[active]]
+        mode = _relay_mode(x[:, -1])
+        block = offsets[mode]  # fancy indexing copies
+        row_powers = powers[mode]
+        for k in range(n):
+            block += row_powers[..., k] * x[:, None, None, k]
+        # The sign of e picks the mode, so a sign change is a mode change.
+        switched = np.sign(block[:, :, -1]) != np.sign(x[:, -1:])
+        keep = np.where(switched.any(axis=1), switched.argmax(axis=1) + 1,
+                        _BLOCK_STEPS)
+        keep = np.minimum(keep, steps - done[active])
+        for row, start, count, states in zip(active, done[active], keep, block):
+            trajectories[row, start + 1:start + 1 + count] = states[:count]
+        done[active] += keep
+        active = active[done[active] < steps]
     return trajectories[0] if initial.ndim == 1 else trajectories
 
 

@@ -23,7 +23,8 @@ def build_frontier(family_config: Dict[str, object],
     """The deterministic frontier section of a sweep report.
 
     ``outcomes`` are the per-point dicts produced by the probe shards
-    (``index``/``params``/``certified``/``rung``/``sampling``), in any
+    (``index``/``params``/``certified``/``rung``/``sampling``, plus the
+    deciding ``probe`` of every point sampling did not reject), in any
     order; the frontier re-sorts by index.
     """
     points = sorted((dict(outcome) for outcome in outcomes),

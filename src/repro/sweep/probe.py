@@ -26,7 +26,10 @@ point.  Per point, acceptance mirrors the synthesis pipeline's ladder:
 The shard validates every point first, then walks the ladder once: each rung
 solves the probes of all its pending points as one
 :meth:`~repro.sdp.SolveContext.solve_many` batch, and the points it does not
-certify move on to the next rung.
+certify move on to the next rung.  Every point that reaches the ladder
+records its deciding probe (the certifying one, or the last one tried) as
+``probe``: the solve's ``status``, ``iterations`` and ``primal_residual``.
+Acceptance does not read it; it shows how each verdict's solve ended.
 
 The conic data of each rung's probe family is decomposed affinely over the
 sweep axes by :class:`~repro.sos.parametric.MultiParametricSOSProgram`
@@ -234,6 +237,12 @@ def run_sweep_shard(payload: Dict[str, object], context: SolveContext
             for (outcome, params, validated, _), (_, program), result in \
                     zip(points, bound, results):
                 outcome["attempts"].append(rung)
+                # Overwritten per rung: what remains is the deciding probe.
+                outcome["probe"] = {
+                    "status": result.status.value,
+                    "iterations": int(result.iterations),
+                    "primal_residual": float(result.primal_residual),
+                }
                 accepted = result.x is not None and \
                     (validated or result.is_success or not final)
                 if accepted and not final:

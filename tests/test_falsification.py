@@ -11,7 +11,7 @@ from repro.analysis import (
     run_falsification,
     simulate_relay_abstraction,
 )
-from repro.analysis.falsification import _step_count
+from repro.analysis.falsification import _BLOCK_STEPS, _step_count
 from repro.core.attractive import AttractiveInvariant
 from repro.core.levelset import MaximizedLevelSet
 from repro.engine import certificates_to_data
@@ -50,6 +50,14 @@ def _scalar_reference(model, x0, duration, dt):
         state = state + dt * stacks[mode].evaluate(state)
         trajectory.append(state)
     return np.array(trajectory)
+
+
+def _assert_matches_reference(model, states, trajectories, duration):
+    """Same sign of ``e`` at every step as the per-step loop, states to 1e-9."""
+    for x0, trajectory in zip(states, trajectories):
+        reference = _scalar_reference(model, x0, duration, 1e-3)
+        assert np.array_equal(np.sign(trajectory[:, -1]), np.sign(reference[:, -1]))
+        np.testing.assert_allclose(trajectory, reference, rtol=0, atol=1e-9)
 
 
 def _rising_certificates(model, scale=1e3):
@@ -96,20 +104,74 @@ class TestBatchedIntegrator:
     def test_matches_per_state_scalar_loop(self, model, states):
         batch = simulate_relay_abstraction(model, states, duration=40.0)
         assert batch.shape == (6, 40001, 3)
-        for x0, trajectory in zip(states, batch):
-            reference = _scalar_reference(model, x0, 40.0, 1e-3)
-            np.testing.assert_allclose(trajectory, reference, rtol=0, atol=1e-9)
+        _assert_matches_reference(model, states, batch, 40.0)
+
+    @pytest.mark.parametrize(
+        "scenario", ["pll3_slow_corner", "pll3_uncertain", "pll3_weak_pump"])
+    def test_variant_matches_per_state_scalar_loop(self, scenario):
+        variant = build_problem(scenario)
+        assert variant.supports_falsification
+        model = variant.pll_model
+        states = random_initial_states(model, 4, rng=np.random.default_rng(0))
+        batch = simulate_relay_abstraction(model, states, duration=40.0)
+        _assert_matches_reference(model, states, batch, 40.0)
 
     def test_single_state_keeps_its_shape(self, model, states):
         single = simulate_relay_abstraction(model, states[0], duration=2.0)
         batch = simulate_relay_abstraction(model, states, duration=2.0)
         assert single.shape == (2001, 3)
-        np.testing.assert_allclose(single, batch[0], rtol=0, atol=1e-12)
+        assert np.array_equal(single, batch[0])
 
     def test_prefix_of_a_longer_run_is_the_shorter_run(self, model, states):
         long = simulate_relay_abstraction(model, states, duration=40.0)
         short = simulate_relay_abstraction(model, states, duration=20.0)
         assert np.array_equal(long[:, :short.shape[1]], short)
+
+
+class TestBlockEdges:
+    def test_state_on_the_sliding_surface_takes_a_mode1_step(self, model):
+        x0 = np.array([0.5, -0.5, 0.0])
+        trajectory = simulate_relay_abstraction(model, x0, duration=0.6)
+        mode1 = PolynomialStack(model.nominal_fields()["mode1"],
+                                model.state_variables)
+        np.testing.assert_allclose(trajectory[1], x0 + 1e-3 * mode1.evaluate(x0),
+                                   rtol=0, atol=1e-15)
+        _assert_matches_reference(model, [x0], [trajectory], 0.6)
+
+    def test_step_count_off_the_block_grid(self, model, states):
+        steps = 2 * _BLOCK_STEPS + 37
+        batch = simulate_relay_abstraction(model, states, duration=steps * 1e-3)
+        assert batch.shape == (6, steps + 1, 3)
+        _assert_matches_reference(model, states, batch, steps * 1e-3)
+
+    def test_zero_duration_is_the_initial_states(self, model, states):
+        batch = simulate_relay_abstraction(model, states, duration=0.0)
+        assert batch.shape == (6, 1, 3)
+        assert np.array_equal(batch[:, 0], states)
+
+    def test_one_mode_segment_over_several_blocks(self, model):
+        x0 = np.array([-1.0, -1.0, 0.9])
+        duration = 4 * _BLOCK_STEPS * 1e-3
+        reference = _scalar_reference(model, x0, duration, 1e-3)
+        assert np.all(reference[:3 * _BLOCK_STEPS + 1, -1] > 0)
+        trajectory = simulate_relay_abstraction(model, x0, duration=duration)
+        _assert_matches_reference(model, [x0], [trajectory], duration)
+
+    def test_non_affine_field_names_its_mode(self, model):
+        variables = model.state_variables
+        fields = dict(model.nominal_fields())
+        v1 = Polynomial.from_variable(variables[0], variables)
+        fields["mode2"] = (fields["mode2"][0] + v1 * v1,) + fields["mode2"][1:]
+
+        class QuadraticMode2:
+            state_variables = variables
+
+            def nominal_fields(self):
+                return fields
+
+        with pytest.raises(ValueError, match="mode2"):
+            simulate_relay_abstraction(QuadraticMode2(), [0.1, 0.1, 0.1],
+                                       duration=0.1)
 
 
 class TestFaultInjection:

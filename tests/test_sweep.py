@@ -343,6 +343,24 @@ class TestSweepBatching:
         assert warm.run["counters"].get("solved", 0) == 0
         assert _outcomes(warm) == _outcomes(batched)
 
+    def test_points_record_their_deciding_probe(self, tmp_path):
+        family = get_sweep_family("vanderpol_grid").reconfigure(grid=EDGE_GRID)
+        reports = [SweepRunner(SweepOptions(
+            jobs=jobs, cache_dir=str(tmp_path / f"c{jobs}"))).run(family)
+            for jobs in (1, 2)]
+        for report in reports:
+            for point in report.points:
+                if not point["sampling"]:
+                    assert "probe" not in point
+                    continue
+                probe = point["probe"]
+                assert set(probe) == {"status", "iterations", "primal_residual"}
+                assert probe["iterations"] > 0
+                assert np.isfinite(probe["primal_residual"])
+        assert [p.get("probe") for p in reports[0].points] == \
+            [p.get("probe") for p in reports[1].points]
+        assert sum("probe" in p for p in reports[0].points) == 3
+
     def test_rebuild_mode_interprets_each_point_with_its_program(
             self, tmp_path, monkeypatch):
         from repro.sos import MultiParametricSOSProgram, ParametricProgramError
