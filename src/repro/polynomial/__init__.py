@@ -30,7 +30,7 @@ from .basis import (
     monomial_basis,
     product_support,
 )
-from .linexpr import DecisionVariable, LinExpr, stack_coefficients
+from .linexpr import DecisionVariable, LinExpr
 from .parampoly import ParametricPolynomial
 from .gram import (
     GramProductTable,
@@ -67,7 +67,6 @@ __all__ = [
     "product_support",
     "DecisionVariable",
     "LinExpr",
-    "stack_coefficients",
     "ParametricPolynomial",
     "gram_to_polynomial",
     "gram_product_table",

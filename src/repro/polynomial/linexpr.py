@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Optional, Tuple, Union
+from typing import Dict, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -211,20 +211,3 @@ class LinExpr:
             parts.append(f"{self.constant:+g}")
         return "LinExpr(" + " ".join(parts) + ")"
 
-
-def stack_coefficients(expressions: Iterable[LinExpr],
-                       variable_index: Mapping[DecisionVariable, int],
-                       num_variables: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Convert affine expressions to matrix form ``A d + b``.
-
-    Returns ``(A, b)`` where row ``k`` contains the coefficients of the k-th
-    expression against the decision variables enumerated by ``variable_index``.
-    """
-    expressions = list(expressions)
-    matrix = np.zeros((len(expressions), num_variables))
-    offset = np.zeros(len(expressions))
-    for row, expr in enumerate(expressions):
-        offset[row] = expr.constant
-        for var, coeff in expr.coeffs.items():
-            matrix[row, variable_index[var]] = coeff
-    return matrix, offset

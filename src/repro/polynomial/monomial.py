@@ -152,6 +152,14 @@ def constant_monomial(num_variables: int) -> Monomial:
     return Monomial((0,) * num_variables)
 
 
+@lru_cache(maxsize=65536)
+def interned_monomial(exponents: Tuple[int, ...]) -> Monomial:
+    """Cached ``Monomial(exponents)`` for exponent rows read back from term
+    arrays (the SOS layer rebuilds the same few thousand monomials over and
+    over)."""
+    return Monomial(exponents)
+
+
 @lru_cache(maxsize=4096)
 def unit_monomial(index: int, num_variables: int, power: int = 1) -> Monomial:
     """Cached ``Monomial.unit``."""

@@ -329,13 +329,12 @@ class SOSProgram:
                 m for m in basis
                 if m.degree % 2 == 0
                 and sum(1 for exp in m.exponents if exp) <= 1)
-        coeffs = {}
-        for mono in basis:
-            dvar = DecisionVariable(f"{name}[{mono.to_string(variables)}]")
+        dvars = [DecisionVariable(f"{name}[{mono.to_string(variables)}]")
+                 for mono in basis]
+        for dvar in dvars:
             self._decision_variables[dvar.uid] = dvar
-            coeffs[mono] = LinExpr.from_variable(dvar)
         self._invalidate()
-        return ParametricPolynomial(variables, coeffs)
+        return ParametricPolynomial.from_basis(variables, basis, dvars)
 
     def new_sos_polynomial(
         self,
@@ -493,10 +492,8 @@ class SOSProgram:
                 # The chordal lowering needs the constraint's correlative-
                 # sparsity graph: which Gram entries can be nonzero, read off
                 # the basis products landing in the expression's support.
-                support = tuple(sorted(constraint.expression.coefficients,
-                                       key=Monomial.sort_key))
                 cone_options["sparsity"] = _gram_sparsity_edges(
-                    constraint.basis, support)
+                    constraint.basis, constraint.expression.monomials())
             handle = builder.add_gram_block(
                 constraint.gram_order, cone=cone, name=constraint.name,
                 **cone_options)
@@ -515,37 +512,37 @@ class SOSProgram:
         # sides and decision-variable coefficients are filled here.
         for constraint, handle in sos_blocks:
             expr = constraint.expression
-            support = tuple(sorted(expr.coefficients, key=Monomial.sort_key))
+            support = expr.monomials()
             plan = _sos_row_plan(constraint.basis, support)
+            rows = np.fromiter((plan.row_of[mono] for mono in support),
+                               dtype=np.int64, count=len(support))
+            constants = expr.constant_array
+            matrix = expr.coefficient_matrix
             rhs = np.zeros(plan.num_rows)
+            rhs[rows] = constants
+            # A support row without decision coefficients that the Gram
+            # expansion cannot reach must have a zero coefficient; it is
+            # dropped from the equality system.
             keep = np.ones(plan.num_rows, dtype=bool)
-            free_rows: List[int] = []
-            free_locals: List[int] = []
-            free_values: List[float] = []
-            for mono in support:
-                coeff_expr = expr.coefficients[mono]
-                row = plan.row_of[mono]
-                rhs[row] = coeff_expr.constant
-                coeffs = coeff_expr.coeffs
-                if coeffs:
-                    if len(coeffs) == 1:
-                        ((dvar, a),) = coeffs.items()
-                        free_rows.append(row)
-                        free_locals.append(var_location[dvar][1])
-                        free_values.append(-a)
-                    else:
-                        for dvar in sorted(coeffs, key=lambda d: d.uid):
-                            free_rows.append(row)
-                            free_locals.append(var_location[dvar][1])
-                            free_values.append(-coeffs[dvar])
-                elif not plan.is_product_row[row]:
-                    if abs(coeff_expr.constant) > 1e-12:
-                        raise SOSProgramError(
-                            f"SOS constraint {constraint.name!r}: monomial "
-                            f"{mono.to_string(expr.variables)} has fixed coefficient "
-                            f"{coeff_expr.constant} but cannot be produced by the Gram basis"
-                        )
-                    keep[row] = False
+            fixed = ~(matrix != 0.0).any(axis=1) & ~plan.is_product_row[rows]
+            if fixed.any():
+                bad = np.flatnonzero(fixed & (np.abs(constants) > 1e-12))
+                if bad.size:
+                    k = int(bad[0])
+                    raise SOSProgramError(
+                        f"SOS constraint {constraint.name!r}: monomial "
+                        f"{support[k].to_string(expr.variables)} has fixed coefficient "
+                        f"{float(constants[k])} but cannot be produced by the Gram basis"
+                    )
+                keep[rows[fixed]] = False
+            # Decision coefficients enter row by row, each row's variables in
+            # uid order (the column order of the coefficient matrix).
+            term, column = np.nonzero(matrix)
+            free_rows = rows[term]
+            free_locals = np.array([var_location[dvar][1]
+                                    for dvar in expr.decision_variables()],
+                                   dtype=np.int64)[column]
+            free_values = -matrix[term, column]
             if keep.all():
                 row_map = None
                 batch_rhs = rhs
@@ -556,24 +553,21 @@ class SOSProgram:
                 pair_rows = row_map[plan.pair_rows]
             triplets = handle.entry_triplets(pair_rows, plan.pair_i,
                                              plan.pair_j, plan.pair_weight)
-            if free_rows:
-                mapped = np.asarray(free_rows, dtype=np.int64)
+            if free_rows.size:
                 if row_map is not None:
-                    mapped = row_map[mapped]
-                triplets.append((free_id, mapped,
-                                 np.asarray(free_locals, dtype=np.int64),
-                                 np.asarray(free_values)))
+                    free_rows = row_map[free_rows]
+                triplets.append((free_id, free_rows, free_locals, free_values))
             builder.add_equality_rows(batch_rhs, triplets)
 
         # Polynomial equality constraints: every coefficient must vanish.
         for constraint in self._equality_constraints:
             expr = constraint.expression
-            for mono, coeff_expr in expr.coefficients.items():
-                entries = {}
-                for dvar, a in coeff_expr.coeffs.items():
-                    loc = var_location[dvar]
-                    entries[loc] = entries.get(loc, 0.0) + a
-                rhs = -coeff_expr.constant
+            locations = [var_location[dvar] for dvar in expr.decision_variables()]
+            for mono, row, constant in zip(expr.monomials(),
+                                           expr.coefficient_matrix.tolist(),
+                                           expr.constant_array.tolist()):
+                entries = {loc: a for loc, a in zip(locations, row) if a != 0.0}
+                rhs = -constant
                 if not entries:
                     if abs(rhs) > 1e-12:
                         raise SOSProgramError(
@@ -666,9 +660,7 @@ class SOSProgram:
             if with_certificates:
                 for constraint, handle in sos_blocks:
                     gram = handle.matrix(builder, result.x)
-                    poly = constraint.expression.instantiate(assignment) \
-                        if assignment or constraint.expression.is_numeric() \
-                        else constraint.expression.to_polynomial()
+                    poly = constraint.expression.instantiate(assignment)
                     from ..polynomial.gram import gram_to_polynomial
 
                     reconstructed = gram_to_polynomial(poly.variables, constraint.basis, gram)
