@@ -1,19 +1,19 @@
 """Sweep-planner benchmark: compiles-per-family and points/sec at scale.
 
 The sweep subsystem's performance claim is structural: certifying a family
-of N parameter points costs **one** SOS compile per (rung, shard) structure
+of N parameter points costs **one** SOS compile per shard structure
 — the :class:`~repro.sos.parametric.MultiParametricSOSProgram` probe family
 — plus a pure array bind per point, instead of N full compiles.  This bench
 drives the claim at paper scale: a 200-point charge-pump degradation ladder
 (``Ip ∈ [0.2, 1.0]·nominal`` of the third-order PLL, the continuum
 generalisation of the ``pll3_weak_pump`` scenario) swept end to end through
 :class:`~repro.sweep.SweepRunner` with ``jobs=1`` (a single shard, so the
-compile bound is exactly 1 per rung).
+compile bound is exactly 1).
 
 Recorded in ``benchmarks/BENCH_sweep.json``:
 
-* ``parametric_compiles`` / ``binds`` / ``rebuild_compiles`` per rung
-  structure (asserted: ≤ 1 parametric compile, 0 rebuilds, one bind per
+* ``parametric_compiles`` / ``binds`` / ``rebuild_compiles`` of the probe
+  structure, keyed by its relaxation (asserted: ≤ 1 parametric compile, 0 rebuilds, one bind per
   sampling-passing point);
 * ``points_per_second`` over the full ladder (sampling validation included
   — degraded points are filtered before any conic work, which is exactly
@@ -75,9 +75,9 @@ def test_bench_sweep_degradation_ladder(benchmark, tmp_path):
     print(f"certified          : {certified}/{POINTS}"
           + (f", Ip frontier at {frontier_fraction:.3f} of nominal"
              if frontier_fraction is not None else ""))
-    for rung in sorted(structures):
-        entry = structures[rung]
-        print(f"structure[{rung}]     : "
+    for relaxation in sorted(structures):
+        entry = structures[relaxation]
+        print(f"structure[{relaxation}]     : "
               f"{entry.get('parametric_compiles', 0)} parametric compile(s), "
               f"{entry.get('binds', 0)} bind(s), "
               f"{entry.get('rebuild_compiles', 0)} rebuild(s)")
@@ -100,14 +100,14 @@ def test_bench_sweep_degradation_ladder(benchmark, tmp_path):
     })
 
     # The structural claim: one shard pays at most one parametric compile
-    # per rung structure and never falls back to per-point rebuilds on the
-    # (affine-in-Ip) probe family.
+    # and never falls back to per-point rebuilds on the (affine-in-Ip)
+    # probe family.
     assert len(structures) >= 1
-    for rung, entry in structures.items():
+    for relaxation, entry in structures.items():
         assert entry.get("parametric_compiles", 0) <= 1, \
-            f"rung {rung} recompiled its structure"
+            f"{relaxation} probe structure recompiled"
         assert entry.get("rebuild_compiles", 0) == 0, \
-            f"rung {rung} fell back to per-point rebuilds"
+            f"{relaxation} probe structure fell back to per-point rebuilds"
     assert total_rebuilds == 0
     # Every sampling-passing point bound (not compiled) its conic data, and
     # the certified region is the upper end of the ladder (healthy pump).

@@ -1,7 +1,7 @@
 """Isolated, concurrent verification with one ``SolveContext`` per pipeline.
 
 Two :class:`repro.sdp.SolveContext` objects — one driving a full-SOS, one
-an SDSOS verification, each with its own certificate cache — verify the
+a chordal verification, each with its own certificate cache — verify the
 time-reversed Van der Pol scenario *concurrently* from a thread pool.  The
 cache and the solve/compile counters live on the context instead of in
 module globals, so the two runs cannot clobber each other and their
@@ -36,7 +36,7 @@ def main() -> None:
     with ThreadPoolExecutor(max_workers=2) as pool:
         futures = {relaxation: pool.submit(run_context, cache_root / relaxation,
                                            relaxation, f"vdp-{relaxation}")
-                   for relaxation in ("sos", "sdsos")}
+                   for relaxation in ("sos", "chordal")}
         results = {relaxation: future.result()
                    for relaxation, future in futures.items()}
 

@@ -27,6 +27,7 @@ from typing import List, Optional, Sequence
 
 from .engine import EngineOptions, VerificationEngine, default_cache_dir
 from .scenarios import all_scenarios, fast_scenario_names, scenario_names
+from .sdp import RELAXATIONS
 
 #: Where ``verify`` drops its JSON report for a later ``report`` invocation.
 LAST_REPORT_NAME = "last_report.json"
@@ -240,7 +241,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         jobs=max(1, args.jobs),
         use_cache=not args.no_cache,
         cache_dir=args.cache_dir,
-        relaxation=args.relaxation,
         grid=grid or None,
         samples=args.samples,
         seed=args.seed,
@@ -308,13 +308,10 @@ def build_parser() -> argparse.ArgumentParser:
                           help="per-job timeout in seconds (pool runs)")
     p_verify.add_argument("--seed", type=int, default=0,
                           help="random seed for the falsification cross-check")
-    p_verify.add_argument("--relaxation", default=None,
-                          choices=["dsos", "sdsos", "chordal", "sos", "auto"],
+    p_verify.add_argument("--relaxation", default=None, choices=RELAXATIONS,
                           help="Gram-cone relaxation of every certificate: "
-                               "dsos (LP cones), sdsos (2x2 PSD blocks), "
-                               "chordal (clique-sized PSD blocks from the "
-                               "Gram sparsity pattern), sos (full PSD Gram) "
-                               "or auto (try cheap, escalate on failure); "
+                               "sos (full PSD Gram) or chordal (clique-sized "
+                               "PSD blocks from the Gram sparsity pattern); "
                                "default: each scenario's registered "
                                "relaxation")
     p_verify.add_argument("--json", default=None, metavar="PATH",
@@ -353,10 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--cache-dir", default=None,
                          help="cache + progress location (default: "
                               "$REPRO_CACHE_DIR or ~/.cache/repro-pll-sos)")
-    p_sweep.add_argument("--relaxation", default=None,
-                         choices=["dsos", "sdsos", "chordal", "sos", "auto"],
-                         help="Gram-cone ladder every point climbs "
-                              "(default: the family's registered ladder)")
     p_sweep.add_argument("--resume", action="store_true",
                          help="skip points a previous run of the identical "
                               "family already settled (progress is saved "

@@ -31,7 +31,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from ..exceptions import CertificateError
 from ..polynomial import Polynomial, VariableVector
-from ..sdp import SolveContext, cone_for_relaxation, relaxation_ladder
+from ..sdp import SolveContext, cone_for_relaxation
 from ..sos import SemialgebraicSet, SOSProgram
 from ..utils import get_logger
 from .attractive import AttractiveInvariant
@@ -48,12 +48,9 @@ class AdvectionOptions(StageConfig):
     Inherits the shared stage knobs (``multiplier_degree``,
     ``solver_settings``, ``relaxation``) from
     :class:`~repro.core.config.StageConfig`.  The relaxation governs the
-    per-iteration absorption checks (Lemma-1 feasibility certificates); a
-    negative answer from a cheap cone is inconclusive, so ``"auto"`` retries
-    each check up the ladder.  The ``sos_projection`` operator's fitting
-    program deliberately stays on the exact PSD cone: its coverage
-    constraint shapes the next advected set, and a cheaper cone there
-    would make individual steps infeasible rather than merely conservative.
+    per-iteration absorption checks (Lemma-1 feasibility certificates).
+    The ``sos_projection`` operator's fitting program stays on the full
+    PSD cone: its coverage constraint shapes the next advected set.
     """
 
     time_step: float = 0.05
@@ -187,29 +184,23 @@ class LevelSetAdvector:
         raise CertificateError(f"unknown advection operator {self.options.operator!r}")
 
 
-def _check_absorbed(polynomial: Polynomial, invariant: AttractiveInvariant,
+def check_absorbed(polynomial: Polynomial, invariant: AttractiveInvariant,
                     domain: Optional[SemialgebraicSet],
                     options: AdvectionOptions,
                     context: Optional[SolveContext] = None) -> Optional[str]:
-    """Return the name of a level set of ``X1`` certified to contain the set.
-
-    Walks the relaxation ladder cheapest-first: an inclusion certified by a
-    cheap cone is a valid SOS certificate, while a cheap-cone rejection is
-    inconclusive and retried one rung up.
-    """
-    for relaxation in relaxation_ladder(options.relaxation):
-        cone = cone_for_relaxation(relaxation)
-        for mode_name, sublevel in invariant.sublevel_polynomials().items():
-            inclusion = check_sublevel_inclusion(
-                polynomial, sublevel,
-                multiplier_degree=options.multiplier_degree,
-                domain=domain,
-                cone=cone,
-                context=context,
-                **options.solver_settings,
-            )
-            if inclusion.holds:
-                return mode_name
+    """Return the name of a level set of ``X1`` certified to contain the set."""
+    cone = cone_for_relaxation(options.relaxation)
+    for mode_name, sublevel in invariant.sublevel_polynomials().items():
+        inclusion = check_sublevel_inclusion(
+            polynomial, sublevel,
+            multiplier_degree=options.multiplier_degree,
+            domain=domain,
+            cone=cone,
+            context=context,
+            **options.solver_settings,
+        )
+        if inclusion.holds:
+            return mode_name
     return None
 
 
@@ -233,7 +224,7 @@ def run_bounded_advection(
     absorbing: Optional[str] = None
 
     # The initial set may already be inside the invariant.
-    absorbing = _check_absorbed(current, invariant, domain, options, context)
+    absorbing = check_absorbed(current, invariant, domain, options, context)
     if absorbing is not None:
         return AdvectionResult(
             mode_name=mode_name, initial_polynomial=initial_polynomial, steps=[],
@@ -246,7 +237,7 @@ def run_bounded_advection(
         included_in = None
         if iteration % max(options.inclusion_check_every, 1) == 0 \
                 or iteration == options.max_iterations:
-            included_in = _check_absorbed(current, invariant, domain, options,
+            included_in = check_absorbed(current, invariant, domain, options,
                                           context)
         steps.append(AdvectionStep(iteration=iteration, polynomial=current,
                                    included_in=included_in, epsilon=epsilon))

@@ -30,15 +30,11 @@ class StageConfig:
     solver_settings:
         Keyword settings forwarded to :class:`~repro.sdp.admm.ADMMSettings`.
     relaxation:
-        Gram-cone relaxation of the stage's SOS certificates: ``"dsos"``
-        (diagonally-dominant Gram matrices → pure LP cones), ``"sdsos"``
-        (scaled diagonal dominance → sums of 2×2 PSD blocks), ``"chordal"``
-        (clique-sized PSD blocks from a chordal extension of the Gram
-        sparsity pattern — exact when the pattern is genuinely sparse),
-        ``"sos"`` (full PSD Gram, the default) or ``"auto"`` — try the
-        cheapest relaxation first and escalate on failure.  Certificates
-        found in a cheaper cone are valid SOS certificates
-        (DSOS ⊂ SDSOS ⊂ chordal ⊆ SOS).
+        Gram-cone relaxation of the stage's SOS certificates: ``"sos"``
+        (full PSD Gram, the default) or ``"chordal"`` (clique-sized PSD
+        blocks from a chordal extension of the Gram sparsity pattern —
+        exact when the pattern is genuinely sparse).  Each stage solves its
+        programs once, under this one cone.
     """
 
     multiplier_degree: int = 2

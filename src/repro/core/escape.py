@@ -17,7 +17,7 @@ import numpy as np
 
 from ..exceptions import CertificateError
 from ..polynomial import Polynomial
-from ..sdp import SolveContext, cone_for_relaxation, relaxation_ladder
+from ..sdp import SolveContext, cone_for_relaxation
 from ..sos import (
     SemialgebraicSet,
     SOSProgram,
@@ -36,9 +36,7 @@ class EscapeOptions(StageConfig):
 
     Inherits the shared stage knobs (``multiplier_degree``,
     ``solver_settings``, ``relaxation``) from
-    :class:`~repro.core.config.StageConfig`; under ``"auto"`` the search
-    tries the cheap cones first and escalates when it is infeasible or the
-    sampling validation fails.
+    :class:`~repro.core.config.StageConfig`.
     """
 
     certificate_degree: int = 2
@@ -86,43 +84,18 @@ class EscapeCertificateSynthesizer:
                    ) -> EscapeCertificate:
         """Find ``E`` with ``∇E · f <= -delta`` on ``region``.
 
-        Walks the relaxation ladder of ``options.relaxation``: a cheap rung
-        is accepted only when the search is feasible and the sampling
-        validation passes; otherwise the next (more expressive) cone is
-        tried.  The final rung's outcome is authoritative — its certificate
-        is returned even when its validation failed, and its
-        :class:`CertificateError` propagates (matching the single-rung
-        behaviour; the SOS relaxations being sound but incomplete, a failed
-        search does not prove that no escape certificate exists).  A cheap
-        rung's rejected certificate is never returned.
+        One search under the Gram cone of ``options.relaxation``.  The
+        certificate is returned even when its sampling validation failed
+        (``validation_passed`` records it); a failed search raises
+        :class:`CertificateError` — the SOS relaxation being sound but
+        incomplete, that does not prove that no escape certificate exists.
         """
-        ladder = relaxation_ladder(self.options.relaxation)
-        for index, relaxation in enumerate(ladder):
-            final = index == len(ladder) - 1
-            try:
-                result = self._synthesize_with(mode_name, vector_field, region,
-                                               bounds, relaxation)
-            except CertificateError:
-                if final:
-                    raise
-                continue
-            if result.validation_passed or final:
-                return result
-            LOGGER.info("escape certificate for %s under %s failed validation; "
-                        "escalating", mode_name, relaxation)
-        raise AssertionError("unreachable: the final ladder rung returns or raises")
-
-    def _synthesize_with(self, mode_name: str,
-                         vector_field: Sequence[Polynomial],
-                         region: SemialgebraicSet,
-                         bounds: Optional[Sequence[Tuple[float, float]]],
-                         relaxation: str) -> EscapeCertificate:
         options = self.options
         start = time.perf_counter()
         variables = region.variables
 
         program = SOSProgram(name=f"escape_{mode_name}",
-                             default_cone=cone_for_relaxation(relaxation),
+                             default_cone=cone_for_relaxation(options.relaxation),
                              context=self.context)
         certificate = program.new_polynomial_variable(
             variables, options.certificate_degree, name="E", min_degree=1)

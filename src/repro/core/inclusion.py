@@ -26,10 +26,8 @@ LOGGER = get_logger("core.inclusion")
 class InclusionCertificate:
     """Result of a Lemma-1 inclusion check ``{inner <= 0} ⊆ {outer <= 0}``.
 
-    ``cone`` records the Gram-cone relaxation the certificate was searched
-    in (a certificate found in a cheaper cone is still a valid SOS
-    certificate, since DSOS ⊂ SDSOS ⊂ SOS; a *negative* answer from a
-    cheaper cone is weaker and typically retried one rung up the ladder).
+    ``cone`` records the Gram cone the certificate was searched in
+    (``"psd"`` or ``"chordal"``).
     """
 
     holds: bool
@@ -58,8 +56,8 @@ def build_inclusion_program(
     Returns ``(program, lambda_template, inner_aligned, outer_aligned)``; the
     query is feasible iff ``λ·inner − outer`` (minus domain S-procedure
     terms) admits an SOS certificate with ``λ`` SOS.  ``cone`` selects the
-    Gram-cone relaxation of every SOS constraint in the program (``"psd"``,
-    ``"chordal"``, ``"sdd"`` or ``"dd"``); ``context`` the governing solve
+    Gram cone of every SOS constraint in the program (``"psd"`` or
+    ``"chordal"``); ``context`` the governing solve
     context.  ``multiplier_support`` shapes the multiplier templates:
     ``"dense"`` (every monomial up to ``multiplier_degree``, the default) or
     ``"diagonal"`` (``1, x_i^2, x_i^4, ...`` — a separable template that

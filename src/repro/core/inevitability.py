@@ -25,12 +25,11 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from ..exceptions import CertificateError
 from ..pll.model import MODE_IDLE, PLLVerificationModel
-from ..sdp import RELAXATIONS, SolveContext, cone_for_relaxation, relaxation_ladder
+from ..sdp import RELAXATIONS, SolveContext
 from ..sos import SemialgebraicSet
-from .advection import AdvectionOptions, run_bounded_advection
+from .advection import AdvectionOptions, check_absorbed, run_bounded_advection
 from .attractive import AttractiveInvariant
 from .escape import EscapeCertificateSynthesizer, EscapeOptions, escape_region_from_advection
-from .inclusion import check_sublevel_inclusion
 from .levelset import LevelSetOptions
 from .lyapunov import LyapunovSynthesisOptions, MultipleLyapunovSynthesizer
 from .properties import ModePropertyTwoResult, VerificationStatus
@@ -71,31 +70,12 @@ def run_mode_property_two(model, options: "InevitabilityOptions",
     timings["advection"] = time.perf_counter() - start
 
     # Dedicated inclusion re-check of the final advected set (Table 2 row),
-    # needed only when advection did not already certify absorption.  The
-    # relaxation ladder tries the cheap Gram cones first; a negative answer
-    # from a cheap cone is inconclusive, so the next rung retries with a
-    # more expressive cone.
+    # needed only when advection did not already certify absorption.
     start = time.perf_counter()
     final_abs: Optional[str] = None
-    inclusion_relaxation: Optional[str] = None
     if not advection.converged:
-        for relaxation in relaxation_ladder(options.relaxation):
-            cone = cone_for_relaxation(relaxation)
-            for target_name, sublevel in invariant.sublevel_polynomials().items():
-                inclusion = check_sublevel_inclusion(
-                    advection.final_polynomial, sublevel,
-                    multiplier_degree=options.advection.multiplier_degree,
-                    domain=domain,
-                    cone=cone,
-                    context=context,
-                    **options.advection.solver_settings,
-                )
-                if inclusion.holds:
-                    final_abs = target_name
-                    inclusion_relaxation = relaxation
-                    break
-            if final_abs is not None:
-                break
+        final_abs = check_absorbed(advection.final_polynomial, invariant,
+                                   domain, options.advection, context)
     timings["inclusion"] = time.perf_counter() - start
 
     mode_result = functools.partial(
@@ -106,7 +86,8 @@ def run_mode_property_two(model, options: "InevitabilityOptions",
             status=VerificationStatus.VERIFIED,
             message=f"advected set absorbed by level set of "
                     f"{advection.absorbing_mode or final_abs}",
-            relaxation=inclusion_relaxation,
+            relaxation=(options.advection.relaxation
+                        if final_abs is not None else None),
         ), timings
 
     # Advection inconclusive: Algorithm 1 lines 13-21 (escape certificate).
@@ -182,10 +163,10 @@ class InevitabilityOptions:
     # equilibrium — the CP PLL pumping modes, sliding-mode converters —
     # should use ``"box"``.
     levelset_domain: str = "mode"
-    # Gram-cone relaxation of the certificate pipeline: "dsos" | "sdsos" |
-    # "sos" | "auto" (escalation ladder).  Setting it here (at construction
-    # or via :meth:`apply_relaxation`) propagates to the Lyapunov and
-    # level-set stage options and to the Property-2 inclusion re-check.
+    # Gram-cone relaxation of the certificate pipeline: "sos" | "chordal".
+    # Setting it here (at construction or via :meth:`apply_relaxation`)
+    # propagates to every stage's options and to the Property-2 inclusion
+    # re-check.
     relaxation: str = "sos"
 
     def __post_init__(self) -> None:

@@ -27,7 +27,7 @@ import numpy as np
 
 from ..exceptions import CertificateError
 from ..polynomial import Polynomial
-from ..sdp import SolveContext, cone_for_relaxation, relaxation_ladder
+from ..sdp import SolveContext, cone_for_relaxation
 from ..sos import SemialgebraicSet
 from ..utils import get_logger
 from .config import StageConfig
@@ -46,8 +46,7 @@ class LevelSetOptions(StageConfig):
 
     Inherits the shared stage knobs (``multiplier_degree``,
     ``solver_settings``, ``relaxation``) from
-    :class:`~repro.core.config.StageConfig`; a relaxation rung that
-    certifies no positive level escalates to the next cone of the ladder.
+    :class:`~repro.core.config.StageConfig`.
     """
 
     bisection_tolerance: float = 1e-3
@@ -71,8 +70,8 @@ class MaximizedLevelSet:
     iterations: int
     certified_levels: List[float] = field(default_factory=list)
     rejected_levels: List[float] = field(default_factory=list)
-    #: Relaxation whose certificates produced ``level`` (``"dsos"``,
-    #: ``"sdsos"`` or ``"sos"``; under ``"auto"`` the rung that succeeded).
+    #: Relaxation whose certificates produced ``level`` (``"sos"`` or
+    #: ``"chordal"``).
     relaxation: str = "sos"
 
     @property
@@ -140,32 +139,20 @@ class LevelSetMaximizer:
                  bounds: Optional[Sequence[Tuple[float, float]]] = None) -> MaximizedLevelSet:
         """Find the largest certified level of one certificate.
 
-        Walks the relaxation ladder of ``options.relaxation``: for every
-        rung the whole maximisation runs under that Gram cone; a rung that
-        certifies no positive level escalates to the next (more expressive,
-        more expensive) one.  Under the default ``"sos"`` the ladder has a
-        single rung and the behaviour is the classical full-SOS search.
+        The whole maximisation runs under the Gram cone of
+        ``options.relaxation``; a :class:`CertificateError` reports that no
+        positive level was certified.
         """
-        ladder = relaxation_ladder(self.options.relaxation)
-        last_error: Optional[CertificateError] = None
-        for relaxation in ladder:
-            cone = cone_for_relaxation(relaxation)
-            try:
-                if self.options.strategy == "serial":
-                    result = self._maximize_serial(mode_name, certificate,
-                                                   domain, bounds, cone)
-                else:
-                    result = self._maximize_batched(mode_name, certificate,
-                                                    domain, bounds, cone)
-            except CertificateError as exc:
-                last_error = exc
-                LOGGER.info("level set for %s: relaxation %s certified no "
-                            "positive level; escalating", mode_name, relaxation)
-                continue
-            result.relaxation = relaxation
-            return result
-        assert last_error is not None
-        raise last_error
+        relaxation = self.options.relaxation
+        cone = cone_for_relaxation(relaxation)
+        if self.options.strategy == "serial":
+            result = self._maximize_serial(mode_name, certificate, domain,
+                                           bounds, cone)
+        else:
+            result = self._maximize_batched(mode_name, certificate, domain,
+                                            bounds, cone)
+        result.relaxation = relaxation
+        return result
 
     # ------------------------------------------------------------------
     # Batched K-section path

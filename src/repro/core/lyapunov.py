@@ -26,7 +26,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..hybrid import HybridSystem, Mode
 from ..polynomial import ParametricPolynomial, Polynomial, VariableVector
-from ..sdp import SolveContext, cone_for_relaxation, relaxation_ladder
+from ..sdp import SolveContext, cone_for_relaxation
 from ..sos import (
     DecreaseSamplingPlan,
     SemialgebraicSet,
@@ -39,15 +39,6 @@ from ..utils import get_logger
 from .config import StageConfig
 
 LOGGER = get_logger("core.lyapunov")
-
-#: Tolerances of the Gram-certificate soundness gate used by the "auto"
-#: ladder before accepting a cheap-cone solution (reuses
-#: SOSCertificate.is_numerically_sos on the reconstructed Gram matrices).
-#: The residual tolerance is calibrated against the first-order ADMM solver:
-#: converged moderate-accuracy solves reconstruct to ~1e-3..1e-2 while
-#: infeasible cheap-cone attempts leave residuals of order 1e-1.
-RELAXATION_EIG_TOL = -1e-6
-RELAXATION_RES_TOL = 2e-2
 
 
 @dataclass
@@ -103,8 +94,8 @@ class LyapunovResult:
     synthesis_time: float
     validation_reports: List[object] = field(default_factory=list)
     message: str = ""
-    #: Relaxation that produced the returned certificates ("dsos", "sdsos"
-    #: or "sos"; under "auto" the rung that was accepted).
+    #: Relaxation that produced the returned certificates ("sos" or
+    #: "chordal").
     relaxation: str = "sos"
 
     def certificate_for(self, mode_name: str) -> Polynomial:
@@ -222,16 +213,12 @@ class MultipleLyapunovSynthesizer:
     # ------------------------------------------------------------------
     # Program construction
     # ------------------------------------------------------------------
-    def build_program(self, cone: Optional[str] = None
-                      ) -> Tuple[SOSProgram, Dict[str, ParametricPolynomial]]:
+    def build_program(self) -> Tuple[SOSProgram, Dict[str, ParametricPolynomial]]:
         options = self.options
         state_vars = self.system.state_variables
-        if cone is None:
-            # Direct callers get the most expressive rung of the configured
-            # ladder ("auto" -> the full PSD program).
-            cone = cone_for_relaxation(relaxation_ladder(options.relaxation)[-1])
         program = SOSProgram(name=f"lyapunov_{self.system.name}",
-                             default_cone=cone, context=self.context)
+                             default_cone=cone_for_relaxation(options.relaxation),
+                             context=self.context)
 
         templates: Dict[str, ParametricPolynomial] = {
             mode.name: program.new_polynomial_variable(
@@ -288,7 +275,6 @@ class MultipleLyapunovSynthesizer:
     # Fixed-certificate probes (the sweep planner's per-point query)
     # ------------------------------------------------------------------
     def decrease_probe_program(self, certificates: Mapping[str, Polynomial],
-                               cone: Optional[str] = None,
                                name: Optional[str] = None) -> SOSProgram:
         """Feasibility program re-checking condition (b) for *fixed* certificates.
 
@@ -302,10 +288,9 @@ class MultipleLyapunovSynthesizer:
         decrease condition must be re-established.
         """
         options = self.options
-        if cone is None:
-            cone = cone_for_relaxation(relaxation_ladder(options.relaxation)[-1])
         program = SOSProgram(name=name or f"decrease_probe_{self.system.name}",
-                             default_cone=cone, context=self.context)
+                             default_cone=cone_for_relaxation(options.relaxation),
+                             context=self.context)
         state_vars = self.system.state_variables
         for mode in self.system.modes:
             certificate = certificates[mode.name].with_variables(state_vars)
@@ -356,44 +341,12 @@ class MultipleLyapunovSynthesizer:
     def synthesize(self) -> LyapunovResult:
         """Solve the SOS program and validate the resulting certificates.
 
-        Walks the relaxation ladder of ``options.relaxation`` (a single rung
-        unless ``"auto"``): each rung lowers every Gram matrix to its cone,
-        solves, and validates; a cheap rung is accepted only when the solve
-        is feasible, the extracted Gram certificates are numerically sound
-        *in the full PSD sense* (``SOSCertificate.is_numerically_sos`` on
-        the reconstructed matrices) and the sampling validation passes —
-        otherwise the search escalates.  The final rung is returned as-is,
-        reproducing the classical behaviour for ``relaxation="sos"``.
+        One solve under the Gram cone of ``options.relaxation``; the
+        extracted certificates are then re-checked by sampling.
         """
         start = time.perf_counter()
-        ladder = relaxation_ladder(self.options.relaxation)
-        result: Optional[LyapunovResult] = None
-        for index, relaxation in enumerate(ladder):
-            final = index == len(ladder) - 1
-            result = self._synthesize_with(relaxation, start)
-            if result.feasible and (final or self._certificates_sound(result)):
-                if index > 0:
-                    LOGGER.info("relaxation ladder settled on %s for %s",
-                                relaxation, self.system.name)
-                return result
-            if not final:
-                LOGGER.info("relaxation %s rejected for %s (%s); escalating",
-                            relaxation, self.system.name, result.message)
-        assert result is not None
-        return result
-
-    def _certificates_sound(self, result: LyapunovResult) -> bool:
-        """Numerical soundness gate of the ``auto`` ladder's cheap rungs."""
-        if result.solution is None or not result.solution.certificates:
-            return False
-        return all(cert.is_numerically_sos(
-                       eig_tol=RELAXATION_EIG_TOL, res_tol=RELAXATION_RES_TOL)
-                   for cert in result.solution.certificates.values())
-
-    def _synthesize_with(self, relaxation: str, start: float) -> LyapunovResult:
-        """One synthesis attempt under a fixed Gram-cone relaxation."""
-        program, templates = self.build_program(
-            cone=cone_for_relaxation(relaxation))
+        relaxation = self.options.relaxation
+        program, templates = self.build_program()
         LOGGER.info("solving %s", program.describe())
         solution = program.solve(**self.options.solver_settings)
         elapsed = time.perf_counter() - start

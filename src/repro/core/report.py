@@ -43,7 +43,7 @@ class StepTiming:
     step: str
     seconds: float
     detail: str = ""
-    #: Gram-cone relaxation that certified this step ("dsos"/"sdsos"/"sos"),
+    #: Gram-cone relaxation that certified this step ("sos"/"chordal"),
     #: or ``None`` for steps without conic certificates (e.g. falsification).
     relaxation: Optional[str] = None
 

@@ -80,8 +80,7 @@ class EngineOptions:
     cache_dir: Optional[str] = None    # None = default cache location
     job_timeout: Optional[float] = None  # seconds; enforced for pool runs
     seed: int = 0                      # threaded into falsification sampling
-    # Gram-cone relaxation override:
-    # "dsos" | "sdsos" | "chordal" | "sos" | "auto".
+    # Gram-cone relaxation override: "sos" | "chordal".
     # None keeps each scenario's registered relaxation.
     relaxation: Optional[str] = None
     # Sweep-axis overrides threaded to every job's problem build

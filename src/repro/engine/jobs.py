@@ -72,8 +72,8 @@ class JobResult:
     data: Dict[str, object] = field(default_factory=dict)
     counters: Dict[str, int] = field(default_factory=dict)
     cache_stats: Dict[str, int] = field(default_factory=dict)
-    #: Gram-cone relaxation that actually certified this step ("dsos",
-    #: "sdsos" or "sos"); ``None`` for steps without conic certificates.
+    #: Gram-cone relaxation that certified this step ("sos" or
+    #: "chordal"); ``None`` for steps without conic certificates.
     relaxation: Optional[str] = None
 
     def to_json_dict(self) -> Dict[str, object]:

@@ -231,13 +231,12 @@ def _build_pll4(spec: ScenarioSpec) -> ScenarioProblem:
 
 @register_scenario(
     name="pll4_deg4",
-    description="4th-order CP PLL with degree-4 certificates on the auto "
-                "relaxation ladder (dsos -> sdsos -> chordal -> sos); the "
-                "chordal rung splits the large degree-4 Gram blocks into "
-                "clique-sized PSD cones",
+    description="4th-order CP PLL with degree-4 certificates under the "
+                "chordal relaxation, which splits the large degree-4 Gram "
+                "blocks into clique-sized PSD cones",
     certificate_degree=4,
     expected="inconclusive",
-    relaxation="auto",
+    relaxation="chordal",
     tags=("pll", "paper", "chordal", "hard"),
 )
 def _build_pll4_deg4(spec: ScenarioSpec) -> ScenarioProblem:
@@ -246,8 +245,7 @@ def _build_pll4_deg4(spec: ScenarioSpec) -> ScenarioProblem:
         uncertainty="none",
     )
     # Same plant as ``pll4``, but the stage options inherit the spec's
-    # ``auto`` ladder, so every certificate search climbs through the
-    # chordal rung before paying for the monolithic PSD Gram.
+    # chordal relaxation.
     options = _pll_options(spec, model, lock_tube_radius=0.8,
                            validate_samples=300)
     options.verify_property_two = False

@@ -55,10 +55,8 @@ class ScenarioSpec:
         ``"property_one"`` (attractive invariant only), ``"inconclusive"``
         (known-hard workload) or ``"any"`` (exploratory).
     relaxation:
-        Gram-cone relaxation of the certificate pipeline: ``"dsos"``,
-        ``"sdsos"``, ``"chordal"``, ``"sos"`` (default) or ``"auto"``
-        (escalation ladder).
-        Propagated into the built problem's stage options; the engine/CLI
+        Gram-cone relaxation of the certificate pipeline: ``"sos"``
+        (default) or ``"chordal"``.  Propagated into the built problem's stage options; the engine/CLI
         ``--relaxation`` override wins over this registered default.
     tags:
         Free-form labels (``"pll"``, ``"power"``, ``"continuous"``, …).
@@ -149,7 +147,7 @@ class ScenarioSpec:
         if relaxation is not None:
             # An explicit override always lands on the stage options, even
             # when it names the default ("sos" must reset a builder that
-            # chose a cheaper cone itself).
+            # chose another cone itself).
             problem.options.apply_relaxation(relaxation)
         elif self.relaxation != "sos":
             problem.options.apply_relaxation(self.relaxation)

@@ -17,7 +17,6 @@ from .cones import (
 )
 from .chordal import chordal_decomposition, clique_tree
 from .gramcone import (
-    AUTO_LADDER,
     GRAM_CONES,
     RELAXATION_CONES,
     RELAXATIONS,
@@ -26,7 +25,6 @@ from .gramcone import (
     cone_for_relaxation,
     make_gram_block,
     normalize_gram_cone,
-    relaxation_ladder,
 )
 from .context import SolveContext, default_context
 from .problem import ConicProblem, ConicProblemBuilder, VariableBlock
@@ -58,7 +56,6 @@ __all__ = [
     "GRAM_CONES",
     "RELAXATIONS",
     "RELAXATION_CONES",
-    "AUTO_LADDER",
     "ChordalGramBlock",
     "chordal_decomposition",
     "clique_tree",
@@ -66,7 +63,6 @@ __all__ = [
     "make_gram_block",
     "normalize_gram_cone",
     "cone_for_relaxation",
-    "relaxation_ladder",
     "SolveContext",
     "default_context",
     "SolverResult",

@@ -11,7 +11,7 @@ where ``E_k`` selects the rows/columns of clique ``k``.  For the ADMM solver
 this replaces one ``O(n^3)`` eigendecomposition per iteration with a handful
 of clique-sized ones that the stacked projection of :mod:`repro.sdp.cones`
 batches by size — *without* weakening the relaxation on chordally-sparse
-problems (unlike the DSOS/SDSOS inner approximations).
+problems.
 
 This module holds the pure graph machinery; the conic lowering lives in
 :class:`repro.sdp.gramcone.ChordalGramBlock`:

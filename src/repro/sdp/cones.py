@@ -170,11 +170,10 @@ def _project_psd2_batch(vectors: np.ndarray):
     A symmetric 2x2 matrix ``[[a, c], [c, b]]`` has eigenvalues ``m ± r``
     with ``m = (a+b)/2`` and ``r = hypot((a-b)/2, c)``; clipping them and
     recombining through the spectral projector ``(M - e_-) / (2r)`` projects
-    without any LAPACK call.  This is the hot path of the SDSOS (scaled
-    diagonal dominance) relaxation, whose Gram matrices lower to hundreds of
-    2x2 pair blocks: a stacked ``eigh`` over thousands of 2x2 matrices is
-    dominated by per-block LAPACK overhead, while this formula is a handful
-    of vectorised array operations.
+    without any LAPACK call.  Order-2 PSD blocks come from small S-procedure
+    multipliers and two-vertex chordal cliques: a stacked ``eigh`` over many
+    2x2 matrices is dominated by per-block LAPACK overhead, while this
+    formula is a handful of vectorised array operations.
     """
     a = vectors[:, 0]
     c = vectors[:, 1] / SQRT2

@@ -77,7 +77,7 @@ class SolveContext:
         """Count one solve event (``"solved"`` / ``"cache_hit"``).
 
         ``layout_kind`` additionally bumps the cone-layout-keyed counter
-        (``solved:psd``, ``cache_hit:sdd``, …) so relaxation-aware tests can
+        (``solved:psd``, ``cache_hit:chordal``, …) so relaxation-aware tests can
         assert *which* Gram cone actually solved.
         """
         with self._lock:
@@ -99,7 +99,7 @@ class SolveContext:
 
         ``solved`` counts actual conic solves, ``cache_hit`` counts solves
         served from the cache.  Each event is additionally keyed by the
-        problem's cone layout kind (``solved:psd``, ``cache_hit:dd``, …; see
+        problem's cone layout kind (``solved:psd``, ``cache_hit:chordal``, …; see
         :attr:`repro.sdp.problem.ConicProblem.layout_kind`).
         """
         with self._lock:

@@ -30,11 +30,11 @@ class ConicProblem:
     """An immutable conic program in standard form.
 
     ``layout`` is an optional tag describing how the cone blocks were
-    *derived* (e.g. the Gram-cone relaxation of each SOS constraint,
-    ``"dd:10,psd:6"``).  It is part of :meth:`fingerprint`, so two problems
-    that happen to share identical ``(c, A, b, dims)`` data but come from
-    different relaxations — possible for small Gram orders where e.g. the
-    SDD lowering coincides with the PSD block — never share a cache entry.
+    *derived* (e.g. the Gram cone of each SOS constraint,
+    ``"chordal:4[0.1;1.2.3],psd:6"``).  It is part of :meth:`fingerprint`, so
+    two problems that happen to share identical ``(c, A, b, dims)`` data but
+    come from different cones — a dense chordal block is numerically one
+    PSD block — never share a cache entry.
     """
 
     c: np.ndarray
@@ -110,8 +110,8 @@ class ConicProblem:
         """Canonical cone-layout kind of the problem, for keyed solve counters.
 
         Problems built through the SOS layer carry a per-Gram-block layout
-        tag (``"dd:10,psd:6"``); the kind is the sorted set of distinct
-        cone kinds joined with ``+`` (``"dd+psd"``).  Problems without a
+        tag (``"chordal:4[...],psd:6"``); the kind is the sorted set of
+        distinct cone kinds joined with ``+`` (``"chordal+psd"``).  Problems without a
         layout tag report ``"psd"`` when they contain PSD blocks and
         ``"lp"`` otherwise.
         """
@@ -209,9 +209,8 @@ class ConicProblemBuilder:
                        **cone_options):
         """Allocate the lifted variables of one Gram matrix under a cone.
 
-        ``cone`` selects the relaxation (``"psd"``, ``"chordal"``, ``"sdd"``
-        or ``"dd"``; relaxation aliases ``"sos"``/``"sdsos"``/``"dsos"`` are
-        accepted).  ``cone_options`` are forwarded to the handle — the
+        ``cone`` selects the Gram cone (``"psd"`` or ``"chordal"``; the
+        relaxation name ``"sos"`` is accepted for ``"psd"``).  ``cone_options`` are forwarded to the handle — the
         ``chordal`` cone takes its correlative-sparsity edge set and
         clique-merge knobs this way.  Returns a
         :class:`~repro.sdp.gramcone.GramBlockHandle` whose

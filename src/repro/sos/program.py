@@ -104,8 +104,8 @@ def _sos_row_plan(basis: Tuple[Monomial, ...],
     pair_rows = product_rows[table.pair_product]
     # The plan stays Gram-cone agnostic: it records which upper-triangle
     # entry (i, j) lands in which row with which symmetric multiplicity; the
-    # per-cone lowering (svec locals for PSD, 2x2 pair blocks for SDD, LP
-    # split variables for DD) happens in the GramBlockHandle at compile time.
+    # per-cone lowering (svec locals of one PSD block, or of each chordal
+    # clique block) happens in the GramBlockHandle at compile time.
     is_product_row = np.zeros(len(monomials), dtype=bool)
     is_product_row[product_rows] = True
     pair_rows.setflags(write=False)
@@ -155,9 +155,9 @@ def _gram_sparsity_edges(basis: Tuple[Monomial, ...],
 class SOSConstraint:
     """An SOS membership constraint ``expr ∈ Σ[x]`` recorded in a program.
 
-    ``cone`` selects the Gram-cone relaxation of this constraint's Gram
-    matrix (``"psd"`` = full SOS, ``"chordal"`` = clique-decomposed SOS,
-    ``"sdd"`` = SDSOS, ``"dd"`` = DSOS); ``None`` inherits the program's
+    ``cone`` selects the Gram cone of this constraint's Gram matrix
+    (``"psd"`` = full SOS, ``"chordal"`` = clique-decomposed SOS); ``None``
+    inherits the program's
     default cone at compile time.  ``cone_options`` are extra keyword
     options for the cone lowering (e.g. the ``merge_size``/``merge_overlap``
     clique-merge knobs of the chordal cone), stored as a sorted item tuple
@@ -196,14 +196,14 @@ class ScalarConstraint:
 class SOSCertificate:
     """Post-solve data attached to one SOS constraint.
 
-    ``gram`` is always the *full* Gram matrix — for DD/SDD relaxations it is
-    reconstructed from the lifted block variables, so the eigenvalue test of
-    :meth:`is_numerically_sos` applies uniformly to every cone.
-    ``structure_margin`` additionally reports the relaxation's own margin
-    (summed negative part of the 2x2 pair-block eigenvalues for SDD,
-    Gershgorin dominance margin for DD, the plain minimum eigenvalue for
-    PSD); it lower-bounds ``min_eigenvalue``, so a nonnegative value
-    certifies the block decomposition itself.
+    ``gram`` is always the *full* Gram matrix — for the chordal cone it is
+    assembled from the clique blocks, so the eigenvalue test of
+    :meth:`is_numerically_sos` applies uniformly to both cones.
+    ``structure_margin`` additionally reports the cone's own margin (the
+    summed negative part of the clique blocks' minimum eigenvalues for
+    chordal, the plain minimum eigenvalue for PSD); it lower-bounds
+    ``min_eigenvalue``, so a nonnegative value certifies the block
+    decomposition itself.
     """
 
     name: str
@@ -247,13 +247,11 @@ class SOSSolution:
 class SOSProgram:
     """A container for SOS constraints compiled to a conic SDP.
 
-    ``default_cone`` selects the Gram-cone relaxation applied to every SOS
-    constraint that does not carry its own ``cone=``: ``"psd"`` (full SOS,
-    the default), ``"chordal"`` (clique-sized PSD blocks over the chordally
+    ``default_cone`` selects the Gram cone applied to every SOS constraint
+    that does not carry its own ``cone=``: ``"psd"`` (full SOS, the
+    default) or ``"chordal"`` (clique-sized PSD blocks over the chordally
     extended correlative-sparsity pattern — exact for chordally-sparse
-    constraints), ``"sdd"`` (SDSOS — sums of 2x2 PSD blocks) or ``"dd"``
-    (DSOS — a pure LP lowering).  Relaxation aliases (``"sos"``,
-    ``"chordal"``, ``"sdsos"``, ``"dsos"``) are accepted.
+    constraints).  The relaxation name ``"sos"`` is accepted for ``"psd"``.
 
     ``context`` is the :class:`~repro.sdp.context.SolveContext` whose cache,
     counters and default settings govern this program's compiles and solves;
@@ -376,11 +374,9 @@ class SOSProgram:
                            ) -> SOSConstraint:
         """Require ``expression`` to be a sum of squares.
 
-        ``cone`` optionally restricts this constraint's Gram matrix to a
-        cheaper cone (``"sdd"``/``"dd"``, certifying SDSOS/DSOS membership —
-        a *stronger* claim, since DSOS ⊂ SDSOS ⊂ SOS — or ``"chordal"``,
-        splitting the Gram block along its correlative sparsity cliques);
-        ``None`` uses the program's :attr:`default_cone`.  ``cone_options``
+        ``cone`` optionally overrides the program's :attr:`default_cone` for
+        this constraint (``"chordal"`` splits the Gram block along its
+        correlative sparsity cliques).  ``cone_options``
         forwards extra lowering knobs, e.g. ``merge_size``/``merge_overlap``
         for the chordal clique merge.
         """
@@ -499,7 +495,7 @@ class SOSProgram:
                 **cone_options)
             sos_blocks.append((constraint, handle))
         # The cone layout enters the problem fingerprint, so distinct
-        # relaxations of the same program never share a cache entry (the
+        # cones of the same program never share a cache entry (the
         # chordal tag includes the clique layout itself, keeping different
         # sparsity patterns — and hence different lowerings — distinct too).
         builder.set_layout(",".join(handle.layout_tag

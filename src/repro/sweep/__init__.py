@@ -1,7 +1,7 @@
 """Parameter sweeps: certified feasibility frontiers over scenario axes.
 
 The subsystem answers "over which parameter region does the certificate
-survive, and at which Gram-cone rung?" — declaratively (:mod:`families`),
+survive?" — declaratively (:mod:`families`),
 cheaply (one structural compile per family structure, an array bind per
 point; :mod:`probe`), in parallel (local process pool; :mod:`planner`) and
 resumably (:mod:`progress`), reporting a per-axis feasibility frontier

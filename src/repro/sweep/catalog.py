@@ -25,9 +25,8 @@ _PLL3_KVCO = get_scenario("pll3").sweep_axes["k_vco"]
 register_sweep_family(GridSweep(
     name="vanderpol_grid",
     scenario="vanderpol",
-    description="Van der Pol damping × stiffness grid on the auto "
-                "relaxation ladder (the CI smoke family)",
-    relaxation="auto",
+    description="Van der Pol damping × stiffness grid (the CI smoke "
+                "family)",
     grid_axes=(("mu", 0.5, 2.0, 3), ("stiffness", 0.6, 1.4, 3)),
     tags=("continuous", "smoke"),
 ))
@@ -37,7 +36,6 @@ register_sweep_family(GridSweep(
     scenario="duffing",
     description="Duffing damping × cubic-stiffness grid with degree-4 "
                 "certificates",
-    relaxation="auto",
     grid_axes=(("delta", 0.3, 1.3, 4), ("beta", 0.5, 1.5, 3)),
     tags=("continuous", "degree4"),
 ))
@@ -46,7 +44,6 @@ register_sweep_family(GridSweep(
     name="buck_grid",
     scenario="buck",
     description="Buck converter input-voltage × duty-cycle grid",
-    relaxation="auto",
     grid_axes=(("v_in", 0.6, 1.4, 3), ("duty", 0.3, 0.7, 3)),
     tags=("power",),
 ))
@@ -56,7 +53,6 @@ register_sweep_family(DegradationLadder(
     scenario="pll3",
     description="Charge-pump ageing ladder: Ip swept over [0.2, 1.0] of "
                 "nominal (pll3_weak_pump generalised to a continuum)",
-    relaxation="sos",
     axis="i_p",
     lower=0.2,
     upper=1.0,
@@ -69,7 +65,6 @@ register_sweep_family(DegradationLadder(
     name="pll3_kvco_ladder",
     scenario="pll3",
     description="VCO gain drift ladder: Kvco swept over [0.6, 1.4] of nominal",
-    relaxation="sos",
     axis="k_vco",
     lower=0.6,
     upper=1.4,
@@ -83,7 +78,6 @@ register_sweep_family(MonteCarloSweep(
     scenario="pll3",
     description="Monte-Carlo process variation of the third-order PLL: "
                 "uniform (Ip, Kvco) draws around Table 1 nominals",
-    relaxation="sos",
     ranges=(("i_p", 0.8 * _PLL3_IP, 1.2 * _PLL3_IP, 1),
             ("k_vco", 0.8 * _PLL3_KVCO, 1.2 * _PLL3_KVCO, 1)),
     samples=16,

@@ -70,17 +70,16 @@ class SweepPoint:
 class SweepFamily:
     """Base of every sweep family (the shared declarative surface).
 
-    ``relaxation`` names the Gram-cone ladder every point climbs (``"auto"``
-    walks dsos → sdsos → chordal → sos and reports the cheapest certifying
-    rung; a single rung pins it).  ``probe_settings`` optionally overrides
-    the per-point conic solver settings — probe programs are far smaller
-    than the synthesis programs the stage defaults were budgeted for.
+    Every point is probed under the scenario's registered Gram-cone
+    relaxation, the one its anchor certificates were synthesised under.
+    ``probe_settings`` optionally overrides the per-point conic solver
+    settings — probe programs are far smaller than the synthesis programs
+    the stage defaults were budgeted for.
     """
 
     name: str
     scenario: str
     description: str = ""
-    relaxation: str = "auto"
     probe_settings: Tuple[Tuple[str, object], ...] = ()
     tags: Tuple[str, ...] = ()
 
@@ -134,6 +133,8 @@ class SweepFamily:
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
     def summary_row(self) -> Dict[str, object]:
+        from ..scenarios.registry import get_scenario
+
         return {
             "name": self.name,
             "kind": type(self).__name__,
@@ -141,7 +142,7 @@ class SweepFamily:
             "description": self.description,
             "axes": list(self.axes()),
             "points": self.count(),
-            "relaxation": self.relaxation,
+            "relaxation": get_scenario(self.scenario).relaxation,
             "tags": list(self.tags),
         }
 

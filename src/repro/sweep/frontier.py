@@ -1,8 +1,8 @@
 """Feasibility-frontier aggregation over sweep outcomes.
 
 Folds per-point recertification outcomes into the report the sweep exists
-to produce: which parameter regions certify, under which Gram-cone rung,
-and where the certified region's boundary sits on every axis.
+to produce: which parameter regions certify, and where the certified
+region's boundary sits on every axis.
 
 The frontier section is a pure function of the family configuration and the
 per-point outcomes — both deterministic — so its JSON serialisation is
@@ -18,24 +18,19 @@ from typing import Dict, List, Sequence
 
 def build_frontier(family_config: Dict[str, object],
                    fingerprint: str,
-                   ladder: Sequence[str],
+                   relaxation: str,
                    outcomes: Sequence[Dict[str, object]]) -> Dict[str, object]:
     """The deterministic frontier section of a sweep report.
 
-    ``outcomes`` are the per-point dicts produced by the probe shards
-    (``index``/``params``/``certified``/``rung``/``sampling``, plus the
-    deciding ``probe`` of every point sampling did not reject), in any
-    order; the frontier re-sorts by index.
+    ``relaxation`` is the Gram-cone relaxation every probe ran under (the
+    scenario's registered one).  ``outcomes`` are the per-point dicts
+    produced by the probe shards (``index``/``params``/``certified``/
+    ``sampling``, plus the ``probe`` of every point sampling did not
+    reject), in any order; the frontier re-sorts by index.
     """
     points = sorted((dict(outcome) for outcome in outcomes),
                     key=lambda o: int(o["index"]))
-    by_rung: Dict[str, int] = {rung: 0 for rung in ladder}
-    certified = 0
-    for outcome in points:
-        if outcome.get("certified"):
-            certified += 1
-            rung = str(outcome.get("rung"))
-            by_rung[rung] = by_rung.get(rung, 0) + 1
+    certified = sum(1 for outcome in points if outcome.get("certified"))
 
     axes: Dict[str, Dict[str, object]] = {}
     axis_names = sorted({name for outcome in points
@@ -63,15 +58,14 @@ def build_frontier(family_config: Dict[str, object],
         }
 
     return {
-        "schema": 1,
+        "schema": 2,
         "family": dict(family_config),
         "fingerprint": fingerprint,
-        "ladder": list(ladder),
+        "relaxation": relaxation,
         "summary": {
             "points": len(points),
             "certified": certified,
             "uncertified": len(points) - certified,
-            "by_rung": by_rung,
         },
         "axes": axes,
         "points": points,
@@ -87,11 +81,8 @@ def render_frontier_text(frontier: Dict[str, object]) -> str:
         f"(scenario {family.get('scenario', '?')}, "
         f"{summary.get('points', 0)} point(s))",
         f"  certified: {summary.get('certified', 0)}"
-        f"/{summary.get('points', 0)}"
-        + ("  by rung: " + ", ".join(
-            f"{rung}={count}" for rung, count
-            in summary.get("by_rung", {}).items() if count)
-           if any(summary.get("by_rung", {}).values()) else ""),
+        f"/{summary.get('points', 0)} "
+        f"(relaxation {frontier.get('relaxation', '?')})",
     ]
     for axis, entry in sorted(frontier.get("axes", {}).items()):
         span = entry.get("certified_range")

@@ -11,9 +11,9 @@ run:
    gets one contiguous shard (``ceil(points / jobs)`` by default), and each
    shard travels as a single ``sweep_shard`` job through the same executors
    the engine uses: inline for ``jobs=1``, a local process pool for
-   ``jobs>1``.  Per shard, every ladder rung pays one structural
-   compile of its :class:`~repro.sos.parametric.MultiParametricSOSProgram`
-   probe family and each point is a pure array bind.
+   ``jobs>1``.  Per shard, the probe family pays one structural compile
+   of its :class:`~repro.sos.parametric.MultiParametricSOSProgram` and each
+   point is a pure array bind.
 3. **Aggregation** — shard outcomes fold into the deterministic feasibility
    frontier (:mod:`repro.sweep.frontier`) plus a nondeterministic ``run``
    telemetry section; progress persists after every shard so ``--resume``
@@ -32,7 +32,7 @@ from ..engine.cache import cache_rate_summary, default_cache_dir
 from ..engine.engine import _InlineExecutor, _execute_job
 from ..engine.jobs import STEP_LYAPUNOV, STEP_SWEEP
 from ..exceptions import CertificateError
-from ..sdp import relaxation_ladder
+from ..scenarios.registry import get_scenario
 from ..utils import get_logger
 from .families import SweepFamily, SweepPoint, get_sweep_family
 from .frontier import build_frontier, render_frontier_text
@@ -52,13 +52,12 @@ class SweepOptions:
     jobs: int = 1
     use_cache: bool = True
     cache_dir: Optional[str] = None
-    relaxation: Optional[str] = None    # None keeps the family's ladder
     # Family reshaping (CLI --grid/--samples/--seed):
     grid: Optional[Dict[str, Tuple[float, float, int]]] = None
     samples: Optional[int] = None
     seed: Optional[int] = None
     # Points per shard job; None = ceil(points / jobs) so every worker slot
-    # gets one shard and each rung structure compiles exactly once per slot.
+    # gets one shard and the probe structure compiles exactly once per slot.
     shard_size: Optional[int] = None
     resume: bool = False
 
@@ -103,10 +102,10 @@ class SweepReport:
                 f"lookups hit ({100.0 * cache['hit_rate']:.1f}%), "
                 f"{cache['writes']} write(s)")
         structures = run.get("structures", {})
-        for rung in sorted(structures):
-            entry = structures[rung]
+        for relaxation in sorted(structures):
+            entry = structures[relaxation]
             lines.append(
-                f"  structure[{rung}]: mode={entry.get('mode')}, "
+                f"  structure[{relaxation}]: mode={entry.get('mode')}, "
                 f"{entry.get('structure_compiles', 0)} structural compile(s), "
                 f"{entry.get('binds', 0)} bind(s), "
                 f"{entry.get('rebuild_compiles', 0)} rebuild(s)")
@@ -204,10 +203,6 @@ class SweepRunner:
         options = self.options
         start = time.perf_counter()
         family = self.resolve_family(family)
-        try:
-            ladder = relaxation_ladder(options.relaxation or family.relaxation)
-        except ValueError as exc:
-            raise SweepError(str(exc)) from exc
 
         points = list(family.points())
         if not points:
@@ -238,7 +233,7 @@ class SweepRunner:
             shard_size = options.shard_size or \
                 max(1, math.ceil(len(pending) / max(1, options.jobs)))
             shards = _chunk(pending, shard_size)
-            self._run_shards(family, ladder, certificates, shards, completed,
+            self._run_shards(family, certificates, shards, completed,
                              progress, counters, cache_totals, structures,
                              shard_errors)
 
@@ -249,7 +244,8 @@ class SweepRunner:
                 f"(progress saved; re-run with --resume): {shard_errors[0]}")
 
         frontier = build_frontier(family.config(), family.fingerprint(),
-                                  ladder, list(completed.values()))
+                                  get_scenario(family.scenario).relaxation,
+                                  list(completed.values()))
         run = {
             "wall_seconds": time.perf_counter() - start,
             "jobs": options.jobs,
@@ -265,7 +261,7 @@ class SweepRunner:
         return SweepReport(family=family.config(), frontier=frontier, run=run)
 
     # ------------------------------------------------------------------
-    def _run_shards(self, family: SweepFamily, ladder: Sequence[str],
+    def _run_shards(self, family: SweepFamily,
                     certificates: Dict[str, object],
                     shards: List[List[SweepPoint]],
                     completed: Dict[int, Dict[str, object]],
@@ -283,7 +279,6 @@ class SweepRunner:
                 "step": STEP_SWEEP,
                 "mode": None,
                 "certificates": certificates,
-                "rungs": list(ladder),
                 "base": base,
                 "steps": steps,
                 "anchor_params": family.anchor_params(),
@@ -331,9 +326,9 @@ class SweepRunner:
                     data = outcome.get("data", {})
                     for point in data.get("points", []):
                         completed[int(point["index"])] = point
-                    for rung, stats in data.get("structures", {}).items():
+                    for relaxation, stats in data.get("structures", {}).items():
                         entry = structures.setdefault(
-                            rung, {"mode": stats.get("mode")})
+                            relaxation, {"mode": stats.get("mode")})
                         if entry["mode"] != stats.get("mode"):
                             entry["mode"] = "mixed"
                         _merge_counts(entry, stats)

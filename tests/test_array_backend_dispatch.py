@@ -79,7 +79,7 @@ class TestBatchMatchesPerProblem:
     """Acceptance: >=64 binds, batch == per-problem solves."""
 
     def test_batch_of_64_binds_matches_serial(self):
-        family = _ball_family(cone="dd")  # LP cones keep the serial pass fast
+        family = _ball_family(cone="chordal")
         problems = family.bind_many(_ladder(64))
         batch = solve_conic_problems(problems,
                                      context=SolveContext(name="batch64"),

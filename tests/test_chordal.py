@@ -6,8 +6,7 @@ plumbing of ``solved:chordal`` counters.
 The exactness tests exploit the Grone/Agler theorem: a matrix supported on a
 chordal pattern is PSD iff it splits into clique-supported PSD summands, so
 on *quadratic forms* (unique Gram matrix) the chordal relaxation certifies
-exactly the same polynomials as the monolithic PSD cone — unlike DSOS/SDSOS,
-which are strict inner approximations.
+exactly the same polynomials as the monolithic PSD cone.
 """
 
 import numpy as np
@@ -362,13 +361,13 @@ class TestChordalCacheHygiene:
         poly = _quadratic_form(_tridiagonal(4, 0.4))
         fingerprints = {}
         layouts = {}
-        for cone in ("dd", "sdd", "chordal", "psd"):
+        for cone in ("chordal", "psd"):
             program = SOSProgram(name=f"fp_{cone}", default_cone=cone)
             program.add_sos_constraint(poly, name="c")
             problem = program.compile()[0].build()
             fingerprints[cone] = problem.fingerprint()
             layouts[cone] = problem.layout
-        assert len(set(fingerprints.values())) == 4
+        assert len(set(fingerprints.values())) == 2
         assert layouts["chordal"].startswith("chordal:")
         problem = SOSProgram(name="kind", default_cone="chordal")
         problem.add_sos_constraint(poly, name="c")

@@ -1,16 +1,15 @@
-"""The pluggable Gram-cone layer: DD/SDD/PSD lowering, svec/smat round
-trips, the batched 2x2 PSD projection hot path and the cache-key hygiene of
-cone layouts.
+"""The Gram-cone layer: PSD/chordal lowering, svec/smat round trips, the
+batched PSD projection and the cache-key hygiene of cone layouts.
 
-The deterministic hierarchy tests exploit that a *quadratic form* has a
-unique Gram matrix, so membership in DD/SDD/PSD is decided exactly by the
-matrix, with no search over Gram representations:
+The membership tests exploit that a *quadratic form* has a unique Gram
+matrix, so membership is decided exactly by the matrix, with no search over
+Gram representations.  The chordal cone is exact on the patterned slice of
+the PSD cone (the pattern comes from the form's support), so both cones
+certify every PSD matrix and neither certifies an indefinite one:
 
-* ``[[2, 1], [1, 2]]``            is diagonally dominant          (DD),
-* ``[[1, 1.5], [1.5, 3]]``        is PSD but not DD; for 2x2, SDD = PSD,
-* ``[[1, .8, .8], [.8, 1, .8], [.8, .8, 1]]`` is PSD but neither DD nor SDD
-  (each diagonal unit must split 0.5/0.5 over its two pairs by symmetry and
-  ``0.5 * 0.5 < 0.8^2``).
+* ``[[2, 1], [1, 2]]``                   is PSD (dense pattern),
+* ``[[1, .6, 0], [.6, 1, .6], [0, .6, 1]]`` is PSD with a path pattern,
+* ``[[1, 1.5], [1.5, 1]]``               is indefinite.
 """
 
 import numpy as np
@@ -25,7 +24,6 @@ from repro.sdp import (
     make_gram_block,
     normalize_gram_cone,
     project_psd_svec,
-    relaxation_ladder,
     smat,
     svec,
     svec_dim,
@@ -55,37 +53,31 @@ def _quadratic_form(matrix):
     return total
 
 
-M_DD = np.array([[2.0, 1.0], [1.0, 2.0]])
-M_SDD_NOT_DD = np.array([[1.0, 1.5], [1.5, 3.0]])
-M_PSD_ONLY = np.array([[1.0, 0.8, 0.8], [0.8, 1.0, 0.8], [0.8, 0.8, 1.0]])
+M_DENSE = np.array([[2.0, 1.0], [1.0, 2.0]])
+M_PATH = np.array([[1.0, 0.6, 0.0], [0.6, 1.0, 0.6], [0.0, 0.6, 1.0]])
+M_INDEFINITE = np.array([[1.0, 1.5], [1.5, 1.0]])
 
 #: (matrix, cones expected to certify the quadratic form)
 HIERARCHY_CASES = [
-    (M_DD, {"dd", "sdd", "psd"}),
-    (M_SDD_NOT_DD, {"sdd", "psd"}),
-    (M_PSD_ONLY, {"psd"}),
+    (M_DENSE, {"chordal", "psd"}),
+    (M_PATH, {"chordal", "psd"}),
+    (M_INDEFINITE, set()),
 ]
 
 
 class TestRelaxationNames:
     def test_mapping(self):
-        assert cone_for_relaxation("dsos") == "dd"
-        assert cone_for_relaxation("sdsos") == "sdd"
         assert cone_for_relaxation("chordal") == "chordal"
         assert cone_for_relaxation("sos") == "psd"
-
-    def test_ladder(self):
-        assert relaxation_ladder("auto") == ("dsos", "sdsos", "chordal", "sos")
-        assert relaxation_ladder("sdsos") == ("sdsos",)
-        assert relaxation_ladder("chordal") == ("chordal",)
+        assert cone_for_relaxation("psd") == "psd"
 
     def test_normalization_accepts_aliases(self):
-        assert normalize_gram_cone("DSOS") == "dd"
+        assert normalize_gram_cone("SOS") == "psd"
         assert normalize_gram_cone("psd") == "psd"
-        with pytest.raises(ValueError):
-            normalize_gram_cone("soc")
-        with pytest.raises(ValueError):
-            cone_for_relaxation("auto")
+        assert normalize_gram_cone("Chordal") == "chordal"
+        for name in ("soc", "dsos", "sdsos", "auto", "dd", "sdd"):
+            with pytest.raises(ValueError, match=r"\('sos', 'chordal'\)"):
+                normalize_gram_cone(name)
 
 
 class TestSvecRoundTripProperties:
@@ -132,8 +124,9 @@ class TestSvecRoundTripProperties:
 
 
 class TestBatchedPairProjection:
-    """Satellite: batched equal-size 2x2 PSD projection vs. per-block (the
-    SDSOS hot path — every pair block of every SDD Gram shares order 2)."""
+    """Batched equal-size 2x2 PSD projection vs. per-block (the closed form
+    that projects order-2 blocks: small multipliers and two-vertex chordal
+    cliques)."""
 
     @given(st.integers(min_value=1, max_value=24), st.data())
     @settings(max_examples=40, deadline=None)
@@ -166,15 +159,15 @@ class TestBatchedPairProjection:
 class TestGramBlockLowering:
     """The entry functionals of each cone reconstruct the intended matrix."""
 
-    @pytest.mark.parametrize("cone", ["psd", "sdd", "dd"])
+    @pytest.mark.parametrize("cone", ["psd", "chordal"])
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
     def test_matrix_reconstruction_solves_target(self, cone, order, rng_seed=0):
-        """Pin every Gram entry to a target DD matrix through equality rows
+        """Pin every Gram entry to a target PSD matrix through equality rows
         and check the handle reconstructs exactly that matrix."""
         rng = np.random.default_rng(rng_seed + order)
         off = rng.uniform(-0.2, 0.2, size=(order, order))
         target = 0.5 * (off + off.T)
-        np.fill_diagonal(target, 1.0)  # strongly DD -> representable in all cones
+        np.fill_diagonal(target, 1.0)  # diagonally dominant -> safely PSD
 
         builder = ConicProblemBuilder()
         handle = make_gram_block(builder, order, cone=cone, name="g")
@@ -201,27 +194,33 @@ class TestGramBlockLowering:
         np.testing.assert_allclose(gram, target, atol=5e-4)
         assert handle.structure_margin(builder, result.x) >= -1e-6
 
-    def test_sdd_margin_lower_bounds_min_eigenvalue_under_shared_violations(self):
-        """Negative pair-block eigenvalues on a shared diagonal index add up
-        in the assembled Gram matrix; the margin must account for the sum,
-        not just the worst single block."""
+    def test_chordal_margin_lower_bounds_min_eigenvalue_under_shared_violations(self):
+        """Negative clique-block eigenvalues on a shared vertex add up in the
+        assembled Gram matrix; the margin must account for the sum, not
+        just the worst single block."""
         builder = ConicProblemBuilder()
-        handle = make_gram_block(builder, 3, cone="sdd", name="g")
+        # A star on vertex 0: cliques {0, 1} and {0, 2}, kept apart.
+        handle = make_gram_block(builder, 3, cone="chordal", name="g",
+                                 sparsity=[(0, 1), (0, 2)], merge_size=2,
+                                 merge_overlap=1.0)
+        assert sorted(handle.cliques) == [(0, 1), (0, 2)]
         problem = builder.build()
         x = np.zeros(problem.dims.total)
         eps = 0.25
-        violating = svec(np.array([[-eps, 0.0], [0.0, 0.0]]))
-        for pair in (0, 1):  # pairs (0,1) and (0,2) both touch diagonal 0
-            block = builder.blocks[handle.pair_ids[pair]]
-            x[block.offset:block.offset + block.size] = violating
+        for clique, block_id in zip(handle.cliques, handle.block_ids):
+            violating = np.zeros((2, 2))
+            shared = clique.index(0)
+            violating[shared, shared] = -eps
+            block = builder.blocks[block_id]
+            x[block.offset:block.offset + block.size] = svec(violating)
         gram = handle.matrix(builder, x)
         min_eig = float(np.linalg.eigvalsh(gram).min())
         assert min_eig == pytest.approx(-2 * eps)
         assert handle.structure_margin(builder, x) <= min_eig + 1e-12
 
-    @pytest.mark.parametrize("cone", ["psd", "sdd", "dd"])
+    @pytest.mark.parametrize("cone", ["psd", "chordal"])
     def test_solved_certificate_reconstructs_polynomial(self, cone):
-        poly = _quadratic_form(M_DD)
+        poly = _quadratic_form(M_DENSE)
         program = SOSProgram(default_cone=cone)
         program.add_sos_constraint(poly, name="c")
         solution = program.solve(max_iterations=4000)
@@ -236,12 +235,12 @@ class TestGramBlockLowering:
 
 
 class TestHierarchy:
-    """DD ⊂ SDD ⊂ PSD, decided exactly on quadratic forms."""
+    """chordal(n; G) ⊆ PSD(n), exact on the pattern: decided on quadratic forms."""
 
     @pytest.mark.parametrize("matrix,certifying", HIERARCHY_CASES)
     def test_memberships(self, matrix, certifying):
         poly = _quadratic_form(matrix)
-        for cone in ("dd", "sdd", "psd"):
+        for cone in ("chordal", "psd"):
             program = SOSProgram(name=f"h_{cone}", default_cone=cone)
             program.add_sos_constraint(poly, name="c")
             solution = program.solve(max_iterations=6000)
@@ -255,48 +254,49 @@ class TestHierarchy:
                     f"{cone} must not certify Gram {matrix.tolist()}"
 
     def test_per_constraint_cone_override(self):
-        poly = _quadratic_form(M_DD)
-        hard = _quadratic_form(M_SDD_NOT_DD)
-        program = SOSProgram(default_cone="dd")
-        program.add_sos_constraint(poly, name="cheap")
-        program.add_sos_constraint(hard, name="hard", cone="psd")
+        poly = _quadratic_form(M_DENSE)
+        other = _quadratic_form(M_PATH)
+        program = SOSProgram(default_cone="chordal")
+        program.add_sos_constraint(poly, name="clique")
+        program.add_sos_constraint(other, name="full", cone="psd")
         solution = program.solve(max_iterations=6000)
         assert solution.is_success
-        assert solution.certificates["cheap"].cone == "dd"
-        assert solution.certificates["hard"].cone == "psd"
+        assert solution.certificates["clique"].cone == "chordal"
+        assert solution.certificates["full"].cone == "psd"
         problem = program.compile()[0].build()
-        assert problem.layout.startswith("dd:")
+        assert problem.layout.startswith("chordal:")
         assert "psd:" in problem.layout
-        assert problem.layout_kind == "dd+psd"
+        assert problem.layout_kind == "chordal+psd"
 
 
 class TestConeLayoutCacheHygiene:
-    """Distinct relaxations must never share cache keys or counters."""
+    """Distinct cones must never share cache keys or counters."""
 
     def test_fingerprints_distinct_across_cones(self):
-        poly = _quadratic_form(M_DD)
+        poly = _quadratic_form(M_DENSE)
         fingerprints = {}
-        for cone in ("dd", "sdd", "psd"):
+        for cone in ("chordal", "psd"):
             program = SOSProgram(name=f"fp_{cone}", default_cone=cone)
             program.add_sos_constraint(poly, name="c")
             problem = program.compile()[0].build()
             fingerprints[cone] = problem.fingerprint()
-            assert problem.layout == f"{cone}:{3}"
-        assert len(set(fingerprints.values())) == 3
+            assert problem.layout.startswith(f"{cone}:{3}")
+        assert len(set(fingerprints.values())) == 2
 
-    def test_order2_sdd_and_psd_stay_distinct(self):
-        """For a 1x1 *pair* structure the SDD lowering produces numerically
-        identical conic data to PSD — the layout tag must still split them."""
+    def test_dense_chordal_and_psd_stay_distinct(self):
+        """On a dense pattern the chordal lowering is one clique holding the
+        whole basis — numerically the PSD block — yet the layout tag must
+        still split them."""
         variables = _variables("x")
         x = Polynomial.from_variable(variables[0], variables)
-        poly = x * x * 4.0 + x * 2.0 + 1.0  # Gram over [1, x]: order 2
+        poly = x * x * 4.0 + x * 2.0 + 1.0  # Gram over [1, x]: order 2, dense
         problems = {}
-        for cone in ("sdd", "psd"):
+        for cone in ("chordal", "psd"):
             program = SOSProgram(name=f"o2_{cone}", default_cone=cone)
             program.add_sos_constraint(poly, name="c")
             problems[cone] = program.compile()[0].build()
-        a, b = problems["sdd"], problems["psd"]
-        # Identical mathematical data (SDD = PSD for 2x2 Gram matrices)...
+        a, b = problems["chordal"], problems["psd"]
+        # Identical mathematical data...
         assert a.dims == b.dims
         np.testing.assert_allclose(a.A.toarray(), b.A.toarray())
         np.testing.assert_allclose(a.b, b.b)
@@ -305,17 +305,16 @@ class TestConeLayoutCacheHygiene:
         assert a.fingerprint() != b.fingerprint()
 
     def test_solve_counters_keyed_by_layout_kind(self):
-        poly = _quadratic_form(M_DD)
+        poly = _quadratic_form(M_DENSE)
         context = SolveContext()
-        for cone in ("dd", "sdd", "psd"):
+        for cone in ("chordal", "psd"):
             program = SOSProgram(name=f"k_{cone}", default_cone=cone,
                                  context=context)
             program.add_sos_constraint(poly, name="c")
             program.solve(max_iterations=4000)
         counters = context.solve_counters()
-        assert counters["solved"] == 3
-        assert counters["solved:dd"] == 1
-        assert counters["solved:sdd"] == 1
+        assert counters["solved"] == 2
+        assert counters["solved:chordal"] == 1
         assert counters["solved:psd"] == 1
 
     def test_raw_problem_layout_kind_defaults(self):

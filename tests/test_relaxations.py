@@ -1,9 +1,9 @@
-"""Relaxation threading through the pipeline layers: stage options, the
-escalation ladder, engine jobs/reports, the certificate cache and the CLI.
+"""Relaxation threading through the pipeline layers: stage options, engine
+jobs/reports, the certificate cache and the CLI, exercised with the
+``chordal`` relaxation against the default ``sos``.
 
-The expensive pll3 end-to-end ``auto`` acceptance run lives in
-``test_relaxations_pll3.py``; everything here sticks to cheap workloads
-(vanderpol, hand-built quadratics) so the module stays fast.
+Everything here sticks to cheap workloads (vanderpol, hand-built
+quadratics) so the module stays fast.
 """
 
 import json
@@ -20,7 +20,13 @@ from repro.core import (
 from repro.engine import EngineOptions, VerificationEngine
 from repro.polynomial import Polynomial, VariableVector, make_variables
 from repro.scenarios import build_problem
-from repro.sos import SemialgebraicSet
+from repro.scenarios.registry import register_scenario
+from repro.sos import SemialgebraicSet, SOSProgram
+
+#: Relaxation names that must be rejected: unknown ones and the removed
+#: DSOS/SDSOS cones and ``auto`` ladder.
+REJECTED = ("soc", "dsos", "sdsos", "auto")
+NAMES_ACCEPTED = r"\('sos', 'chordal'\)"
 
 
 def _variables(*names):
@@ -31,23 +37,37 @@ class TestOptionsPropagation:
     def test_apply_relaxation_reaches_stages(self):
         options = InevitabilityOptions()
         assert options.lyapunov.relaxation == "sos"
-        options.apply_relaxation("sdsos")
-        assert options.relaxation == "sdsos"
-        assert options.lyapunov.relaxation == "sdsos"
-        assert options.levelset.relaxation == "sdsos"
-        assert options.advection.relaxation == "sdsos"
-        assert options.escape.relaxation == "sdsos"
+        options.apply_relaxation("chordal")
+        assert options.relaxation == "chordal"
+        assert options.lyapunov.relaxation == "chordal"
+        assert options.levelset.relaxation == "chordal"
+        assert options.advection.relaxation == "chordal"
+        assert options.escape.relaxation == "chordal"
 
     def test_constructor_relaxation_propagates(self):
-        options = InevitabilityOptions(relaxation="auto")
-        assert options.lyapunov.relaxation == "auto"
-        assert options.levelset.relaxation == "auto"
-        assert options.advection.relaxation == "auto"
-        assert options.escape.relaxation == "auto"
+        options = InevitabilityOptions(relaxation="chordal")
+        assert options.lyapunov.relaxation == "chordal"
+        assert options.levelset.relaxation == "chordal"
+        assert options.advection.relaxation == "chordal"
+        assert options.escape.relaxation == "chordal"
 
     def test_unknown_relaxation_rejected(self):
-        with pytest.raises(ValueError):
-            InevitabilityOptions().apply_relaxation("soc")
+        variables = _variables("x")
+        x = Polynomial.from_variable(variables[0], variables)
+        for name in REJECTED:
+            with pytest.raises(ValueError, match=NAMES_ACCEPTED):
+                InevitabilityOptions().apply_relaxation(name)
+            with pytest.raises(ValueError, match=NAMES_ACCEPTED):
+                InevitabilityOptions(relaxation=name)
+            with pytest.raises(ValueError, match=NAMES_ACCEPTED):
+                build_problem("vanderpol", relaxation=name)
+            with pytest.raises(ValueError, match=NAMES_ACCEPTED):
+                register_scenario(name=f"rejected_{name}", description="x",
+                                  relaxation=name)(lambda spec: None)
+            with pytest.raises(ValueError, match=NAMES_ACCEPTED):
+                SOSProgram(default_cone=name)
+            with pytest.raises(ValueError, match=NAMES_ACCEPTED):
+                SOSProgram().add_sos_constraint(x * x, cone=name)
 
 
 class TestLevelSetRelaxation:
@@ -59,7 +79,7 @@ class TestLevelSetRelaxation:
         domain = SemialgebraicSet(variables).with_box([(-1.0, 1.0), (-1.0, 1.0)])
         return certificate, domain
 
-    @pytest.mark.parametrize("relaxation", ["dsos", "sdsos", "sos"])
+    @pytest.mark.parametrize("relaxation", ["chordal", "sos"])
     def test_each_rung_certifies_the_disc(self, relaxation):
         certificate, domain = self._setup()
         maximizer = LevelSetMaximizer(LevelSetOptions(
@@ -71,46 +91,32 @@ class TestLevelSetRelaxation:
         assert result.relaxation == relaxation
         assert 0.0 < result.level <= 1.0 + 1e-6
 
-    def test_auto_prefers_the_cheapest_sufficient_rung(self):
-        certificate, domain = self._setup()
-        maximizer = LevelSetMaximizer(LevelSetOptions(
-            bisection_tolerance=0.05, max_bisection_iterations=10,
-            initial_upper_bound=0.5, relaxation="auto",
-            solver_settings=dict(max_iterations=4000)))
-        result = maximizer.maximize("m", certificate, domain,
-                                    bounds=[(-1, 1), (-1, 1)])
-        # The disc-in-box query is DSOS-certifiable, so auto never escalates.
-        assert result.relaxation == "dsos"
-        assert result.level > 0.0
-
     def test_serial_strategy_also_threads_the_cone(self):
         certificate, domain = self._setup()
         maximizer = LevelSetMaximizer(LevelSetOptions(
             bisection_tolerance=0.05, max_bisection_iterations=8,
-            initial_upper_bound=0.5, strategy="serial", relaxation="sdsos",
+            initial_upper_bound=0.5, strategy="serial", relaxation="chordal",
             solver_settings=dict(max_iterations=4000)))
         result = maximizer.maximize("m", certificate, domain,
                                     bounds=[(-1, 1), (-1, 1)])
-        assert result.relaxation == "sdsos"
+        assert result.relaxation == "chordal"
         assert result.level > 0.0
 
 
 class TestLyapunovRelaxation:
-    @pytest.mark.parametrize("relaxation", ["dsos", "sdsos", "auto"])
-    def test_vanderpol_certificates_under_cheap_cones(self, relaxation):
+    def test_vanderpol_certificates_under_chordal(self):
         problem = build_problem("vanderpol")
         problem.options.lyapunov.domain_boxes = problem.state_bounds()
-        problem.options.apply_relaxation(relaxation)
+        problem.options.apply_relaxation("chordal")
         synthesizer = MultipleLyapunovSynthesizer(
             problem.system, options=problem.options.lyapunov)
         result = synthesizer.synthesize()
         assert result.feasible
-        expected = "dsos" if relaxation == "auto" else relaxation
-        assert result.relaxation == expected
+        assert result.relaxation == "chordal"
         certs = result.solution.certificates
         assert certs
         for cert in certs.values():
-            assert cert.cone == ("dd" if expected == "dsos" else "sdd")
+            assert cert.cone == "chordal"
             assert cert.structure_margin is not None
 
 
@@ -120,46 +126,46 @@ def relax_cache(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def vanderpol_sdsos_cold(relax_cache):
+def vanderpol_chordal_cold(relax_cache):
     engine = VerificationEngine(EngineOptions(jobs=1, cache_dir=relax_cache,
-                                              relaxation="sdsos"))
+                                              relaxation="chordal"))
     return engine.run(["vanderpol"])
 
 
 class TestEngineRelaxation:
-    def test_cold_run_records_relaxation_per_job(self, vanderpol_sdsos_cold):
-        outcome = vanderpol_sdsos_cold.outcome("vanderpol")
+    def test_cold_run_records_relaxation_per_job(self, vanderpol_chordal_cold):
+        outcome = vanderpol_chordal_cold.outcome("vanderpol")
         assert outcome.matches_expected
         by_step = {job.step: job for job in outcome.jobs}
-        assert by_step["lyapunov"].relaxation == "sdsos"
-        assert by_step["levelset"].relaxation == "sdsos"
-        payload = vanderpol_sdsos_cold.to_json_dict()
-        assert payload["engine"]["relaxation"] == "sdsos"
+        assert by_step["lyapunov"].relaxation == "chordal"
+        assert by_step["levelset"].relaxation == "chordal"
+        payload = vanderpol_chordal_cold.to_json_dict()
+        assert payload["engine"]["relaxation"] == "chordal"
         job_rows = payload["scenarios"][0]["jobs"]
-        assert any(row["relaxation"] == "sdsos" for row in job_rows)
+        assert any(row["relaxation"] == "chordal" for row in job_rows)
         timing_rows = payload["scenarios"][0]["report"]["timings"]
-        assert any(row.get("relaxation") == "sdsos" for row in timing_rows)
+        assert any(row.get("relaxation") == "chordal" for row in timing_rows)
         # The keyed counters expose which cone actually solved.
-        assert vanderpol_sdsos_cold.counters.get("solved:sdd", 0) > 0
-        assert vanderpol_sdsos_cold.counters.get("solved:psd", 0) == 0
+        assert vanderpol_chordal_cold.counters.get("solved:chordal", 0) > 0
+        assert vanderpol_chordal_cold.counters.get("solved:psd", 0) == 0
 
     def test_warm_cache_zero_solves_same_relaxation(self, relax_cache,
-                                                    vanderpol_sdsos_cold):
+                                                    vanderpol_chordal_cold):
         warm = VerificationEngine(EngineOptions(
-            jobs=1, cache_dir=relax_cache, relaxation="sdsos")).run(["vanderpol"])
+            jobs=1, cache_dir=relax_cache, relaxation="chordal")).run(["vanderpol"])
         assert warm.counters["solved"] == 0
         assert warm.counters["cache_hit"] > 0
         assert warm.outcome("vanderpol").statuses == \
-            vanderpol_sdsos_cold.outcome("vanderpol").statuses
+            vanderpol_chordal_cold.outcome("vanderpol").statuses
 
     def test_distinct_relaxations_never_share_cache_entries(self, relax_cache,
-                                                            vanderpol_sdsos_cold):
-        """A warm sdsos cache must not serve the sos (or dsos) pipeline."""
+                                                            vanderpol_chordal_cold):
+        """A warm chordal cache must not serve the sos pipeline."""
         sos_run = VerificationEngine(EngineOptions(
             jobs=1, cache_dir=relax_cache, relaxation="sos")).run(["vanderpol"])
         assert sos_run.counters["solved"] > 0
         assert sos_run.counters.get("solved:psd", 0) > 0
-        assert sos_run.counters.get("cache_hit:sdd", 0) == 0
+        assert sos_run.counters.get("cache_hit:chordal", 0) == 0
 
 
 class TestScenarioSpecRelaxation:
@@ -170,8 +176,6 @@ class TestScenarioSpecRelaxation:
         assert spec.summary_row()["relaxation"] == "sos"
 
     def test_register_scenario_validates_relaxation(self):
-        from repro.scenarios.registry import register_scenario
-
         with pytest.raises(ValueError):
             register_scenario(name="bad_relax_scenario", description="x",
                               relaxation="qp")(lambda spec: None)
@@ -181,10 +185,10 @@ class TestScenarioSpecRelaxation:
         import dataclasses
 
         spec = dataclasses.replace(get_scenario("vanderpol"),
-                                   relaxation="dsos")
+                                   relaxation="chordal")
         problem = spec.build()
-        assert problem.options.relaxation == "dsos"
-        assert problem.options.lyapunov.relaxation == "dsos"
+        assert problem.options.relaxation == "chordal"
+        assert problem.options.lyapunov.relaxation == "chordal"
 
 
 class TestCLIRelaxation:
@@ -196,18 +200,21 @@ class TestCLIRelaxation:
     def test_verify_relaxation_flag(self, tmp_path, capsys):
         json_path = tmp_path / "report.json"
         code = cli_main([
-            "verify", "vanderpol", "--relaxation", "dsos",
+            "verify", "vanderpol", "--relaxation", "chordal",
             "--cache-dir", str(tmp_path / "cache"),
             "--json", str(json_path),
         ])
         capsys.readouterr()
         assert code == 0
         payload = json.loads(json_path.read_text())
-        assert payload["engine"]["relaxation"] == "dsos"
+        assert payload["engine"]["relaxation"] == "chordal"
         jobs = payload["scenarios"][0]["jobs"]
-        assert any(job["relaxation"] == "dsos" for job in jobs)
+        assert any(job["relaxation"] == "chordal" for job in jobs)
 
-    def test_verify_rejects_unknown_relaxation(self, tmp_path):
-        with pytest.raises(SystemExit):
-            cli_main(["verify", "vanderpol", "--relaxation", "qp",
-                      "--cache-dir", str(tmp_path / "cache")])
+    def test_verify_rejects_unknown_relaxation(self, tmp_path, capsys):
+        for name in ("qp",) + REJECTED:
+            with pytest.raises(SystemExit) as exc:
+                cli_main(["verify", "vanderpol", "--relaxation", name,
+                          "--cache-dir", str(tmp_path / "cache")])
+            assert exc.value.code == 2
+            assert "invalid choice" in capsys.readouterr().err

@@ -40,15 +40,15 @@ class TestRegistry:
             assert spec.expected in ("verified", "property_one",
                                      "inconclusive", "any")
 
-    def test_pll4_deg4_rides_the_auto_ladder(self):
+    def test_pll4_deg4_registers_chordal(self):
         spec = get_scenario("pll4_deg4")
         assert spec.certificate_degree == 4
-        assert spec.relaxation == "auto"
+        assert spec.relaxation == "chordal"
         assert "chordal" in spec.tags
         problem = spec.build()
-        # The registered ladder lands on every stage's options.
-        assert problem.options.lyapunov.relaxation == "auto"
-        assert problem.options.levelset.relaxation == "auto"
+        # The registered relaxation lands on every stage's options.
+        assert problem.options.lyapunov.relaxation == "chordal"
+        assert problem.options.levelset.relaxation == "chordal"
 
     def test_unknown_scenario_raises_with_listing(self):
         with pytest.raises(KeyError, match="available"):

@@ -167,7 +167,7 @@ class TestSolverSettings:
 class TestConcurrentVerifiersVanDerPol:
     """Two verifiers, distinct caches and relaxations, concurrent == serial."""
 
-    RELAXATIONS = ("sos", "sdsos")
+    RELAXATIONS = ("sos", "chordal")
 
     def _run(self, tmp_path, tag, relaxation):
         context = _cached_context(tmp_path / f"cache-{tag}-{relaxation}",
@@ -194,8 +194,8 @@ class TestConcurrentVerifiersVanDerPol:
             assert run["counters"]["cache_hit"] == 0
         # The two relaxations genuinely solved in different cones.
         assert serial_runs["sos"]["counters"]["solved:psd"] > 0
-        assert "solved:psd" not in serial_runs["sdsos"]["counters"]
-        assert serial_runs["sdsos"]["counters"]["solved:sdd"] > 0
+        assert "solved:psd" not in serial_runs["chordal"]["counters"]
+        assert serial_runs["chordal"]["counters"]["solved:chordal"] > 0
 
     def test_concurrent_verifiers_match_serial_exactly(self, serial_runs,
                                                        tmp_path):
@@ -222,6 +222,6 @@ class TestConcurrentVerifiersVanDerPol:
         # the process-default context (other modules do solve through it, so
         # compare against a snapshot taken just before).
         before = default_context().solve_counters()
-        run = self._run(tmp_path, "isolated", "sdsos")
+        run = self._run(tmp_path, "isolated", "chordal")
         assert run["counters"]["solved"] > 0
         assert default_context().solve_counters() == before

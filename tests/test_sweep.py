@@ -142,7 +142,7 @@ class TestSweepShard:
         certificates = self._anchor(cache_dir)
         outcome = _execute_job(
             {"scenario": "vanderpol", "step": STEP_SWEEP, "mode": None,
-             "certificates": certificates, "rungs": ["sos"],
+             "certificates": certificates,
              "base": {"mu": 0.8, "stiffness": 0.9},
              "steps": {"mu": 0.4, "stiffness": 0.2},
              "anchor_params": {}, "probe_settings": {},
@@ -153,41 +153,11 @@ class TestSweepShard:
         points = outcome["data"]["points"]
         assert [p["index"] for p in points] == [0, 1]
         assert all(p["certified"] for p in points)
-        assert all(p["rung"] == "sos" for p in points)
+        assert all(set(p) == {"index", "params", "certified", "sampling",
+                              "probe"} for p in points)
         stats = outcome["data"]["structures"]["sos"]
         assert stats["mode"] == "parametric"
         assert stats["binds"] == 2
-
-    def test_cheap_rung_residual_uses_the_point_polynomials(self, tmp_path):
-        from repro.engine.serialize import certificates_from_data
-        from repro.sdp import SolveContext
-        from repro.sweep.probe import _RungStructure
-
-        certificates = certificates_from_data(self._anchor(str(tmp_path)))
-        context = SolveContext(name="probe")
-        structure = _RungStructure(
-            "vanderpol", "dsos", certificates, {},
-            base={"mu": 0.8, "stiffness": 0.9},
-            steps={"mu": 0.4, "stiffness": 0.2}, context=context)
-        params = {"mu": 1.2, "stiffness": 1.1}   # not the base point
-        conic, program = structure.conic_at(params)
-        assert program is None and structure.mode == "parametric"
-        result = context.solve(conic, max_iterations=3000)
-
-        used = structure.certificates_at(params, result)
-        fresh_program = structure._probe_program(params)
-        fresh_program.compile()[0].build()
-        fresh = fresh_program.interpret_result(
-            result, with_certificates=True).certificates
-        template = structure.family.interpret(
-            result, with_certificates=True).certificates
-        assert used and set(used) == set(fresh)
-        for name, certificate in used.items():
-            assert certificate.reconstruction_error == \
-                fresh[name].reconstruction_error
-        # The base point's template polynomials give other residuals.
-        assert any(template[name].reconstruction_error
-                   != fresh[name].reconstruction_error for name in fresh)
 
     def test_unknown_step_still_errors(self):
         outcome = _execute_job({"scenario": "vanderpol", "step": "nonsense"})
@@ -204,8 +174,9 @@ class TestSweepRunner:
             jobs=1, cache_dir=str(tmp_path / "c1"))).run(family)
         assert r1.frontier["summary"]["points"] == 4
         assert r1.certified == 4
+        assert r1.frontier["relaxation"] == "sos"
         for point in r1.points:
-            assert point["rung"] in r1.frontier["ladder"]
+            assert "rung" not in point and "attempts" not in point
 
         r4 = SweepRunner(SweepOptions(
             jobs=4, cache_dir=str(tmp_path / "c4"))).run(family)
@@ -236,7 +207,7 @@ class TestSweepRunner:
             jobs=1, cache_dir=str(tmp_path), use_cache=False,
             resume=True)).run(family)
         assert resumed.run["resumed_points"] == 3
-        assert resumed.run["structures"]["dsos"]["binds"] == 1
+        assert resumed.run["structures"]["sos"]["binds"] == 1
         assert _frontier_blob(resumed) == _frontier_blob(full)
 
     def test_fingerprint_mismatch_discards_progress(self, tmp_path):
@@ -244,7 +215,7 @@ class TestSweepRunner:
         progress = SweepProgress(tmp_path / "sweeps", family.name,
                                  "0123456789abcdef")
         progress.save({0: {"index": 0, "params": {}, "certified": True,
-                           "rung": "sos", "sampling": True, "attempts": []}})
+                           "sampling": True}})
         runner = SweepRunner(SweepOptions(jobs=1, cache_dir=str(tmp_path),
                                           resume=True))
         report = runner.run(family)
@@ -260,19 +231,16 @@ class TestSweepRunner:
         assert [row["value"] for row in mu["bins"]] == [0.8, 1.2]
         assert all(row["total"] == 2 for row in mu["bins"])
         assert mu["certified_range"] == [0.8, 1.2]
+        assert frontier["schema"] == 2
+        assert frontier["relaxation"] == "sos"
+        assert "ladder" not in frontier
         summary = frontier["summary"]
+        assert set(summary) == {"points", "certified", "uncertified"}
         assert summary["certified"] + summary["uncertified"] == summary["points"]
-        assert sum(summary["by_rung"].values()) == summary["certified"]
         text = report.render_text()
         assert "Sweep frontier: vanderpol_grid" in text
+        assert "certified: 4/4 (relaxation sos)" in text
         assert "axis mu" in text
-
-    def test_relaxation_override_pins_ladder(self, tmp_path):
-        report = SweepRunner(SweepOptions(
-            jobs=1, cache_dir=str(tmp_path),
-            relaxation="sos")).run(_small_family())
-        assert report.frontier["ladder"] == ["sos"]
-        assert set(report.run["structures"]) == {"sos"}
 
     def test_grid_reshape_through_options(self, tmp_path):
         report = SweepRunner(SweepOptions(
@@ -295,16 +263,15 @@ class TestSweepRunner:
 
 
 # ----------------------------------------------------------------------
-# Rung batches: one solve_many per rung with pending points
+# Probe batches: one solve_many per solver configuration
 # ----------------------------------------------------------------------
 #: A 2x2 grid on the edge of the certified region: one point fails sampling,
-#: two certify on ``dsos`` and one escalates to ``sdsos``.
+#: the other three are probed and certify.
 EDGE_GRID = {"mu": (1.0, 4.0, 2), "stiffness": (3.0, 4.0, 2)}
 
 
 def _outcomes(report):
-    return [(p["index"], p["certified"], p["rung"], p["attempts"], p["sampling"])
-            for p in report.points]
+    return [(p["index"], p["certified"], p["sampling"]) for p in report.points]
 
 
 class TestSweepBatching:
@@ -312,7 +279,6 @@ class TestSweepBatching:
         from repro.sdp import SolveContext
 
         family = get_sweep_family("vanderpol_grid").reconfigure(grid=EDGE_GRID)
-        assert family.relaxation == "auto"
         batch_sizes = []
         solve_many = SolveContext.solve_many
 
@@ -332,10 +298,10 @@ class TestSweepBatching:
             jobs=1, cache_dir=str(tmp_path / "reference"))).run(family)
 
         assert _outcomes(batched) == _outcomes(reference)
-        assert [p["rung"] for p in batched.points] == ["dsos", None, "dsos", "sdsos"]
+        assert [p["certified"] for p in batched.points] == [True, False, True, True]
         assert not batched.points[1]["sampling"]
-        # One batch per rung that still has pending points: 3 on dsos, 1 on sdsos.
-        assert batch_sizes == [3, 1]
+        # One batch holding every point that passed sampling.
+        assert batch_sizes == [3]
 
         monkeypatch.setattr(SolveContext, "solve_many", counted)
         warm = SweepRunner(SweepOptions(
@@ -375,12 +341,11 @@ class TestSweepBatching:
         rebuilt = SweepRunner(SweepOptions(
             jobs=1, cache_dir=str(tmp_path / "rebuild"))).run(_small_family())
         stats = rebuilt.run["structures"]
-        assert {rung: entry["mode"] for rung, entry in stats.items()} == \
-            {"dsos": "rebuild"}
-        assert stats["dsos"]["rebuild_compiles"] == 4
-        # Every point certifies on dsos, as it did per point before batching.
-        assert [(p["certified"], p["rung"], p["attempts"])
-                for p in rebuilt.points] == [(True, "dsos", ["dsos"])] * 4
+        assert {relaxation: entry["mode"]
+                for relaxation, entry in stats.items()} == {"sos": "rebuild"}
+        assert stats["sos"]["rebuild_compiles"] == 4
+        # Every point certifies, as it does on the parametric path.
+        assert [p["certified"] for p in rebuilt.points] == [True] * 4
         assert _outcomes(rebuilt) == _outcomes(parametric)
 
 
