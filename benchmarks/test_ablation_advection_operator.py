@@ -12,7 +12,7 @@ import pytest
 from repro.core import AdvectionOptions, LevelSetAdvector
 from repro.pll import MODE_PUMP_UP, build_third_order_model
 
-from conftest import print_rows
+from benchutil import print_rows
 
 
 @pytest.mark.parametrize("operator", ["composition", "sos_projection"])

@@ -12,7 +12,7 @@ import pytest
 from repro.core import LyapunovSynthesisOptions, MultipleLyapunovSynthesizer
 from repro.pll import RegionOfInterest, build_third_order_model
 
-from conftest import print_rows
+from benchutil import print_rows
 
 
 @pytest.mark.parametrize("degree", [2, 4])

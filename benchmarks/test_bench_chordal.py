@@ -41,7 +41,7 @@ from repro.polynomial import Polynomial
 from repro.scenarios import build_problem
 from repro.sdp import project_onto_cone_many, solve_conic_problem
 
-from conftest import print_rows, write_bench
+from benchutil import print_rows, write_bench
 
 
 SCENARIO = "pll4_deg4"

@@ -10,7 +10,7 @@ import pytest
 
 from repro.engine import EngineOptions, VerificationEngine
 
-from conftest import print_rows
+from benchutil import print_rows
 
 
 @pytest.mark.benchmark(group="engine-cache")

@@ -1,22 +1,23 @@
 """Figure 2 — third-order attractive invariant projected onto (v1, v2) and (v2, e).
 
-Projects the union of maximised Lyapunov level sets (the attractive invariant
-X1) onto the two coordinate planes shown in Figure 2 of the paper and prints
-the per-row spans of the occupied region (the numeric analogue of the plotted
-level curves).
+Projects the union of the maximised Lyapunov level sets that the cold
+``pll3`` run certified (the attractive invariant X1) onto the two coordinate
+planes shown in Figure 2 of the paper and prints the per-row spans of the
+occupied region (the numeric analogue of the plotted level curves).
 """
 
 import pytest
 
 from repro.analysis import project_union
 
-from conftest import invariant_or_fallback, print_rows
+from benchutil import certified_invariant, print_rows
 
 
 @pytest.mark.parametrize("axes", [("v1", "v2"), ("v2", "e")])
-def test_bench_fig2_projection(benchmark, third_order_model, third_order_report, axes):
-    model = third_order_model
-    invariant = invariant_or_fallback(third_order_report, model)
+def test_bench_fig2_projection(benchmark, pll3_run, axes):
+    model = pll3_run.problem.pll_model
+    invariant = certified_invariant(pll3_run)
+    assert invariant is not None, "pll3 registers property_one"
     sublevels = list(invariant.sublevel_polynomials().values())
 
     grid = benchmark.pedantic(
@@ -30,6 +31,8 @@ def test_bench_fig2_projection(benchmark, third_order_model, third_order_report,
         f"Figure 2: attractive invariant projected onto {axes}",
         ["quantity", "value"],
         [("level sets in union", len(sublevels)),
+         ("levels", ", ".join(f"{mode} {level:.4f}" for mode, level, _
+                              in invariant.summary_rows())),
          ("occupancy fraction", f"{grid.occupancy:.3f}"),
          (f"{axes[0]} extent", f"[{x_min:.2f}, {x_max:.2f}]"),
          (f"{axes[1]} extent", f"[{y_min:.2f}, {y_max:.2f}]")],

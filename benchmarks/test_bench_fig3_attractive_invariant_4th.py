@@ -1,16 +1,22 @@
-"""Figure 3 — fourth-order attractive invariant projected onto (v2, v3) and (v2, e)."""
+"""Figure 3 — fourth-order attractive invariant projected onto (v2, v3) and (v2, e).
+
+Projects the invariant of the cold ``pll4`` run when the pipeline certified
+one; otherwise reports which modes certified no level and projects nothing.
+"""
 
 import pytest
 
 from repro.analysis import project_union
 
-from conftest import invariant_or_fallback, print_rows
+from benchutil import certified_invariant, print_rows
 
 
 @pytest.mark.parametrize("axes", [("v2", "v3"), ("v2", "e")])
-def test_bench_fig3_projection(benchmark, fourth_order_model, fourth_order_report, axes):
-    model = fourth_order_model
-    invariant = invariant_or_fallback(fourth_order_report, model)
+def test_bench_fig3_projection(benchmark, pll4_run, axes):
+    model = pll4_run.problem.pll_model
+    invariant = certified_invariant(pll4_run)
+    if invariant is None:
+        return
     sublevels = list(invariant.sublevel_polynomials().values())
 
     grid = benchmark.pedantic(
@@ -24,6 +30,8 @@ def test_bench_fig3_projection(benchmark, fourth_order_model, fourth_order_repor
         f"Figure 3: attractive invariant projected onto {axes}",
         ["quantity", "value"],
         [("level sets in union", len(sublevels)),
+         ("levels", ", ".join(f"{mode} {level:.4f}" for mode, level, _
+                              in invariant.summary_rows())),
          ("occupancy fraction", f"{grid.occupancy:.3f}"),
          (f"{axes[0]} extent", f"[{x_min:.2f}, {x_max:.2f}]"),
          (f"{axes[1]} extent", f"[{y_min:.2f}, {y_max:.2f}]")],

@@ -3,42 +3,42 @@ inconclusive sub-region.
 
 The paper reports that fourth-order advection immerses the outer set only from
 one direction and that the remaining (pink-shaded) sub-region is handled with
-two escape certificates.  This bench regenerates that workflow: advect under
-both pumping modes, report per-iteration extents, and (when advection stays
-inconclusive) search an escape certificate for the leftover region.
+two escape certificates.  This bench regenerates that workflow on the cold
+``pll4`` run under ``pll4``'s advection and escape options: advect under both
+pumping modes, report per-iteration extents, and (when advection stays
+inconclusive) search an escape certificate for the leftover region.  Without
+an attractive invariant there is nothing to advect towards; the bench then
+reports which modes certified no level.
 """
 
 
 from repro.analysis import project_sublevel_set
 from repro.core import (
-    AdvectionOptions,
     EscapeCertificateSynthesizer,
-    EscapeOptions,
     escape_region_from_advection,
     run_bounded_advection,
 )
 from repro.exceptions import CertificateError
 from repro.pll import MODE_PUMP_DOWN, MODE_PUMP_UP
 
-from conftest import invariant_or_fallback, print_rows
+from benchutil import certified_invariant, print_rows
 
 
-def test_bench_fig5_advection_fourth_order(benchmark, fourth_order_model,
-                                           fourth_order_report):
-    model = fourth_order_model
-    invariant = invariant_or_fallback(fourth_order_report, model)
+def test_bench_fig5_advection_fourth_order(benchmark, pll4_run):
+    options = pll4_run.problem.options
+    model = pll4_run.problem.pll_model
+    invariant = certified_invariant(pll4_run)
+    if invariant is None:
+        return
     outer = model.outer_set_polynomial()
     fields = model.nominal_fields()
-    options = AdvectionOptions(time_step=0.05, max_iterations=7,
-                               inclusion_check_every=2,
-                               solver_settings=dict(max_iterations=3000))
 
     def run_both_modes():
         results = {}
         for mode_name in (MODE_PUMP_UP, MODE_PUMP_DOWN):
             results[mode_name] = run_bounded_advection(
                 mode_name, outer, fields[mode_name], invariant,
-                domain=model.mode_domain(mode_name), options=options)
+                domain=model.mode_domain(mode_name), options=options.advection)
         return results
 
     results = benchmark.pedantic(run_both_modes, rounds=1, iterations=1)
@@ -54,13 +54,10 @@ def test_bench_fig5_advection_fourth_order(benchmark, fourth_order_model,
         rows.append((mode_name, result.iterations_used, status,
                      f"[{x_min:.2f}, {x_max:.2f}]", f"[{y_min:.2f}, {y_max:.2f}]"))
         if not result.converged:
-            own = invariant.level_sets.get(mode_name,
-                                           next(iter(invariant.level_sets.values())))
-            region = escape_region_from_advection(final, own.sublevel_polynomial,
-                                                  region_box=model.region_box_set())
-            synthesizer = EscapeCertificateSynthesizer(EscapeOptions(
-                certificate_degree=2, validate_samples=400,
-                solver_settings=dict(max_iterations=3000)))
+            region = escape_region_from_advection(
+                final, invariant.level_set(mode_name).sublevel_polynomial,
+                region_box=model.region_box_set())
+            synthesizer = EscapeCertificateSynthesizer(options.escape)
             try:
                 certificate = synthesizer.synthesize(mode_name, fields[mode_name],
                                                      region,

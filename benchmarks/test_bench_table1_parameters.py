@@ -9,7 +9,7 @@ completeness of the harness).
 
 from repro.pll import PLLParameters, build_fourth_order_model, build_third_order_model
 
-from conftest import print_rows
+from benchutil import print_rows
 
 
 def _merged_table():

@@ -53,8 +53,9 @@ class TestPipelineOnSmallPLL:
     """Run the full pipeline on a small region of the third-order PLL.
 
     The purpose is to exercise every stage end-to-end with tight budgets, not
-    to reproduce the paper's headline result (the benchmarks do that with
-    larger budgets); hence only structural assertions are made here.
+    to reproduce the paper's headline result (the Table 2 and figure
+    benchmarks do that on the registered ``pll3``/``pll4`` scenarios); hence
+    only structural assertions are made here.
     """
 
     @pytest.fixture(scope="class")
