@@ -33,6 +33,7 @@ from .scaling import (ScalingData, column_inf_norms, drop_zero_rows,
                       equilibrate, presolve, row_inf_norms)
 from .admm import ADMMConicSolver, ADMMSettings, WarmStart, unpack_warm_start
 from .batch import BatchADMMSolver
+from .ipm import farkas_margin
 from .solver import (
     canonical_solver_options,
     solve_cache_key,
@@ -79,6 +80,7 @@ __all__ = [
     "WarmStart",
     "unpack_warm_start",
     "BatchADMMSolver",
+    "farkas_margin",
     "solve_conic_problem",
     "solve_conic_problems",
     "solve_cache_key",

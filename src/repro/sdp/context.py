@@ -12,6 +12,12 @@ The module-level functions of :mod:`repro.sdp.solver`
 ``context=`` and fall back to the process-default context returned by
 :func:`default_context` without one.
 
+:meth:`SolveContext.solve` and :meth:`SolveContext.solve_many` take a
+keyword-only ``solver=``: ``"admm"`` (the default, every ``repro verify``
+stage) or ``"ipm"`` (the interior-point method of :mod:`repro.sdp.ipm`,
+which the sweep probes use).  The two solvers never share a cache entry:
+interior-point keys begin ``ipm|``, ADMM keys ``admm|`` as before.
+
 All counter updates are guarded by a per-context lock: concurrent solves
 from a thread pool never lose increments.
 """
@@ -58,8 +64,9 @@ class SolveContext:
     Caching policy: EVERY terminal result is cached, including failure
     statuses — in this pipeline a rejected feasibility probe is a meaningful
     outcome, and replaying it keeps a warm-cache run a bit-identical,
-    zero-solve replay of the cold run.  The key intentionally excludes warm
-    starts (they affect the path, not the validity, of a result).
+    zero-solve replay of the cold run.  The key holds the solver and its
+    settings and intentionally excludes warm starts (they affect the path,
+    not the validity, of a result).
     """
 
     def __init__(self, cache: Optional[object] = None, name: str = "context"):
@@ -120,25 +127,28 @@ class SolveContext:
     # ------------------------------------------------------------------
     def solve(self, problem: ConicProblem,
               warm_start: Optional[object] = None,
+              *, solver: str = "admm",
               **settings) -> SolverResult:
         """Solve one conic problem under this context's cache.
 
-        ``settings`` are :class:`~repro.sdp.admm.ADMMSettings` fields.
+        ``solver`` is ``"admm"`` or ``"ipm"`` (see :mod:`repro.sdp.solver`).
+        ``settings`` are :class:`~repro.sdp.admm.ADMMSettings` fields; the
+        interior-point method takes none and raises ``TypeError`` on any.
         Results are served from and written to this context's cache (when
         installed) and counted in this context's counters only.
         """
         from .solver import check_solver_settings, solve_cache_key, solve_single_uncached
 
-        check_solver_settings(settings)
+        check_solver_settings(settings, solver)
         cache = self.cache
         key: Optional[str] = None
         if cache is not None:
-            key = solve_cache_key(problem, settings)
+            key = solve_cache_key(problem, settings, solver)
             cached = cache.get(key)
             if cached is not None:
                 self.record_solve_event("cache_hit", problem.layout_kind)
                 return cached
-        result = solve_single_uncached(problem, warm_start, settings)
+        result = solve_single_uncached(problem, warm_start, settings, solver=solver)
         self.record_solve_event("solved", problem.layout_kind)
         if cache is not None and key is not None:
             cache.put(key, result)
@@ -146,16 +156,18 @@ class SolveContext:
 
     def solve_many(self, problems: Sequence[ConicProblem],
                    warm_starts: Optional[Sequence[Optional[object]]] = None,
+                   *, solver: str = "admm",
                    **settings) -> List[SolverResult]:
         """Solve a batch of structurally identical conic problems.
 
-        The problems the cache does not serve go through one
+        ``solver`` and ``settings`` are as for :meth:`solve`.  The problems
+        the cache does not serve go through one
         :func:`~repro.sdp.solver.solve_batch_uncached` call.  Per-problem
-        statuses match solving each problem alone.
+        results match solving each problem alone.
         """
         from .solver import check_solver_settings, solve_batch_uncached, solve_cache_key
 
-        check_solver_settings(settings)
+        check_solver_settings(settings, solver)
         problems = list(problems)
         if warm_starts is None:
             warm_starts = [None] * len(problems)
@@ -170,7 +182,7 @@ class SolveContext:
         if cache is not None:
             pending = []
             for i, problem in enumerate(problems):
-                keys[i] = solve_cache_key(problem, settings)
+                keys[i] = solve_cache_key(problem, settings, solver)
                 cached = cache.get(keys[i])
                 if cached is not None:
                     self.record_solve_event("cache_hit", problem.layout_kind)
@@ -180,7 +192,8 @@ class SolveContext:
         if pending:
             sub_problems = [problems[i] for i in pending]
             sub_starts = [warm_starts[i] for i in pending]
-            solved = solve_batch_uncached(sub_problems, sub_starts, settings)
+            solved = solve_batch_uncached(sub_problems, sub_starts, settings,
+                                          solver=solver)
             for problem in sub_problems:
                 self.record_solve_event("solved", problem.layout_kind)
             for i, result in zip(pending, solved):

@@ -15,6 +15,7 @@ class SolverStatus(enum.Enum):
     OPTIMAL = "optimal"
     FEASIBLE = "feasible"            # feasibility problem solved to tolerance
     MAX_ITERATIONS = "max_iterations"
+    INFEASIBLE = "infeasible"        # a Farkas certificate passed farkas_margin
     INFEASIBLE_SUSPECTED = "infeasible_suspected"
     NUMERICAL_ERROR = "numerical_error"
 

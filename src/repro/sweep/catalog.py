@@ -57,7 +57,6 @@ register_sweep_family(DegradationLadder(
     lower=0.2,
     upper=1.0,
     steps=9,
-    probe_settings=(("max_iterations", 3000),),
     tags=("pll", "degraded"),
 ))
 
@@ -69,7 +68,6 @@ register_sweep_family(DegradationLadder(
     lower=0.6,
     upper=1.4,
     steps=9,
-    probe_settings=(("max_iterations", 3000),),
     tags=("pll", "process-variation"),
 ))
 
@@ -82,6 +80,5 @@ register_sweep_family(MonteCarloSweep(
             ("k_vco", 0.8 * _PLL3_KVCO, 1.2 * _PLL3_KVCO, 1)),
     samples=16,
     seed=2026,
-    probe_settings=(("max_iterations", 3000),),
     tags=("pll", "monte-carlo"),
 ))

@@ -72,15 +72,11 @@ class SweepFamily:
 
     Every point is probed under the scenario's registered Gram-cone
     relaxation, the one its anchor certificates were synthesised under.
-    ``probe_settings`` optionally overrides the per-point conic solver
-    settings — probe programs are far smaller than the synthesis programs
-    the stage defaults were budgeted for.
     """
 
     name: str
     scenario: str
     description: str = ""
-    probe_settings: Tuple[Tuple[str, object], ...] = ()
     tags: Tuple[str, ...] = ()
 
     # -- expansion (overridden by concrete families) -------------------

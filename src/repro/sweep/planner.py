@@ -282,7 +282,6 @@ class SweepRunner:
                 "base": base,
                 "steps": steps,
                 "anchor_params": family.anchor_params(),
-                "probe_settings": dict(family.probe_settings),
                 "points": [{"index": point.index,
                             "params": point.params_dict}
                            for point in shard],

@@ -15,15 +15,19 @@ point.  Per point, acceptance takes two gates:
    draws the samples and evaluates the certificate gradients once per mode
    and decrease domain; each point evaluates only its own vector fields;
 2. one conic decrease-probe solve under the scenario's registered Gram-cone
-   relaxation — the one its anchor synthesis used.  A point that passed
-   sampling is accepted on any solver candidate; with sampling disabled the
-   solve must converge.
+   relaxation — the one its anchor synthesis used — by the interior-point
+   method of :mod:`repro.sdp.ipm`.  A point that passed sampling is
+   accepted on any solver candidate; with sampling disabled the solve must
+   converge.
 
 The shard validates every point first, then solves the probes of all
 points that passed as one :meth:`~repro.sdp.SolveContext.solve_many` batch
-per solver configuration.  Every probed point records its solve as
-``probe``: the ``status``, ``iterations`` and ``primal_residual``.
-Acceptance does not read it; it shows how each verdict's solve ended.
+with ``solver="ipm"``.  Each probe ends in a solution, in ``infeasible``
+with a Farkas certificate that was checked on the probe's own data, or in
+``max_iterations``; the interior-point method takes no settings.  Every
+probed point records its solve as ``probe``: the ``status``,
+``iterations`` and ``primal_residual``.  Acceptance does not read it; it
+shows how each verdict's solve ended.
 
 The conic data of the probe family is decomposed affinely over the sweep
 axes by :class:`~repro.sos.parametric.MultiParametricSOSProgram` (one
@@ -120,7 +124,7 @@ def run_sweep_shard(payload: Dict[str, object], context: SolveContext
     Payload keys: ``scenario``, ``certificates`` (anchor certificates on the
     wire), ``base`` / ``steps`` (the affine parametrization anchors),
     ``anchor_params``, ``points`` (``[{"index": int, "params": {axis:
-    value}}, ...]``) and optional ``probe_settings`` overrides.
+    value}}, ...]``).
     """
     scenario = str(payload["scenario"])
     certificates = certificates_from_data(payload["certificates"])
@@ -128,7 +132,6 @@ def run_sweep_shard(payload: Dict[str, object], context: SolveContext
                      for k, v in (payload.get("anchor_params") or {}).items()}
     base = {k: float(v) for k, v in payload["base"].items()}
     steps = {k: float(v) for k, v in payload["steps"].items()}
-    probe_settings = dict(payload.get("probe_settings") or {})
 
     # Phase 1: sampling validation of every point.  Points that pass it
     # (or are not sampled) go on to the conic probe.  The samples and
@@ -136,15 +139,11 @@ def run_sweep_shard(payload: Dict[str, object], context: SolveContext
     # the whole shard; each point evaluates only its own fields.
     sampling_plan = DecreaseSamplingPlan()
     outcomes: List[Dict[str, object]] = []
-    pending: List[tuple] = []   # (outcome, params, validated, solver settings)
+    pending: List[tuple] = []   # (outcome, params, validated)
     for entry in payload["points"]:
         index = int(entry["index"])
         params = {k: float(v) for k, v in entry["params"].items()}
         problem = _point_problem(scenario, {**anchor_params, **params})
-        options = problem.options.lyapunov
-        settings = dict(options.solver_settings)
-        settings.update(probe_settings)
-
         synthesizer = _synthesizer(problem, context)
         reports = synthesizer.validate_certificate_decrease(
             certificates, plan=sampling_plan)
@@ -162,29 +161,23 @@ def run_sweep_shard(payload: Dict[str, object], context: SolveContext
         }
         outcomes.append(outcome)
         if sampling_ok:
-            pending.append((outcome, params, validated, settings))
+            pending.append((outcome, params, validated))
 
-    # Phase 2: the conic probes, one batch per distinct solver configuration.
+    # Phase 2: the conic probes of every pending point, one batch.
     structures: Dict[str, Dict[str, object]] = {}
     if pending:
         structure = _ProbeStructure(scenario, certificates, anchor_params,
                                     base, steps, context)
-        batches: Dict[str, Tuple[Dict[str, object], list]] = {}
-        for point in pending:
-            settings = point[3]
-            batches.setdefault(repr(sorted(settings.items())),
-                               (settings, []))[1].append(point)
-        for settings, points in batches.values():
-            conics = [structure.conic_at(params) for _, params, _, _ in points]
-            results = context.solve_many(conics, **settings)
-            for (outcome, _, validated, _), result in zip(points, results):
-                outcome["probe"] = {
-                    "status": result.status.value,
-                    "iterations": int(result.iterations),
-                    "primal_residual": float(result.primal_residual),
-                }
-                outcome["certified"] = bool(
-                    result.x is not None and (validated or result.is_success))
+        conics = [structure.conic_at(params) for _, params, _ in pending]
+        results = context.solve_many(conics, solver="ipm")
+        for (outcome, _, validated), result in zip(pending, results):
+            outcome["probe"] = {
+                "status": result.status.value,
+                "iterations": int(result.iterations),
+                "primal_residual": float(result.primal_residual),
+            }
+            outcome["certified"] = bool(
+                result.x is not None and (validated or result.is_success))
         structures[get_scenario(scenario).relaxation] = structure.stats()
 
     outcomes.sort(key=lambda o: o["index"])

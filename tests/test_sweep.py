@@ -145,7 +145,7 @@ class TestSweepShard:
              "certificates": certificates,
              "base": {"mu": 0.8, "stiffness": 0.9},
              "steps": {"mu": 0.4, "stiffness": 0.2},
-             "anchor_params": {}, "probe_settings": {},
+             "anchor_params": {},
              "points": [{"index": 0, "params": {"mu": 0.8, "stiffness": 0.9}},
                         {"index": 1, "params": {"mu": 1.2, "stiffness": 1.1}}],
              "use_cache": True, "cache_dir": cache_dir})
@@ -279,29 +279,33 @@ class TestSweepBatching:
         from repro.sdp import SolveContext
 
         family = get_sweep_family("vanderpol_grid").reconfigure(grid=EDGE_GRID)
-        batch_sizes = []
+        batches = []
         solve_many = SolveContext.solve_many
 
-        def counted(self, problems, warm_starts=None, **settings):
-            batch_sizes.append(len(problems))
-            return solve_many(self, problems, warm_starts, **settings)
+        def counted(self, problems, warm_starts=None, *, solver="admm", **settings):
+            batches.append((solver, len(problems)))
+            return solve_many(self, problems, warm_starts, solver=solver, **settings)
 
         monkeypatch.setattr(SolveContext, "solve_many", counted)
         batched = SweepRunner(SweepOptions(
             jobs=1, cache_dir=str(tmp_path / "batched"))).run(family)
 
-        def per_point(self, problems, warm_starts=None, **settings):
-            return [self.solve(problem, **settings) for problem in problems]
+        def per_point(self, problems, warm_starts=None, *, solver="admm", **settings):
+            return [self.solve(problem, solver=solver, **settings)
+                    for problem in problems]
 
         monkeypatch.setattr(SolveContext, "solve_many", per_point)
         reference = SweepRunner(SweepOptions(
             jobs=1, cache_dir=str(tmp_path / "reference"))).run(family)
 
         assert _outcomes(batched) == _outcomes(reference)
+        # Each probe's solve is bit-identical to its per-point solve.
+        assert [p.get("probe") for p in batched.points] == \
+            [p.get("probe") for p in reference.points]
         assert [p["certified"] for p in batched.points] == [True, False, True, True]
         assert not batched.points[1]["sampling"]
-        # One batch holding every point that passed sampling.
-        assert batch_sizes == [3]
+        # One interior-point batch holding every point that passed sampling.
+        assert batches == [("ipm", 3)]
 
         monkeypatch.setattr(SolveContext, "solve_many", counted)
         warm = SweepRunner(SweepOptions(
