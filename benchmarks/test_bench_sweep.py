@@ -15,6 +15,10 @@ Recorded in ``benchmarks/BENCH_sweep.json``:
 * ``parametric_compiles`` / ``binds`` / ``rebuild_compiles`` of the probe
   structure, keyed by its relaxation (asserted: ≤ 1 parametric compile, 0 rebuilds, one bind per
   sampling-passing point);
+* the sampling path and model builds of the probe structure (asserted:
+  ``sampling == "affine"`` and at most 3 model builds — the base, one Ip
+  step and the joint probe; every point's sampling reports are an affine
+  combination of the decrease values there, not a rebuild of its model);
 * ``points_per_second`` over the full ladder (sampling validation included
   — degraded points are filtered before any conic work, which is exactly
   the designed fast path);
@@ -85,7 +89,9 @@ def test_bench_sweep_degradation_ladder(benchmark, pll3_run, tmp_path):
         print(f"structure[{relaxation}]     : "
               f"{entry.get('parametric_compiles', 0)} parametric compile(s), "
               f"{entry.get('binds', 0)} bind(s), "
-              f"{entry.get('rebuild_compiles', 0)} rebuild(s)")
+              f"{entry.get('rebuild_compiles', 0)} rebuild(s), "
+              f"sampling {entry.get('sampling')} from "
+              f"{entry.get('model_builds', 0)} model build(s)")
     print(f"SDP solves         : {run['counters'].get('solved', 0)} "
           f"({run['counters'].get('cache_hit', 0)} cache hits)")
 
@@ -100,6 +106,10 @@ def test_bench_sweep_degradation_ladder(benchmark, pll3_run, tmp_path):
         "ip_frontier_fraction": frontier_fraction,
         "structures": structures,
         "compiles_per_family": total_parametric,
+        "sampling": {relaxation: entry.get("sampling")
+                     for relaxation, entry in structures.items()},
+        "model_builds": sum(entry.get("model_builds", 0)
+                            for entry in structures.values()),
         "solves": run["counters"].get("solved", 0),
         "cache": run["cache"],
     })
@@ -116,6 +126,12 @@ def test_bench_sweep_degradation_ladder(benchmark, pll3_run, tmp_path):
         assert entry.get("rebuild_compiles", 0) == 0, \
             f"{relaxation} probe structure fell back to per-point rebuilds"
     assert total_rebuilds == 0
+    # The sampling gate decides all 200 points from the structural models.
+    for relaxation, entry in structures.items():
+        assert entry.get("sampling") == "affine", \
+            f"{relaxation} sampling fell back to per-point model builds"
+        assert entry.get("model_builds", 0) <= 3, \
+            f"{relaxation} sampling built {entry.get('model_builds')} models"
     # Every sampling-passing point bound (not compiled) its conic data, and
     # the certified region is the upper end of the ladder (healthy pump).
     assert certified >= 1

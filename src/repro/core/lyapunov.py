@@ -28,6 +28,7 @@ from ..hybrid import HybridSystem, Mode
 from ..polynomial import ParametricPolynomial, Polynomial, VariableVector
 from ..sdp import SolveContext, cone_for_relaxation
 from ..sos import (
+    DecreaseSamples,
     DecreaseSamplingPlan,
     SemialgebraicSet,
     SOSProgram,
@@ -305,7 +306,8 @@ class MultipleLyapunovSynthesizer:
         return program
 
     def validate_certificate_decrease(self, certificates: Mapping[str, Polynomial],
-                                      plan: DecreaseSamplingPlan) -> List[object]:
+                                      plan: DecreaseSamplingPlan
+                                      ) -> List[DecreaseSamples]:
         """Sampling-based decrease check of fixed certificates on every mode.
 
         The deterministic (seeded) companion of :meth:`decrease_probe_program`
@@ -313,9 +315,12 @@ class MultipleLyapunovSynthesizer:
         numeric check agrees, mirroring :meth:`_validate` without the
         positivity half (which is parameter-independent).
 
-        ``plan`` shares the drawn samples and the certificate gradients
-        between calls (a sweep shard passes one plan for all its points), so
-        each call evaluates only its own vector fields.
+        Returns each check's ``-grad V . f`` at its samples;
+        :meth:`~repro.sos.DecreaseSamples.report` turns one into its
+        :class:`~repro.sos.ValidationReport`.  ``plan`` shares the drawn
+        samples and the certificate gradients between calls (a sweep shard
+        passes one plan for all its points), so each call evaluates only its
+        own vector fields.
         """
         options = self.options
         samples = options.validate_samples
@@ -325,17 +330,17 @@ class MultipleLyapunovSynthesizer:
         if bounds is None:
             bounds = [(-1.0, 1.0)] * self.system.num_states
         state_vars = self.system.state_variables
-        reports = []
+        checks = []
         for mode in self.system.modes:
             certificate = certificates[mode.name].with_variables(state_vars)
             decrease_domain = self._decrease_domain(mode)
             for k, field_polys in enumerate(self._mode_fields(mode)):
-                reports.append(plan.validate_decrease(
+                checks.append(plan.sample_decrease(
                     certificate, field_polys, decrease_domain, bounds, samples,
                     tolerance=options.validation_tolerance,
                     name=f"probe_decrease[{mode.name}#{k}]",
                 ))
-        return reports
+        return checks
 
     # ------------------------------------------------------------------
     def synthesize(self) -> LyapunovResult:
@@ -410,12 +415,12 @@ class MultipleLyapunovSynthesizer:
             ))
             decrease_domain = self._decrease_domain(mode)
             for k, field_polys in enumerate(self._mode_fields(mode)):
-                reports.append(plan.validate_decrease(
+                reports.append(plan.sample_decrease(
                     cert.certificate, field_polys, decrease_domain, bounds,
                     options.validate_samples,
                     tolerance=options.validation_tolerance,
                     name=f"decrease[{mode.name}#{k}]",
-                ))
+                ).report())
         return reports
 
 

@@ -21,6 +21,7 @@ from .sprocedure import (
     interval_constraints,
 )
 from .validation import (
+    DecreaseSamples,
     DecreaseSamplingPlan,
     ValidationReport,
     minimum_on_level_set,
@@ -49,6 +50,7 @@ __all__ = [
     "interval_constraints",
     "ball_constraint",
     "ValidationReport",
+    "DecreaseSamples",
     "DecreaseSamplingPlan",
     "validate_nonnegativity",
     "validate_decrease_along_field",

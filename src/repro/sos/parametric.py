@@ -306,6 +306,24 @@ class MultiParametricSOSProgram:
         self.compile()
         return self._payload
 
+    def structural_points(self) -> List[Dict[str, float]]:
+        """The points :meth:`compile` builds, in order: the base, the base
+        displaced by one step along each axis, then the joint probe half a
+        step along every axis."""
+        points = [dict(self._base)]
+        for axis in self.axes:
+            point = dict(self._base)
+            point[axis] += self._steps[axis]
+            points.append(point)
+        points.append({axis: self._base[axis] + 0.5 * self._steps[axis]
+                       for axis in self.axes})
+        return points
+
+    def coordinates(self, params: Mapping[str, float]) -> np.ndarray:
+        """``t_k = (p_k − base_k)/step_k`` of a parameter point, per axis."""
+        return np.array([(float(params[axis]) - self._base[axis]) / self._steps[axis]
+                         for axis in self.axes])
+
     def _build_at(self, point: Mapping[str, float]
                   ) -> Tuple[SOSProgram, Any, ConicProblem]:
         built = self._build(dict(point))
@@ -323,11 +341,10 @@ class MultiParametricSOSProgram:
         """Perform the structural compiles and the affine decomposition (once)."""
         if self._compiled:
             return self
-        program0, payload, problem0 = self._build_at(self._base)
+        base, *axis_points, probe = self.structural_points()
+        program0, payload, problem0 = self._build_at(base)
         displaced: List[ConicProblem] = []
-        for axis in self.axes:
-            point = dict(self._base)
-            point[axis] += self._steps[axis]
+        for axis, point in zip(self.axes, axis_points):
             _, _, problem_k = self._build_at(point)
             if problem_k.dims != problem0.dims \
                     or problem_k.A.shape != problem0.A.shape \
@@ -358,8 +375,6 @@ class MultiParametricSOSProgram:
         self._payload = payload
         self._compiled = True
 
-        probe = {axis: self._base[axis] + 0.5 * self._steps[axis]
-                 for axis in self.axes}
         _, _, problem_p = self._build_at(probe)
         bound = self.bind(probe)
         self.num_binds -= 1  # verification probe, not a user bind
@@ -379,8 +394,7 @@ class MultiParametricSOSProgram:
         self.compile()
         data = self._data0.copy()
         b = self._b0.copy()
-        for k, axis in enumerate(self.axes):
-            t = (float(params[axis]) - self._base[axis]) / self._steps[axis]
+        for k, t in enumerate(self.coordinates(params)):
             if t != 0.0:
                 data += t * self._data_slopes[k]
                 b += t * self._b_slopes[k]

@@ -138,6 +138,30 @@ def _polynomial_key(poly: Polynomial) -> tuple:
             poly.coefficient_array.tobytes())
 
 
+@dataclass(frozen=True)
+class DecreaseSamples:
+    """One decrease check's ``-grad V . f`` at its in-domain samples.
+
+    ``draw`` keys the samples (certificate, domain, bounds and sample
+    count): checks with equal keys were evaluated at the same ``points``,
+    so their ``values`` can be combined entry by entry.
+    """
+
+    name: str
+    draw: tuple
+    num_samples: int
+    tolerance: float
+    points: np.ndarray
+    values: np.ndarray
+
+    def report(self, values: Optional[np.ndarray] = None) -> ValidationReport:
+        """The check's report; with ``values``, the report of those values
+        at the same samples."""
+        return _minimum_report(self.name, self.num_samples, self.points,
+                               self.values if values is None else values,
+                               self.tolerance)
+
+
 class DecreaseSamplingPlan:
     """:func:`validate_decrease_along_field` with its samples drawn once.
 
@@ -146,9 +170,10 @@ class DecreaseSamplingPlan:
     bounds and the sample count; the plan does that once per distinct
     combination and evaluates each check's vector field at the kept samples.
     Checks that differ only in the field (the vertex fields of one mode, or
-    the points of a parameter sweep) share one draw.  The key is the *content* of the certificate and of the
-    domain's polynomials, so a check whose domain moves (say, with a swept
-    flow set) draws its own samples.
+    the structural points of a parameter sweep) share one draw, and their
+    :class:`DecreaseSamples` carry the same ``draw`` key.  The key is the
+    *content* of the certificate and of the domain's polynomials, so a check
+    whose domain moves (say, with a swept flow set) draws its own samples.
     """
 
     def __init__(self) -> None:
@@ -157,7 +182,7 @@ class DecreaseSamplingPlan:
     def __len__(self) -> int:
         return len(self._draws)
 
-    def validate_decrease(
+    def sample_decrease(
         self,
         certificate: Polynomial,
         vector_field: Sequence[Polynomial],
@@ -166,9 +191,10 @@ class DecreaseSamplingPlan:
         num_samples: int,
         tolerance: float,
         name: str,
-    ) -> ValidationReport:
-        """The report of :func:`validate_decrease_along_field` (seed 0), from
-        ``-grad V . f`` at the plan's samples."""
+    ) -> DecreaseSamples:
+        """``-grad V . f`` at the plan's samples of the domain; its
+        :meth:`~DecreaseSamples.report` is that of
+        :func:`validate_decrease_along_field` (seed 0)."""
         domain_key = None if domain is None else (
             domain.variables.names,
             tuple(_polynomial_key(g) for g in domain.inequalities),
@@ -185,8 +211,9 @@ class DecreaseSamplingPlan:
             draw = self._draws[key] = (points, gradient)
         points, gradient = draw
         field = PolynomialStack(vector_field, certificate.variables).evaluate_many(points)
-        return _minimum_report(name, num_samples, points,
-                               -np.einsum("ij,ij->i", gradient, field), tolerance)
+        return DecreaseSamples(name=name, draw=key, num_samples=int(num_samples),
+                               tolerance=tolerance, points=points,
+                               values=-np.einsum("ij,ij->i", gradient, field))
 
 
 def minimum_on_level_set(

@@ -12,8 +12,9 @@ run:
    shard travels as a single ``sweep_shard`` job through the same executors
    the engine uses: inline for ``jobs=1``, a local process pool for
    ``jobs>1``.  Per shard, the probe family pays one structural compile
-   of its :class:`~repro.sos.parametric.MultiParametricSOSProgram` and each
-   point is a pure array bind.
+   of its :class:`~repro.sos.parametric.MultiParametricSOSProgram`, each
+   point is a pure array bind, and the sampling gate reuses the models the
+   compile built.
 3. **Aggregation** — shard outcomes fold into the deterministic feasibility
    frontier (:mod:`repro.sweep.frontier`) plus a nondeterministic ``run``
    telemetry section; progress persists after every shard so ``--resume``
@@ -106,6 +107,8 @@ class SweepReport:
             entry = structures[relaxation]
             lines.append(
                 f"  structure[{relaxation}]: mode={entry.get('mode')}, "
+                f"sampling={entry.get('sampling')}, "
+                f"{entry.get('model_builds', 0)} model build(s), "
                 f"{entry.get('structure_compiles', 0)} structural compile(s), "
                 f"{entry.get('binds', 0)} bind(s), "
                 f"{entry.get('rebuild_compiles', 0)} rebuild(s)")
@@ -326,10 +329,12 @@ class SweepRunner:
                     for point in data.get("points", []):
                         completed[int(point["index"])] = point
                     for relaxation, stats in data.get("structures", {}).items():
-                        entry = structures.setdefault(
-                            relaxation, {"mode": stats.get("mode")})
-                        if entry["mode"] != stats.get("mode"):
-                            entry["mode"] = "mixed"
+                        entry = structures.setdefault(relaxation, {
+                            "mode": stats.get("mode"),
+                            "sampling": stats.get("sampling")})
+                        for path in ("mode", "sampling"):
+                            if entry[path] != stats.get(path):
+                                entry[path] = "mixed"
                         _merge_counts(entry, stats)
                     _merge_counts(counters, outcome.get("counters", {}))
                     _merge_counts(cache_totals, outcome.get("cache_stats", {}))

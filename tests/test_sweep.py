@@ -154,10 +154,14 @@ class TestSweepShard:
         assert [p["index"] for p in points] == [0, 1]
         assert all(p["certified"] for p in points)
         assert all(set(p) == {"index", "params", "certified", "sampling",
-                              "probe"} for p in points)
+                              "sampling_vacuous", "probe"} for p in points)
+        assert [p["sampling_vacuous"] for p in points] == [0, 0]
         stats = outcome["data"]["structures"]["sos"]
         assert stats["mode"] == "parametric"
         assert stats["binds"] == 2
+        # Two axes: the base, one step along each, and the joint probe.
+        assert stats["sampling"] == "affine"
+        assert stats["model_builds"] == 4
 
     def test_unknown_step_still_errors(self):
         outcome = _execute_job({"scenario": "vanderpol", "step": "nonsense"})
@@ -419,8 +423,9 @@ class TestDecreaseSamplingPlan:
             problem.fill_option_defaults()
             synthesizer = MultipleLyapunovSynthesizer(
                 problem.system, options=problem.options.lyapunov)
-            reports = synthesizer.validate_certificate_decrease(
-                certificates, plan=plan)
+            reports = [check.report() for check in
+                       synthesizer.validate_certificate_decrease(
+                           certificates, plan=plan)]
             assert reports
             _assert_reports_match(
                 reports, _reference_reports(synthesizer, certificates))
@@ -440,7 +445,8 @@ class TestDecreaseSamplingPlan:
             options = replace(problem.options.lyapunov, lock_tube_radius=radius)
             synthesizer = MultipleLyapunovSynthesizer(problem.system, options=options)
             _assert_reports_match(
-                synthesizer.validate_certificate_decrease(certificates, plan=plan),
+                [check.report() for check in
+                 synthesizer.validate_certificate_decrease(certificates, plan=plan)],
                 _reference_reports(synthesizer, certificates))
         assert len(plan) == 2 * len(certificates)
 
@@ -462,6 +468,153 @@ class TestDecreaseSamplingPlan:
                    if report.name.startswith("decrease[")]
         _assert_reports_match(
             reports, _reference_reports(synthesizer, certificates, prefix="decrease"))
+
+
+# ----------------------------------------------------------------------
+# Affine sampling gate: a shard's points decided from its structural models
+# ----------------------------------------------------------------------
+#: Points 170..193 of the 200-point Ip ladder: the certified region starts at
+#: point 182, so the shard straddles the sampling frontier.
+LADDER_SHARD = range(170, 194)
+
+
+@pytest.fixture(scope="module")
+def ladder_shard(pll3_run, tmp_path_factory):
+    """A shard payload of the 200-point pll3 Ip ladder with pll3's anchor
+    certificates (replayed from a copy of the ``pll3_run`` cache)."""
+    import shutil
+
+    cache_dir = str(tmp_path_factory.mktemp("ladder_cache"))
+    shutil.copytree(pll3_run.cache_dir, cache_dir, dirs_exist_ok=True)
+    anchor = _execute_job(
+        {"scenario": "pll3", "step": STEP_LYAPUNOV, "mode": None, "seed": 0,
+         "relaxation": None, "params": None,
+         "use_cache": True, "cache_dir": cache_dir})
+    assert anchor["status"] == "ok" and anchor["counters"].get("solved", 0) == 0
+    family = get_sweep_family("pll3_ip_ladder").reconfigure(samples=200)
+    base, steps = family.parametrization()
+    points = list(family.points())
+    return {"scenario": "pll3", "step": STEP_SWEEP, "mode": None,
+            "certificates": anchor["data"]["certificates"],
+            "base": base, "steps": steps, "anchor_params": {},
+            "points": [{"index": points[i].index,
+                        "params": points[i].params_dict}
+                       for i in LADDER_SHARD],
+            "use_cache": False, "cache_dir": cache_dir}
+
+
+def _run_shard(payload):
+    from repro.sdp import SolveContext
+    from repro.sweep.probe import run_sweep_shard
+
+    status, _, data = run_sweep_shard(payload, SolveContext())
+    assert status == "ok"
+    return data
+
+
+def _shard_outcomes(data):
+    return [(p["index"], p["certified"], p["sampling"], p["sampling_vacuous"])
+            for p in data["points"]]
+
+
+@pytest.fixture(scope="module")
+def affine_shard(ladder_shard):
+    return _run_shard(ladder_shard)
+
+
+class TestAffineSampling:
+    def test_reports_match_per_point_path(self, ladder_shard):
+        from repro.core.lyapunov import MultipleLyapunovSynthesizer
+        from repro.engine import certificates_from_data
+        from repro.sdp import SolveContext
+        from repro.sos import DecreaseSamplingPlan
+        from repro.sweep.probe import _ProbeStructure
+
+        certificates = certificates_from_data(ladder_shard["certificates"])
+        structure = _ProbeStructure("pll3", certificates, {},
+                                    ladder_shard["base"], ladder_shard["steps"],
+                                    SolveContext())
+        assert structure.sampling == "affine"
+        plan = DecreaseSamplingPlan()
+        passed = []
+        for entry in ladder_shard["points"]:
+            problem = build_problem("pll3", params=entry["params"])
+            problem.fill_option_defaults()
+            synthesizer = MultipleLyapunovSynthesizer(
+                problem.system, options=problem.options.lyapunov)
+            expected = [check.report() for check in
+                        synthesizer.validate_certificate_decrease(
+                            certificates, plan=plan)]
+            _assert_reports_match(
+                structure.sampling_reports(entry["params"]), expected)
+            passed.append(all(report.passed for report in expected))
+        # The shard straddles the frontier: both verdicts occur.
+        assert passed == [False] * 12 + [True] * 12
+
+    def test_shard_builds_at_most_d_plus_2_models(
+            self, ladder_shard, monkeypatch):
+        import repro.sweep.probe as probe
+
+        builds = []
+        build_problem_ = probe.build_problem
+
+        def counted(*args, **kwargs):
+            builds.append(kwargs.get("params"))
+            return build_problem_(*args, **kwargs)
+
+        monkeypatch.setattr(probe, "build_problem", counted)
+        data = _run_shard(ladder_shard)
+        stats = data["structures"]["sos"]
+        assert stats["sampling"] == "affine"
+        assert stats["mode"] == "parametric"
+        # One axis: the base, one step along it, and the joint probe.
+        assert len(builds) == stats["model_builds"] == 3
+        assert [p["certified"] for p in data["points"]] == \
+            [False] * 12 + [True] * 12
+        # mode1 is pinned to e = 0: its decrease check lands no sample.
+        assert {p["sampling_vacuous"] for p in data["points"]} == {1}
+
+    def test_rebuild_mode_samples_per_point(
+            self, ladder_shard, affine_shard, monkeypatch):
+        from repro.sos import MultiParametricSOSProgram, ParametricProgramError
+
+        def not_affine(self):
+            raise ParametricProgramError("forced per-point rebuilds")
+
+        monkeypatch.setattr(MultiParametricSOSProgram, "compile", not_affine)
+        data = _run_shard(ladder_shard)
+        stats = data["structures"]["sos"]
+        assert (stats["mode"], stats["sampling"]) == ("rebuild", "per_point")
+        # Every point builds its model; every probed point builds it again.
+        assert stats["model_builds"] == 24 + 12
+        assert _shard_outcomes(data) == _shard_outcomes(affine_shard)
+
+    def test_probe_mismatch_samples_per_point(
+            self, ladder_shard, affine_shard, monkeypatch):
+        from dataclasses import replace
+
+        from repro.core.lyapunov import MultipleLyapunovSynthesizer
+
+        validate = MultipleLyapunovSynthesizer.validate_certificate_decrease
+        calls = []
+
+        def skewed(self, certificates, plan):
+            checks = validate(self, certificates, plan)
+            calls.append(len(checks))
+            if len(calls) == 3:   # the joint probe, after base and step
+                checks = [replace(check, values=check.values + 1e-6 * (
+                    1.0 + np.abs(check.values).max(initial=0.0)))
+                    for check in checks]
+            return checks
+
+        monkeypatch.setattr(MultipleLyapunovSynthesizer,
+                            "validate_certificate_decrease", skewed)
+        data = _run_shard(ladder_shard)
+        stats = data["structures"]["sos"]
+        assert (stats["mode"], stats["sampling"]) == ("parametric", "per_point")
+        assert stats["model_builds"] == 3 + 24
+        assert len(calls) == 3 + 24
+        assert _shard_outcomes(data) == _shard_outcomes(affine_shard)
 
 
 # ----------------------------------------------------------------------
