@@ -7,13 +7,36 @@ the SDPT3 scheme of Toh, Todd & Tütüncü 1999) on
 
     minimize cᵀx  s.t.  A x = b,  x ∈ R^free × R_+^nonneg × S_+^{k_1} × ...
 
-Before the loop, each distinct ``A`` is reduced once (:class:`_Reduction`):
-its rows are scaled to unit infinity norm, a pivoted QR of the free columns
-eliminates them, and an SVD of what is left keeps an orthonormal basis of
-the independent rows.  The loop then works on the cone columns alone, with
-an ``r × r`` Schur matrix ``Ā (X ⊛ S⁻¹) Āᵀ`` per problem.
+Each problem is first split into its independent blocks (:class:`_Split`,
+once per distinct ``A``): the connected components of the bipartite graph
+between rows and cone units, where a unit is one free column, one nonneg
+column or one whole PSD block.  A unit that no row touches is a block of
+its own with no rows; it ends ``FEASIBLE`` at once when its cost is zero.
+Blocks with byte-identical ``A``, ``b`` and ``c`` anywhere in the batch are
+solved once.  A problem of one block is solved as it is, and its result is
+exactly what the unsplit method returns.  A problem of several blocks gets
+back the concatenation of the block iterates as ``x``, with the status
 
-A batch advances every problem that shares one ``A`` in one loop.  Each
+* ``INFEASIBLE`` when some block's Farkas ``y``, zero-padded to every row,
+  passes :func:`farkas_margin` on the *whole* problem: ``info["farkas_y"]``
+  is that padded ``y`` and ``info["refuted_component"]`` the block's index;
+* else ``NUMERICAL_ERROR`` when a block's certificate fails that check or a
+  block ended ``NUMERICAL_ERROR``;
+* else ``MAX_ITERATIONS`` when a block did;
+* else ``OPTIMAL`` (``FEASIBLE`` when ``c = 0``).
+
+``iterations`` and the relative residuals are the largest over the blocks,
+except on ``INFEASIBLE``, where they are the refuting block's: the verdict
+rests on its certificate alone.  Every result carries ``info["components"]``,
+the number of blocks.
+
+Before the loop, each distinct block ``A`` is reduced once
+(:class:`_Reduction`): its rows are scaled to unit infinity norm, a pivoted
+QR of the free columns eliminates them, and an SVD of what is left keeps an
+orthonormal basis of the independent rows.  The loop then works on the cone
+columns alone, with an ``r × r`` Schur matrix ``Ā (X ⊛ S⁻¹) Āᵀ`` per block.
+
+A batch advances every block that shares one ``A`` in one loop.  Each
 Newton step runs over chunks of members sized by :data:`STEP_BYTES`: the
 chunk's Schur matrices are formed with stacked matmuls and factorised by one
 stacked ``np.linalg.cholesky``, and its PSD blocks of equal order go through
@@ -22,7 +45,7 @@ row's BLAS call reads is C-contiguous, so a member's result is bit-identical
 to solving it alone.  A Schur matrix whose Cholesky breaks down is
 factorised on its own by LU, after a tiny diagonal shift.
 
-Each solve ends in one of three ways:
+Each block's solve ends in one of three ways:
 
 * ``OPTIMAL`` (``FEASIBLE`` when ``c = 0``) at relative residuals and gap
   of at most :data:`TOLERANCE`;
@@ -39,13 +62,15 @@ last primal iterate as ``x``.  The method has no settings.
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.linalg as la
+import scipy.sparse as sp
 
 from .admm import NON_FINITE_REASON, has_finite_data
-from .cones import ConeDims, _psd_block_groups, smat_many, svec_many
+from .cones import ConeDims, _psd_block_groups, smat_many, svec_dim, svec_many
 from .problem import ConicProblem
 from .result import SolverResult, SolverStatus
 from .scaling import row_inf_norms
@@ -560,31 +585,167 @@ def _single_solver(M):
     return lambda rhs: la.lu_solve(lu, rhs, check_finite=False)
 
 
+def _matrix_key(dims: ConeDims, A: sp.csr_matrix) -> tuple:
+    """The group key of a constraint matrix: its cone dimensions and bytes."""
+    return (dims, A.shape, A.indptr.tobytes(), A.indices.tobytes(), A.data.tobytes())
+
+
+class _Split:
+    """The connected blocks of one ``A``.
+
+    A unit is one free column, one nonneg column or one whole PSD block.
+    Rows and units are the nodes of a bipartite graph, with an edge where
+    the row has a nonzero in the unit; each connected component is a block
+    with its rows, its columns (in their original order, so free, nonneg,
+    PSD) and its own ``A``.  Blocks are ordered by their first row; blocks
+    without rows (a unit no row touches) come last, in column order.
+    """
+
+    def __init__(self, dims: ConeDims, A: sp.csr_matrix, key: tuple):
+        # Imported on first use: every ``repro.sdp`` import loads this
+        # module, and csgraph adds about 1 MB to runs that never split.
+        from scipy.sparse.csgraph import connected_components
+
+        m = A.shape[0]
+        linear = dims.free + dims.nonneg
+        sizes = [svec_dim(order) for order in dims.psd]
+        unit_of = np.concatenate([np.arange(linear),
+                                  linear + np.repeat(np.arange(len(sizes)), sizes)])
+        nodes = m + linear + len(sizes)
+        coo = A.tocoo()
+        edge = coo.data != 0.0
+        graph = sp.coo_matrix((np.ones(int(edge.sum())),
+                               (coo.row[edge], m + unit_of[coo.col[edge]])),
+                              shape=(nodes, nodes))
+        count, labels = connected_components(graph, directed=False)
+        # Number the components in order of their first node.
+        _, first = np.unique(labels, return_index=True)
+        rank = np.empty(count, dtype=np.int64)
+        rank[np.argsort(first)] = np.arange(count)
+        labels = rank[labels]
+        self.blocks: List[Tuple[np.ndarray, np.ndarray, ConeDims, sp.csr_matrix, tuple]] = []
+        if count <= 1:
+            self.blocks.append((np.arange(m), np.arange(A.shape[1]), dims, A, key))
+            return
+        unit_label = labels[m:]
+        column_label = unit_label[unit_of]
+        for label in range(count):
+            rows = np.flatnonzero(labels[:m] == label)
+            columns = np.flatnonzero(column_label == label)
+            block_dims = ConeDims(
+                free=int((unit_label[:dims.free] == label).sum()),
+                nonneg=int((unit_label[dims.free:linear] == label).sum()),
+                psd=tuple(order for order, unit in zip(dims.psd, unit_label[linear:])
+                          if unit == label))
+            block = A[rows][:, columns].tocsr()
+            block.sort_indices()
+            self.blocks.append((rows, columns, block_dims, block,
+                                _matrix_key(block_dims, block)))
+
+    def parts(self, problem: ConicProblem) -> List[Tuple[tuple, ConicProblem]]:
+        """``(dedup key, sub-problem)`` of each block; the problem itself
+        when it is one block."""
+        if len(self.blocks) == 1:
+            key = self.blocks[0][4]
+            return [((key, problem.b.tobytes(), problem.c.tobytes()), problem)]
+        parts = []
+        for rows, columns, dims, block, key in self.blocks:
+            b, c = problem.b[rows], problem.c[columns]
+            parts.append(((key, b.tobytes(), c.tobytes()),
+                          ConicProblem(c=c, A=block, b=b, dims=dims)))
+        return parts
+
+    def assemble(self, problem: ConicProblem,
+                 results: List[SolverResult]) -> SolverResult:
+        """The result of ``problem`` from the results of its blocks."""
+        if len(self.blocks) == 1:
+            (result,) = results
+            info = dict(result.info, components=1)
+            if result.status is SolverStatus.INFEASIBLE:
+                info["refuted_component"] = 0
+            return replace(result, x=result.x.copy(), info=info)
+
+        x = np.zeros(problem.dims.total)
+        for (_, columns, *_), result in zip(self.blocks, results):
+            x[columns] = result.x
+        info: Dict[str, object] = {"components": len(self.blocks)}
+        statuses = [result.status for result in results]
+        decided = None
+        for index, ((rows, *_), result) in enumerate(zip(self.blocks, results)):
+            if result.status is not SolverStatus.INFEASIBLE:
+                continue
+            y = np.zeros(problem.num_constraints)
+            y[rows] = result.info["farkas_y"]
+            delta = farkas_margin(problem, y)
+            if delta <= FARKAS_TOLERANCE:
+                info.update(farkas_y=y, farkas_margin=delta, refuted_component=index)
+                decided = result
+                break
+        if decided is not None:
+            status = SolverStatus.INFEASIBLE
+        elif SolverStatus.INFEASIBLE in statuses:
+            status = SolverStatus.NUMERICAL_ERROR
+            info["reason"] = "a block's Farkas certificate fails on the whole problem"
+        elif SolverStatus.NUMERICAL_ERROR in statuses:
+            status = SolverStatus.NUMERICAL_ERROR
+            info["reason"] = "iterate is not finite"
+        elif SolverStatus.MAX_ITERATIONS in statuses:
+            status = SolverStatus.MAX_ITERATIONS
+        else:
+            status = SolverStatus.OPTIMAL if problem.c.any() else SolverStatus.FEASIBLE
+        counted = [decided] if decided is not None else results
+        return SolverResult(
+            status=status,
+            x=x,
+            objective=problem.objective_value(x),
+            primal_residual=float(np.fmax.reduce([r.primal_residual for r in counted])),
+            dual_residual=float(np.fmax.reduce([r.dual_residual for r in counted])),
+            equality_residual=problem.equality_residual(x),
+            cone_violation=problem.cone_violation(x),
+            iterations=max(r.iterations for r in counted),
+            info=info,
+        )
+
+
 def solve_batch(problems: Sequence[ConicProblem]) -> List[SolverResult]:
     """Solve ``problems``; one :class:`SolverResult` each, in order.
 
-    Problems whose ``A`` and cone dimensions are equal share one reduction
-    and one batched loop.
+    Each problem is split into its blocks (:class:`_Split`, once per
+    distinct ``A``); blocks with equal ``A``, ``b`` and ``c`` anywhere in
+    the batch are solved once, and blocks whose ``A`` and cone dimensions
+    are equal share one reduction and one batched loop.
     """
     start = time.perf_counter()
     problems = list(problems)
     results: List[Optional[SolverResult]] = [None] * len(problems)
-    groups: Dict[tuple, List[int]] = {}
+    splits: Dict[tuple, _Split] = {}
+    parts: Dict[tuple, ConicProblem] = {}
+    plans = []
     for i, problem in enumerate(problems):
         if not has_finite_data(problem):
             results[i] = SolverResult(status=SolverStatus.NUMERICAL_ERROR,
                                       info={"reason": NON_FINITE_REASON})
             continue
-        A = problem.A
-        key = (problem.dims, A.shape, A.indptr.tobytes(), A.indices.tobytes(),
-               A.data.tobytes())
-        groups.setdefault(key, []).append(i)
+        key = _matrix_key(problem.dims, problem.A)
+        split = splits.get(key)
+        if split is None:
+            split = splits[key] = _Split(problem.dims, problem.A, key)
+        refs = []
+        for ref, part in split.parts(problem):
+            parts.setdefault(ref, part)
+            refs.append(ref)
+        plans.append((i, split, refs))
 
-    for indices in groups.values():
-        reduction = _Reduction(problems[indices[0]])
-        members = [(problems[i], reduction.reduce_cost(problems[i].c)) for i in indices]
-        for i, result in zip(indices, _Group(reduction).solve(members)):
-            results[i] = result
+    groups: Dict[tuple, List[tuple]] = {}
+    for ref in parts:
+        groups.setdefault(ref[0], []).append(ref)
+    solved: Dict[tuple, SolverResult] = {}
+    for refs in groups.values():
+        reduction = _Reduction(parts[refs[0]])
+        members = [(parts[ref], reduction.reduce_cost(parts[ref].c)) for ref in refs]
+        solved.update(zip(refs, _Group(reduction).solve(members)))
+    for i, split, refs in plans:
+        results[i] = split.assemble(problems[i], [solved[ref] for ref in refs])
     elapsed = time.perf_counter() - start
     for result in results:
         result.solve_time = elapsed

@@ -29,6 +29,13 @@ point.  Per point, acceptance takes two gates:
 Each point records ``sampling_vacuous``: how many of its decrease checks
 landed no sample in their domain and so passed without evidence.
 
+The probe checks each mode's decrease condition with that mode's own
+multipliers, so it is one independent block per mode, and the
+interior-point method solves each block on its own.  A block whose data
+does not move with the sweep axes is solved once for all points of the
+batch: on the Ip ladder that is pll3's mode1, where the charge pump is off
+and ``i_p`` does not enter the dynamics.
+
 The shard validates every point first, then solves the probes of all
 points that passed as one :meth:`~repro.sdp.SolveContext.solve_many` batch
 with ``solver="ipm"``.  Each probe ends in a solution, in ``infeasible``
@@ -105,10 +112,10 @@ class _ProbeStructure:
         self._plan = DecreaseSamplingPlan()
 
         self.family: Optional[MultiParametricSOSProgram] = None
+        family = MultiParametricSOSProgram(
+            self._structural_program, base=base, steps=steps,
+            context=context, name=f"sweep_{scenario}")
         try:
-            family = MultiParametricSOSProgram(
-                self._structural_program, base=base, steps=steps,
-                context=context, name=f"sweep_{scenario}")
             family.compile()
             self.family = family
             self.mode = "parametric"
@@ -118,6 +125,9 @@ class _ProbeStructure:
             LOGGER.info("sweep %s: parametric fast path unavailable (%s); "
                         "falling back to per-point rebuilds", scenario, exc)
             self.mode = "rebuild"
+        # A family that failed its affinity check compiled its structural
+        # programs all the same.
+        self.structure_compiles = family.num_structure_compiles
         self._affine = self._affine_checks() if self.family is not None else None
         self.sampling = "per_point" if self._affine is None else "affine"
 
@@ -194,8 +204,7 @@ class _ProbeStructure:
             "sampling": self.sampling,
             "model_builds": self.model_builds,
             "parametric_compiles": 1 if parametric is not None else 0,
-            "structure_compiles": (parametric.num_structure_compiles
-                                   if parametric is not None else 0),
+            "structure_compiles": self.structure_compiles,
             "binds": parametric.num_binds if parametric is not None else 0,
             "rebuild_compiles": self.rebuild_compiles,
         }

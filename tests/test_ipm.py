@@ -275,3 +275,118 @@ def test_ladder_probes_in_the_certified_range_are_refuted(pll3_run, tmp_path):
         y = result.info["farkas_y"]
         assert _independent_margin(conic, y) <= FARKAS_TOLERANCE
         assert isinstance(conic.A, sp.csr_matrix)
+
+
+def _stacked(*problems):
+    """The block-diagonal problem of PSD-only ``problems``, in order."""
+    return ConicProblem(
+        c=np.concatenate([p.c for p in problems]),
+        A=sp.block_diag([p.A for p in problems], format="csr"),
+        b=np.concatenate([p.b for p in problems]),
+        dims=ConeDims(psd=sum((p.dims.psd for p in problems), ())))
+
+
+def _feasible_block(seed):
+    rng = np.random.default_rng(seed)
+    C = rng.normal(size=(4, 4))
+    return _trace_one_sdp(C + C.T)
+
+
+class TestBlockSplit:
+    def test_one_infeasible_block_refutes_the_problem(self):
+        feasible, infeasible = _feasible_block(3), _infeasible_sdp()
+        problem = _stacked(feasible, infeasible)
+        result = solve_batch([problem])[0]
+        assert result.status is SolverStatus.INFEASIBLE
+        assert result.info["components"] == 2
+        assert result.info["refuted_component"] == 1
+        y = result.info["farkas_y"]
+        assert y.shape == (problem.num_constraints,)
+        assert not y[:feasible.num_constraints].any()
+        assert farkas_margin(problem, y) <= FARKAS_TOLERANCE
+        assert result.info["farkas_margin"] == farkas_margin(problem, y)
+        assert _independent_margin(problem, y) <= FARKAS_TOLERANCE
+        assert result.x.shape == (problem.num_variables,)
+
+    def test_feasible_blocks_match_solving_each_alone_bitwise(self):
+        first, second = _feasible_block(4), _trace_one_sdp(np.diag([3.0, 1.0, 2.0]))
+        result = solve_batch([_stacked(first, second)])[0]
+        alone = solve_batch([first, second])
+        assert result.status is SolverStatus.OPTIMAL
+        assert result.info["components"] == 2
+        assert np.array_equal(result.x, np.concatenate([r.x for r in alone]))
+        assert result.iterations == max(r.iterations for r in alone)
+        assert result.primal_residual == max(r.primal_residual for r in alone)
+        assert result.dual_residual == max(r.dual_residual for r in alone)
+        assert result.objective == pytest.approx(sum(r.objective for r in alone))
+
+    def test_identical_blocks_are_solved_once(self, monkeypatch):
+        from repro.sdp import ipm
+
+        shared = _feasible_block(5)
+        batch = [_stacked(shared, _feasible_block(seed)) for seed in (6, 7)]
+        members = []
+        solve = ipm._Group.solve
+
+        def counting(self, group_members):
+            members.append(len(group_members))
+            return solve(self, group_members)
+
+        monkeypatch.setattr(ipm._Group, "solve", counting)
+        results = solve_batch(batch)
+        # One group (every block has the same A): the shared block once,
+        # then each problem's own block.
+        assert members == [3]
+        assert [r.status for r in results] == [SolverStatus.OPTIMAL] * 2
+        assert np.array_equal(results[0].x[:10], results[1].x[:10])
+        assert results[0].x is not results[1].x
+
+    def test_block_certificate_is_checked_on_the_whole_problem(self, monkeypatch):
+        from repro.sdp import ipm
+
+        problem = _stacked(_feasible_block(8), _infeasible_sdp())
+        check = ipm.farkas_margin
+
+        def whole_problem_rejects(candidate, y):
+            return float("inf") if candidate is problem else check(candidate, y)
+
+        monkeypatch.setattr(ipm, "farkas_margin", whole_problem_rejects)
+        result = solve_batch([problem])[0]
+        assert result.status is SolverStatus.NUMERICAL_ERROR
+        assert "farkas_y" not in result.info
+        assert "refuted_component" not in result.info
+
+    def test_row_less_psd_block_is_a_block_of_its_own(self):
+        # A PSD block no row touches: with zero cost it is feasible at the
+        # interior start, with a positive definite cost its optimum is 0.
+        constrained = _trace_one_sdp(np.diag([1.0, 2.0, 3.0]))
+        A = sp.hstack([constrained.A, sp.csr_matrix((1, svec_dim(3)))], format="csr")
+        for cost, status in ((np.zeros((3, 3)), SolverStatus.FEASIBLE),
+                             (np.eye(3), SolverStatus.OPTIMAL)):
+            problem = ConicProblem(c=np.concatenate([constrained.c, svec(cost)]), A=A,
+                                   b=constrained.b, dims=ConeDims(psd=(3, 3)))
+            result = solve_batch([problem])[0]
+            assert result.status is SolverStatus.OPTIMAL
+            assert result.info["components"] == 2
+            assert result.objective == pytest.approx(1.0, abs=1e-7)
+            free_block = smat(result.x[svec_dim(3):], 3)
+            assert np.linalg.eigvalsh(free_block)[0] >= 0.0
+            alone = solve_batch([ConicProblem(c=svec(cost), A=np.zeros((0, svec_dim(3))),
+                                              b=np.zeros(0), dims=ConeDims(psd=(3,)))])[0]
+            assert alone.status is status
+            assert np.array_equal(alone.x, result.x[svec_dim(3):])
+
+    def test_single_block_problem_reports_one_component(self):
+        result = solve_batch([_infeasible_sdp()])[0]
+        assert result.info["components"] == 1
+        assert result.info["refuted_component"] == 0
+
+    def test_pll3_lyapunov_program_is_one_block(self):
+        problem = build_problem("pll3").fill_option_defaults()
+        synthesizer = MultipleLyapunovSynthesizer(
+            problem.system, options=problem.options.lyapunov)
+        program, _ = synthesizer.build_program()
+        result = solve_batch([program.compile()[0].build()])[0]
+        assert result.info["components"] == 1
+        assert result.status is SolverStatus.INFEASIBLE
+        assert result.iterations == 15

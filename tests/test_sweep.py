@@ -356,6 +356,28 @@ class TestSweepBatching:
         assert [p["certified"] for p in rebuilt.points] == [True] * 4
         assert _outcomes(rebuilt) == _outcomes(parametric)
 
+    def test_rebuild_mode_counts_the_failed_family_compiles(
+            self, tmp_path, monkeypatch):
+        from repro.sos import MultiParametricSOSProgram, ParametricProgramError
+
+        compile_ = MultiParametricSOSProgram.compile
+
+        def compiled_then_not_affine(self):
+            compile_(self)
+            raise ParametricProgramError("forced after the structural compiles")
+
+        monkeypatch.setattr(MultiParametricSOSProgram, "compile",
+                            compiled_then_not_affine)
+        report = SweepRunner(SweepOptions(
+            jobs=1, cache_dir=str(tmp_path))).run(_small_family())
+        stats = report.run["structures"]["sos"]
+        assert stats["mode"] == "rebuild"
+        # Base, one step per axis (mu, stiffness) and the joint probe.
+        assert stats["structure_compiles"] == 4
+        assert stats["parametric_compiles"] == 0
+        assert stats["rebuild_compiles"] == 4
+        assert "4 structural compile(s)" in report.render_text()
+
 
 # ----------------------------------------------------------------------
 # Decrease samples drawn once per shard
