@@ -38,6 +38,9 @@ LOGGER = get_logger("core.levelset")
 #: Cap on the upper-bound doublings of the expansion phase (as in the serial
 #: bisection: ``upper * 2**12`` is the largest bracket ever probed).
 _MAX_EXPANSIONS = 12
+#: Candidate levels probed per batched round (the ``K`` of K-section); the
+#: bracket shrinks by ``K+1`` per round.
+_LEVELS_PER_ROUND = 6
 
 
 @dataclass
@@ -55,9 +58,6 @@ class LevelSetOptions(StageConfig):
     #: ``"batched"`` — parametric compile + K-section through the batch ADMM
     #: engine; ``"serial"`` — the per-level reference path.
     strategy: str = "batched"
-    #: Number of candidate levels probed per batched round (the ``K`` of
-    #: K-section); the bracket shrinks by ``K+1`` per round.
-    levels_per_round: int = 6
 
 
 @dataclass
@@ -225,7 +225,6 @@ class LevelSetMaximizer:
             upper = self._default_upper_bound(certificate, domain, bounds)
         upper = max(float(upper), options.bisection_tolerance)
         lower = 0.0
-        levels_per_round = max(1, int(options.levels_per_round))
 
         families = [
             ParametricInclusionFamily(
@@ -263,7 +262,7 @@ class LevelSetMaximizer:
                 rejected.append(upper)
         expansions = 1
         while bracket_open and expansions <= _MAX_EXPANSIONS:
-            count = min(levels_per_round, _MAX_EXPANSIONS - expansions + 1)
+            count = min(_LEVELS_PER_ROUND, _MAX_EXPANSIONS - expansions + 1)
             ladder = lower * (2.0 ** np.arange(1, count + 1))
             flags = self._certify_batch(families, ladder)
             iterations += 1
@@ -287,8 +286,8 @@ class LevelSetMaximizer:
         while (upper - lower) > options.bisection_tolerance and \
                 iterations < options.max_bisection_iterations and families:
             span = upper - lower
-            levels = lower + span * (np.arange(1, levels_per_round + 1)
-                                     / (levels_per_round + 1.0))
+            levels = lower + span * (np.arange(1, _LEVELS_PER_ROUND + 1)
+                                     / (_LEVELS_PER_ROUND + 1.0))
             flags = self._certify_batch(families, levels)
             iterations += 1
             prefix = self._certified_prefix(flags)
@@ -296,7 +295,7 @@ class LevelSetMaximizer:
             rejected.extend(float(level) for level in levels[prefix:])
             if prefix > 0:
                 best = lower = float(levels[prefix - 1])
-            if prefix < levels_per_round:
+            if prefix < _LEVELS_PER_ROUND:
                 upper = float(levels[prefix])
 
         if best <= 0.0:

@@ -2,16 +2,22 @@
 
 :class:`VerificationEngine` expands registered scenarios into DAGs of jobs
 (Lyapunov search → per-mode level-set maximisation → per-mode
-advection/inclusion (+ escape) → falsification cross-check), runs independent
-jobs across a ``concurrent.futures`` process pool with per-job timeouts,
-memoises every conic solve in the persistent certificate cache, and
-aggregates the results into the existing :mod:`repro.core.report` machinery.
+advection/inclusion (+ escape) → falsification cross-check), memoises every
+conic solve in the persistent certificate cache, and aggregates the results
+into the existing :mod:`repro.core.report` machinery.
+
+:func:`_run_jobs` is the one job loop of the package.  It drives any set of
+DAG drivers (:class:`_JobDriver` subclasses: the engine's per-scenario
+:class:`_ScenarioDriver`, and the sweep planner's anchor-and-shards DAG),
+inline for ``jobs=1`` or across a ``concurrent.futures`` process pool, and
+settles dead workers, per-job timeouts and Ctrl-C as job outcomes.
 
 Every job is *hermetic*: the worker rebuilds the scenario problem from the
 registry by name and receives upstream artifacts as plain data, so results
 are identical whether the DAG runs inline (``jobs=1``), across a pool
-(``jobs=N``) or replayed from a warm cache.  :func:`run_in_process` drives
-the same DAG over a given problem object in the calling thread; it is what
+(``jobs=N``) or replayed from a warm cache.  :func:`run_in_process` replays
+the same DAG over a given problem object in the calling thread, outside the
+job loop; it is what
 :meth:`~repro.core.inevitability.InevitabilityVerifier.verify` runs.
 """
 
@@ -21,7 +27,7 @@ import time
 import traceback
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -277,49 +283,26 @@ def _execute_job(payload: Dict[str, object]) -> Dict[str, object]:
 
 
 # ----------------------------------------------------------------------
-# Scenario driver: per-scenario DAG state machine (runs in the parent)
+# Drivers: per-DAG state machines (run in the parent)
 # ----------------------------------------------------------------------
-class _ScenarioDriver:
-    """Tracks one scenario's DAG, releasing jobs as dependencies resolve."""
+class _JobDriver:
+    """Tracks one job DAG, releasing jobs as their dependencies resolve.
 
-    def __init__(self, scenario: str, problem, options: EngineOptions):
-        self.scenario = scenario
-        self.problem = problem
-        self.options = options
+    The scheduling half of a driver; subclasses plan ``specs`` and build
+    each released job's payload in :meth:`_payload_for`.  :func:`_run_jobs`
+    drives any number of them.
+    """
+
+    def __init__(self, specs: Sequence[JobSpec],
+                 job_timeout: Optional[float] = None):
+        self.job_timeout = job_timeout
         self.results: Dict[str, JobResult] = {}
         self._released: set = set()
-        self.specs: Dict[str, JobSpec] = {
-            spec.job_id: spec for spec in self.plan()}
+        self.specs: Dict[str, JobSpec] = {spec.job_id: spec for spec in specs}
 
-    # -- planning -------------------------------------------------------
-    def plan(self) -> List[JobSpec]:
-        scenario = self.scenario
-        lyap_id = JobSpec.make_id(scenario, STEP_LYAPUNOV)
-        specs = [JobSpec(job_id=lyap_id, scenario=scenario, step=STEP_LYAPUNOV)]
-        level_ids = []
-        for mode in self.problem.system.mode_names:
-            job_id = JobSpec.make_id(scenario, STEP_LEVELSET, mode)
-            level_ids.append(job_id)
-            specs.append(JobSpec(job_id=job_id, scenario=scenario,
-                                 step=STEP_LEVELSET, mode=mode,
-                                 depends_on=(lyap_id,)))
-        if self.problem.options.verify_property_two:
-            for mode in self._advection_modes():
-                specs.append(JobSpec(
-                    job_id=JobSpec.make_id(scenario, JOB_STEP_ADVECTION, mode),
-                    scenario=scenario, step=JOB_STEP_ADVECTION, mode=mode,
-                    depends_on=tuple(level_ids)))
-        if self.problem.supports_falsification:
-            specs.append(JobSpec(
-                job_id=JobSpec.make_id(scenario, STEP_FALSIFICATION),
-                scenario=scenario, step=STEP_FALSIFICATION,
-                depends_on=tuple(level_ids)))
-        return specs
+    def _payload_for(self, spec: JobSpec) -> Dict[str, object]:
+        raise NotImplementedError
 
-    def _advection_modes(self) -> Tuple[str, ...]:
-        return advection_mode_names(self.problem.options, self.problem.system)
-
-    # -- scheduling -----------------------------------------------------
     def _dependencies_ok(self, spec: JobSpec) -> bool:
         return all(dep in self.results and self.results[dep].status.is_ok
                    for dep in spec.depends_on)
@@ -349,6 +332,80 @@ class _ScenarioDriver:
             ready.append((spec, self._payload_for(spec)))
         return ready
 
+    def record(self, spec: JobSpec, outcome: Dict[str, object]) -> None:
+        data = dict(outcome.get("data", {}))
+        self.results[spec.job_id] = JobResult(
+            job_id=spec.job_id, scenario=spec.scenario, step=spec.step,
+            mode=spec.mode, status=JobStatus(outcome["status"]),
+            seconds=float(outcome.get("seconds", 0.0)),
+            detail=str(outcome.get("detail", "")),
+            data=data,
+            counters=dict(outcome.get("counters", {})),
+            cache_stats=dict(outcome.get("cache_stats", {})),
+            relaxation=data.get("relaxation"),
+        )
+
+    def record_timeout(self, spec: JobSpec, seconds: float) -> None:
+        self.results[spec.job_id] = JobResult(
+            job_id=spec.job_id, scenario=spec.scenario, step=spec.step,
+            mode=spec.mode, status=JobStatus.TIMEOUT, seconds=seconds,
+            detail=f"job exceeded {self.job_timeout:.1f}s budget")
+
+    @property
+    def done(self) -> bool:
+        return len(self.results) == len(self.specs)
+
+    def job_results(self) -> List[JobResult]:
+        """Results for every planned job; jobs an aborted run never settled
+        are reported as SKIPPED rather than omitted."""
+        results = []
+        for job_id, spec in self.specs.items():
+            result = self.results.get(job_id)
+            if result is None:
+                result = JobResult(
+                    job_id=job_id, scenario=spec.scenario, step=spec.step,
+                    mode=spec.mode, status=JobStatus.SKIPPED,
+                    detail="not executed (engine run aborted)")
+            results.append(result)
+        return results
+
+
+class _ScenarioDriver(_JobDriver):
+    """One scenario's verification DAG."""
+
+    def __init__(self, scenario: str, problem, options: EngineOptions):
+        self.scenario = scenario
+        self.problem = problem
+        self.options = options
+        super().__init__(self.plan(), options.job_timeout)
+
+    def plan(self) -> List[JobSpec]:
+        scenario = self.scenario
+        lyap_id = JobSpec.make_id(scenario, STEP_LYAPUNOV)
+        specs = [JobSpec(job_id=lyap_id, scenario=scenario, step=STEP_LYAPUNOV)]
+        level_ids = []
+        for mode in self.problem.system.mode_names:
+            job_id = JobSpec.make_id(scenario, STEP_LEVELSET, mode)
+            level_ids.append(job_id)
+            specs.append(JobSpec(job_id=job_id, scenario=scenario,
+                                 step=STEP_LEVELSET, mode=mode,
+                                 depends_on=(lyap_id,)))
+        if self.problem.options.verify_property_two:
+            for mode in self._advection_modes():
+                specs.append(JobSpec(
+                    job_id=JobSpec.make_id(scenario, JOB_STEP_ADVECTION, mode),
+                    scenario=scenario, step=JOB_STEP_ADVECTION, mode=mode,
+                    depends_on=tuple(level_ids)))
+        if self.problem.supports_falsification:
+            specs.append(JobSpec(
+                job_id=JobSpec.make_id(scenario, STEP_FALSIFICATION),
+                scenario=scenario, step=STEP_FALSIFICATION,
+                depends_on=tuple(level_ids)))
+        return specs
+
+    def _advection_modes(self) -> Tuple[str, ...]:
+        return advection_mode_names(self.problem.options, self.problem.system)
+
     def _payload_for(self, spec: JobSpec) -> Dict[str, object]:
         options = self.options
         payload: Dict[str, object] = {
@@ -373,43 +430,6 @@ class _ScenarioDriver:
                 if level_spec.step == STEP_LEVELSET
             }
         return payload
-
-    def record(self, spec: JobSpec, outcome: Dict[str, object]) -> None:
-        data = dict(outcome.get("data", {}))
-        self.results[spec.job_id] = JobResult(
-            job_id=spec.job_id, scenario=spec.scenario, step=spec.step,
-            mode=spec.mode, status=JobStatus(outcome["status"]),
-            seconds=float(outcome.get("seconds", 0.0)),
-            detail=str(outcome.get("detail", "")),
-            data=data,
-            counters=dict(outcome.get("counters", {})),
-            cache_stats=dict(outcome.get("cache_stats", {})),
-            relaxation=data.get("relaxation"),
-        )
-
-    def record_timeout(self, spec: JobSpec, seconds: float) -> None:
-        self.results[spec.job_id] = JobResult(
-            job_id=spec.job_id, scenario=spec.scenario, step=spec.step,
-            mode=spec.mode, status=JobStatus.TIMEOUT, seconds=seconds,
-            detail=f"job exceeded {self.options.job_timeout:.1f}s budget")
-
-    @property
-    def done(self) -> bool:
-        return len(self.results) == len(self.specs)
-
-    def job_results(self) -> List[JobResult]:
-        """Results for every planned job; jobs an aborted run never settled
-        are reported as SKIPPED rather than omitted."""
-        results = []
-        for job_id, spec in self.specs.items():
-            result = self.results.get(job_id)
-            if result is None:
-                result = JobResult(
-                    job_id=job_id, scenario=spec.scenario, step=spec.step,
-                    mode=spec.mode, status=JobStatus.SKIPPED,
-                    detail="not executed (engine run aborted)")
-            results.append(result)
-        return results
 
 
 # ----------------------------------------------------------------------
@@ -660,10 +680,12 @@ def _matches_expected(expected: str, report: VerificationReport,
 
 
 def _summed(mappings) -> Dict[str, int]:
+    """Key-wise sums of counter dicts; non-numeric values (labels) are skipped."""
     totals: Dict[str, int] = {}
     for mapping in mappings:
         for key, value in mapping.items():
-            totals[key] = totals.get(key, 0) + value
+            if isinstance(value, (int, float)) and not isinstance(value, bool):
+                totals[key] = totals.get(key, 0) + value
     return totals
 
 
@@ -699,7 +721,7 @@ def _engine_report(drivers: Sequence[_ScenarioDriver], options: EngineOptions,
 
 
 # ----------------------------------------------------------------------
-# The engine
+# The job loop
 # ----------------------------------------------------------------------
 class _InlineExecutor:
     """``jobs=1``: run everything synchronously through the Future API."""
@@ -708,14 +730,137 @@ class _InlineExecutor:
         future: Future = Future()
         try:
             future.set_result(fn(*args, **kwargs))
-        except BaseException as exc:  # pragma: no cover - worker catches
+        except BaseException as exc:  # a worker only lets Ctrl-C escape
             future.set_exception(exc)
         return future
 
-    def shutdown(self, wait: bool = True) -> None:  # noqa: ARG002
-        pass
+
+def _run_jobs(drivers: Sequence[_JobDriver], jobs: int,
+              execute: Callable[[Dict[str, object]], Dict[str, object]],
+              job_timeout: Optional[float] = None) -> None:
+    """Run every driver's DAG until each job is settled: the only job loop.
+
+    A driver is anything with ``take_ready()``, ``record(spec, outcome)``,
+    ``record_timeout(spec, seconds)`` and ``done``; ``execute`` maps a
+    payload to an outcome dict (:func:`_execute_job`, passed by the caller
+    so each module's own reference to it is the one called).  ``jobs=1``
+    runs inline, ``jobs>1`` over a process pool.  Dead workers, exceeded
+    ``job_timeout`` budgets and Ctrl-C settle the affected jobs as errors
+    or timeouts; on Ctrl-C the loop returns early and leaves the jobs it
+    never started unsettled.
+    """
+    executor = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 \
+        else _InlineExecutor()
+    active: Dict[Future, Tuple[_JobDriver, JobSpec, float]] = {}
+    ready_queue: List[Tuple[_JobDriver, JobSpec, Dict[str, object]]] = []
+    timed_out_running = False
+    interrupted = False
+    zombie_workers = 0   # workers stuck in a timed-out, uncancellable job
+    try:
+        while True:
+            for driver in drivers:
+                for spec, payload in driver.take_ready():
+                    ready_queue.append((driver, spec, payload))
+            # Submit at most one job per *live* worker slot: an
+            # executor-queued future never starts executing, so admitting
+            # more would let the per-job timeout fire on jobs that were
+            # merely waiting for a slot.  Workers stuck in a timed-out
+            # solve still occupy their slot until teardown, so they no
+            # longer count as capacity.
+            live_slots = max(1, jobs) - zombie_workers
+            if live_slots <= 0:
+                # Every worker is wedged: resolve the runnable jobs as
+                # errors rather than queueing work that can never start
+                # (anything further down the DAG is reported as skipped
+                # by job_results()).
+                for driver, spec, _payload in ready_queue:
+                    driver.record(spec, {
+                        "status": "error",
+                        "detail": "worker pool exhausted by timed-out jobs"})
+                ready_queue.clear()
+                break
+            while ready_queue and len(active) < live_slots:
+                driver, spec, payload = ready_queue.pop(0)
+                LOGGER.info("submitting %s", spec.job_id)
+                try:
+                    future = executor.submit(execute, payload)
+                except Exception as exc:  # e.g. BrokenProcessPool
+                    driver.record(spec, {"status": "error",
+                                         "detail": f"submission failed: {exc}"})
+                    continue
+                active[future] = (driver, spec, time.perf_counter())
+            if not active:
+                if not ready_queue and all(driver.done for driver in drivers):
+                    break
+                # Nothing running and nothing submittable: every remaining
+                # job waits on a settled-but-failed dependency; the next
+                # take_ready pass records the skips.
+                continue
+            done, _ = wait(list(active), timeout=0.25,
+                           return_when=FIRST_COMPLETED)
+            now = time.perf_counter()
+            for future in done:
+                driver, spec, started = active[future]
+                try:
+                    outcome = future.result()
+                except Exception as exc:  # dead worker / broken pool
+                    outcome = {"status": "error",
+                               "detail": f"{type(exc).__name__}: {exc}",
+                               "seconds": now - started}
+                # Popped only now: a Ctrl-C re-raised by result() leaves the
+                # job active, so the handler below settles it.
+                del active[future]
+                driver.record(spec, outcome)
+                LOGGER.info("finished %s: %s", spec.job_id,
+                            driver.results[spec.job_id].status.value)
+            if job_timeout is not None:
+                for future in list(active):
+                    driver, spec, started = active[future]
+                    if now - started > job_timeout:
+                        # cancel() only stops a future that has not
+                        # started; a running pool task keeps its worker
+                        # (and its slot) until the teardown below
+                        # terminates it.
+                        if not future.cancel():
+                            timed_out_running = True
+                            zombie_workers += 1
+                        active.pop(future)
+                        driver.record_timeout(spec, now - started)
+                        LOGGER.warning("job %s timed out", spec.job_id)
+    except KeyboardInterrupt:
+        # Ctrl-C mid-run: resolve inflight jobs as errors and return, so
+        # the caller reports a well-formed partial run and the pool
+        # teardown below reaps the children instead of leaving them
+        # orphaned behind a dead parent.
+        interrupted = True
+        now = time.perf_counter()
+        for future, (driver, spec, started) in list(active.items()):
+            future.cancel()
+            driver.record(spec, {
+                "status": "error", "detail": "interrupted (Ctrl-C)",
+                "seconds": now - started})
+        active.clear()
+        LOGGER.warning("run interrupted; returning partial results")
+    finally:
+        if isinstance(executor, ProcessPoolExecutor):
+            # Listed before shutdown(), which drops the pool's process table.
+            workers = list((executor._processes or {}).values())
+            executor.shutdown(wait=False, cancel_futures=True)
+            if timed_out_running or interrupted:
+                # Workers stuck in a timed-out solve (or still mid-job when
+                # the user hit Ctrl-C) would otherwise be joined by
+                # concurrent.futures' atexit hook, hanging the CLI at
+                # interpreter shutdown — or survive it as orphans.
+                for process in workers:
+                    try:
+                        process.terminate()
+                    except Exception:  # pragma: no cover - best effort
+                        pass
 
 
+# ----------------------------------------------------------------------
+# The engine
+# ----------------------------------------------------------------------
 class VerificationEngine:
     """Expand scenarios into job DAGs and run them to completion."""
 
@@ -733,119 +878,7 @@ class VerificationEngine:
     def run(self, scenarios: Sequence[str]) -> EngineReport:
         options = self.options
         start = time.perf_counter()
-
-        drivers = []
-        for name in scenarios:
-            problem = _prepared_problem(name, options.relaxation)
-            drivers.append(_ScenarioDriver(name, problem, options))
-
-        if options.jobs > 1:
-            executor = ProcessPoolExecutor(max_workers=options.jobs)
-        else:
-            executor = _InlineExecutor()
-        active: Dict[Future, Tuple[_ScenarioDriver, JobSpec, float]] = {}
-        ready_queue: List[Tuple[_ScenarioDriver, JobSpec, Dict[str, object]]] = []
-        timed_out_running = False
-        interrupted = False
-        zombie_workers = 0   # workers stuck in a timed-out, uncancellable job
-        try:
-            while True:
-                for driver in drivers:
-                    for spec, payload in driver.take_ready():
-                        ready_queue.append((driver, spec, payload))
-                # Submit at most one job per *live* worker slot: an
-                # executor-queued future never starts executing, so admitting
-                # more would let the per-job timeout fire on jobs that were
-                # merely waiting for a slot.  Workers stuck in a timed-out
-                # solve still occupy their slot until teardown, so they no
-                # longer count as capacity.
-                live_slots = max(1, options.jobs) - zombie_workers
-                if live_slots <= 0:
-                    # Every worker is wedged: resolve the runnable jobs as
-                    # errors rather than queueing work that can never start
-                    # (anything further down the DAG is reported as skipped
-                    # by job_results()).
-                    for driver, spec, _payload in ready_queue:
-                        driver.record(spec, {
-                            "status": "error",
-                            "detail": "worker pool exhausted by timed-out jobs"})
-                    ready_queue.clear()
-                    break
-                while ready_queue and len(active) < live_slots:
-                    driver, spec, payload = ready_queue.pop(0)
-                    LOGGER.info("submitting %s", spec.job_id)
-                    try:
-                        future = executor.submit(_execute_job, payload)
-                    except Exception as exc:  # e.g. BrokenProcessPool
-                        driver.record(spec, {"status": "error",
-                                             "detail": f"submission failed: {exc}"})
-                        continue
-                    active[future] = (driver, spec, time.perf_counter())
-                if not active:
-                    if not ready_queue and all(driver.done for driver in drivers):
-                        break
-                    # Nothing running and nothing submittable: every remaining
-                    # job waits on a settled-but-failed dependency; the next
-                    # take_ready pass records the skips.
-                    continue
-                done, _ = wait(list(active), timeout=0.25,
-                               return_when=FIRST_COMPLETED)
-                now = time.perf_counter()
-                for future in done:
-                    driver, spec, started = active.pop(future)
-                    try:
-                        outcome = future.result()
-                    except Exception as exc:  # dead worker / broken pool
-                        outcome = {"status": "error",
-                                   "detail": f"{type(exc).__name__}: {exc}",
-                                   "seconds": now - started}
-                    driver.record(spec, outcome)
-                    LOGGER.info("finished %s: %s", spec.job_id,
-                                driver.results[spec.job_id].status.value)
-                if options.job_timeout is not None:
-                    for future in list(active):
-                        driver, spec, started = active[future]
-                        if now - started > options.job_timeout:
-                            # cancel() only stops a future that has not
-                            # started; a running pool task keeps its worker
-                            # (and its slot) until the teardown below
-                            # terminates it.
-                            if not future.cancel():
-                                timed_out_running = True
-                                zombie_workers += 1
-                            active.pop(future)
-                            driver.record_timeout(spec, now - started)
-                            LOGGER.warning("job %s timed out", spec.job_id)
-        except KeyboardInterrupt:
-            # Ctrl-C mid-run: resolve inflight jobs as errors and fall
-            # through to report assembly — job_results() marks everything
-            # the run never settled as SKIPPED, so the partial report is
-            # well-formed and the pool teardown below reaps the children
-            # instead of leaving them orphaned behind a dead parent.
-            interrupted = True
-            now = time.perf_counter()
-            for future, (driver, spec, started) in list(active.items()):
-                future.cancel()
-                driver.record(spec, {
-                    "status": "error", "detail": "interrupted (Ctrl-C)",
-                    "seconds": now - started})
-            active.clear()
-            LOGGER.warning("run interrupted; returning partial report")
-        finally:
-            if isinstance(executor, ProcessPoolExecutor):
-                executor.shutdown(wait=False, cancel_futures=True)
-            else:
-                executor.shutdown(wait=False)
-            if (timed_out_running or interrupted) and \
-                    isinstance(executor, ProcessPoolExecutor):
-                # Workers stuck in a timed-out solve (or still mid-job when
-                # the user hit Ctrl-C) would otherwise be joined by
-                # concurrent.futures' atexit hook, hanging the CLI at
-                # interpreter shutdown — or survive it as orphans.
-                for process in list(getattr(executor, "_processes", {}).values()):
-                    try:
-                        process.terminate()
-                    except Exception:  # pragma: no cover - best effort
-                        pass
-
+        drivers = [_ScenarioDriver(name, _prepared_problem(name, options.relaxation),
+                                   options) for name in scenarios]
+        _run_jobs(drivers, options.jobs, _execute_job, options.job_timeout)
         return _engine_report(drivers, options, start)

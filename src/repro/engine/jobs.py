@@ -18,9 +18,10 @@ STEP_LYAPUNOV = "lyapunov"
 STEP_LEVELSET = "levelset"
 STEP_ADVECTION = "advection"
 STEP_FALSIFICATION = "falsification"
-#: One batch of parameter-sweep probe points (see repro.sweep); executed by
-#: the same hermetic worker entry point as the classic pipeline steps, so
-#: the inline executor and the process pool run sweep shards unchanged.
+#: One batch of parameter-sweep probe points (see repro.sweep).  The sweep
+#: planner's DAG (an anchor Lyapunov job, then one shard job per batch) runs
+#: through the engine's job loop and the same hermetic worker entry point
+#: as the classic pipeline steps.
 STEP_SWEEP = "sweep_shard"
 
 

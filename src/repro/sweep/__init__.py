@@ -25,7 +25,6 @@ from .planner import (
     SweepOptions,
     SweepReport,
     SweepRunner,
-    run_sweep,
 )
 from .progress import SweepProgress
 
@@ -45,6 +44,5 @@ __all__ = [
     "get_sweep_family",
     "register_sweep_family",
     "render_frontier_text",
-    "run_sweep",
     "sweep_family_names",
 ]

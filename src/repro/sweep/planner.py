@@ -1,45 +1,42 @@
 """The sweep execution planner.
 
-Turns a :class:`~repro.sweep.families.SweepFamily` into one engine-shaped
-run:
+Turns a :class:`~repro.sweep.families.SweepFamily` into one job DAG that
+the engine's job loop (:func:`~repro.engine.engine._run_jobs`) drives,
+inline for ``jobs=1`` or over a local process pool:
 
 1. **Anchor synthesis** — one Lyapunov job at the family's anchor parameters
-   (the registered nominal by default), executed through the engine's
-   hermetic :func:`~repro.engine.engine._execute_job` so it shares the
-   certificate cache with ``repro verify``.
+   (the registered nominal by default), so it shares the certificate cache
+   with ``repro verify``.
 2. **Point shards** — the family's points are chunked so every worker slot
    gets one contiguous shard (``ceil(points / jobs)`` by default), and each
-   shard travels as a single ``sweep_shard`` job through the same executors
-   the engine uses: inline for ``jobs=1``, a local process pool for
-   ``jobs>1``.  Per shard, the probe family pays one structural compile
-   of its :class:`~repro.sos.parametric.MultiParametricSOSProgram`, each
-   point is a pure array bind, and the sampling gate reuses the models the
-   compile built.
+   shard is one ``sweep_shard`` job that depends on the anchor and carries
+   its certificates.  Per shard, the probe family pays one structural
+   compile of its :class:`~repro.sos.parametric.MultiParametricSOSProgram`,
+   each point is a pure array bind, and the sampling gate reuses the models
+   the compile built.
 3. **Aggregation** — shard outcomes fold into the deterministic feasibility
    frontier (:mod:`repro.sweep.frontier`) plus a nondeterministic ``run``
    telemetry section; progress persists after every shard so ``--resume``
-   re-dispatches only the missing points.
+   re-dispatches only the missing points.  A failed anchor, or any shard
+   that does not end ``ok`` (error, dead worker, Ctrl-C), is a
+   :class:`SweepError`.
 """
-
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from pathlib import Path
+from typing import Dict, List, Optional, Sequence
 
 from ..engine.cache import cache_rate_summary, default_cache_dir
-from ..engine.engine import _InlineExecutor, _execute_job
-from ..engine.jobs import STEP_LYAPUNOV, STEP_SWEEP
+from ..engine.engine import _JobDriver, _execute_job, _run_jobs, _summed
+from ..engine.jobs import STEP_LYAPUNOV, STEP_SWEEP, JobSpec
 from ..exceptions import CertificateError
 from ..scenarios.registry import get_scenario
-from ..utils import get_logger
 from .families import SweepFamily, SweepPoint, get_sweep_family
 from .frontier import build_frontier, render_frontier_text
 from .progress import SweepProgress
-
-LOGGER = get_logger("sweep.planner")
 
 
 class SweepError(CertificateError):
@@ -123,10 +120,81 @@ def _chunk(points: Sequence[SweepPoint], size: int) -> List[List[SweepPoint]]:
             for start in range(0, len(points), size)]
 
 
-def _merge_counts(total: Dict[str, int], delta: Dict[str, object]) -> None:
-    for key, value in delta.items():
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            total[key] = total.get(key, 0) + value
+def _structure_totals(shard_stats) -> Dict[str, Dict[str, object]]:
+    """Per-relaxation probe-structure stats summed over shards; a path
+    (``mode``/``sampling``) that differs between shards reads ``mixed``."""
+    structures: Dict[str, Dict[str, object]] = {}
+    for stats_by_relaxation in shard_stats:
+        for relaxation, stats in stats_by_relaxation.items():
+            entry = structures.setdefault(relaxation, {
+                "mode": stats.get("mode"), "sampling": stats.get("sampling")})
+            for path in ("mode", "sampling"):
+                if entry[path] != stats.get(path):
+                    entry[path] = "mixed"
+            entry.update(_summed((entry, stats)))
+    return structures
+
+
+class _SweepDriver(_JobDriver):
+    """A sweep's DAG: one anchor Lyapunov job, then one job per shard.
+
+    Every shard depends on the anchor and carries its certificates;
+    recording a shard folds its points into ``completed`` and saves
+    progress.
+    """
+
+    def __init__(self, family: SweepFamily, options: SweepOptions,
+                 shards: List[List[SweepPoint]],
+                 completed: Dict[int, Dict[str, object]],
+                 progress: SweepProgress):
+        self.family = family
+        self.options = options
+        self.completed = completed
+        self.progress = progress
+        self.anchor_id = JobSpec.make_id(family.scenario, STEP_LYAPUNOV)
+        self._shards = {
+            f"{family.name}/{STEP_SWEEP}:{index}": shard
+            for index, shard in enumerate(shards)}
+        specs = [JobSpec(job_id=self.anchor_id, scenario=family.scenario,
+                         step=STEP_LYAPUNOV)]
+        specs.extend(JobSpec(job_id=job_id, scenario=family.scenario,
+                             step=STEP_SWEEP, depends_on=(self.anchor_id,))
+                     for job_id in self._shards)
+        super().__init__(specs)
+
+    def _payload_for(self, spec: JobSpec) -> Dict[str, object]:
+        family = self.family
+        payload: Dict[str, object] = {
+            "scenario": family.scenario,
+            "step": spec.step,
+            "mode": None,
+            "use_cache": self.options.use_cache,
+            "cache_dir": self.options.cache_dir,
+        }
+        if spec.step == STEP_LYAPUNOV:
+            # The scenario's *registered* relaxation, so nominal-anchored
+            # sweeps share cache entries with plain ``repro verify`` runs.
+            payload.update({"seed": 0, "relaxation": None,
+                            "params": family.anchor_params() or None})
+            return payload
+        base, steps = family.parametrization()
+        payload.update({
+            "certificates": self.results[self.anchor_id].data["certificates"],
+            "base": base,
+            "steps": steps,
+            "anchor_params": family.anchor_params(),
+            "points": [{"index": point.index, "params": point.params_dict}
+                       for point in self._shards[spec.job_id]],
+        })
+        return payload
+
+    def record(self, spec: JobSpec, outcome: Dict[str, object]) -> None:
+        super().record(spec, outcome)
+        result = self.results[spec.job_id]
+        if spec.step == STEP_SWEEP and result.status.is_ok:
+            for point in result.data.get("points", []):
+                self.completed[int(point["index"])] = point
+            self.progress.save(self.completed)
 
 
 class SweepRunner:
@@ -154,52 +222,7 @@ class SweepRunner:
     def _progress_dir(self) -> str:
         root = self.options.cache_dir
         base = default_cache_dir() if root is None else root
-        from pathlib import Path
-
         return str(Path(base) / "sweeps")
-
-    def _base_payload(self, family: SweepFamily) -> Dict[str, object]:
-        options = self.options
-        return {
-            "scenario": family.scenario,
-            "use_cache": options.use_cache,
-            "cache_dir": options.cache_dir,
-        }
-
-    # ------------------------------------------------------------------
-    def _anchor_certificates(self, family: SweepFamily
-                             ) -> Tuple[Dict[str, object], Dict[str, object]]:
-        """Synthesize (or replay from cache) the family's anchor certificates.
-
-        Runs inline in the parent — a single job that every shard depends
-        on — with the scenario's *registered* relaxation and the family's
-        anchor parameters, so nominal-anchored sweeps share cache entries
-        with plain ``repro verify`` runs.
-        """
-        anchor = family.anchor_params()
-        payload = dict(self._base_payload(family))
-        payload.update({
-            "step": STEP_LYAPUNOV,
-            "mode": None,
-            "seed": 0,
-            "relaxation": None,
-            "params": anchor or None,
-        })
-        outcome = _execute_job(payload)
-        data = outcome.get("data", {})
-        info = {
-            "status": outcome.get("status"),
-            "seconds": float(outcome.get("seconds", 0.0)),
-            "relaxation": data.get("relaxation"),
-            "params": dict(anchor),
-            "counters": dict(outcome.get("counters", {})),
-            "cache_stats": dict(outcome.get("cache_stats", {})),
-        }
-        if outcome.get("status") != "ok" or not data.get("feasible"):
-            raise SweepError(
-                f"anchor synthesis for family {family.name!r} "
-                f"({family.scenario}) failed: {outcome.get('detail')}")
-        return data["certificates"], info
 
     # ------------------------------------------------------------------
     def run(self, family: object) -> SweepReport:
@@ -222,25 +245,23 @@ class SweepRunner:
         resumed = len(completed)
         pending = [point for point in points if point.index not in completed]
 
-        certificates, anchor_info = self._anchor_certificates(family)
-
-        counters: Dict[str, int] = {}
-        cache_totals: Dict[str, int] = {}
-        structures: Dict[str, Dict[str, object]] = {}
-        _merge_counts(counters, anchor_info["counters"])
-        _merge_counts(cache_totals, anchor_info["cache_stats"])
-
-        shard_errors: List[str] = []
         shards: List[List[SweepPoint]] = []
         if pending:
             shard_size = options.shard_size or \
                 max(1, math.ceil(len(pending) / max(1, options.jobs)))
             shards = _chunk(pending, shard_size)
-            self._run_shards(family, certificates, shards, completed,
-                             progress, counters, cache_totals, structures,
-                             shard_errors)
+        driver = _SweepDriver(family, options, shards, completed, progress)
+        # The pool pays off only with more than one shard to spread.
+        _run_jobs([driver], min(options.jobs, len(shards)), _execute_job)
 
+        jobs = driver.job_results()
+        anchor, shard_jobs = jobs[0], jobs[1:]
+        if not anchor.status.is_ok:
+            raise SweepError(
+                f"anchor synthesis for family {family.name!r} "
+                f"({family.scenario}) failed: {anchor.detail}")
         progress.save(completed, completed=len(completed) == len(points))
+        shard_errors = [job.detail for job in shard_jobs if not job.status.is_ok]
         if shard_errors:
             raise SweepError(
                 f"{len(shard_errors)} sweep shard(s) failed "
@@ -255,102 +276,18 @@ class SweepRunner:
             "use_cache": options.use_cache,
             "shards": len(shards),
             "resumed_points": resumed,
-            "anchor": anchor_info,
-            "counters": counters,
-            "cache": cache_rate_summary(cache_totals),
-            "structures": structures,
+            "anchor": {
+                "status": anchor.status.value,
+                "seconds": anchor.seconds,
+                "relaxation": anchor.relaxation,
+                "params": dict(family.anchor_params()),
+                "counters": anchor.counters,
+                "cache_stats": anchor.cache_stats,
+            },
+            "counters": _summed(job.counters for job in jobs),
+            "cache": cache_rate_summary(_summed(job.cache_stats for job in jobs)),
+            "structures": _structure_totals(
+                job.data.get("structures", {}) for job in shard_jobs),
             "progress_path": str(progress.path),
         }
         return SweepReport(family=family.config(), frontier=frontier, run=run)
-
-    # ------------------------------------------------------------------
-    def _run_shards(self, family: SweepFamily,
-                    certificates: Dict[str, object],
-                    shards: List[List[SweepPoint]],
-                    completed: Dict[int, Dict[str, object]],
-                    progress: SweepProgress,
-                    counters: Dict[str, int],
-                    cache_totals: Dict[str, int],
-                    structures: Dict[str, Dict[str, object]],
-                    shard_errors: List[str]) -> None:
-        options = self.options
-        base, steps = family.parametrization()
-        shard_payloads = []
-        for shard in shards:
-            payload = dict(self._base_payload(family))
-            payload.update({
-                "step": STEP_SWEEP,
-                "mode": None,
-                "certificates": certificates,
-                "base": base,
-                "steps": steps,
-                "anchor_params": family.anchor_params(),
-                "points": [{"index": point.index,
-                            "params": point.params_dict}
-                           for point in shard],
-            })
-            shard_payloads.append(payload)
-
-        if options.jobs > 1 and len(shard_payloads) > 1:
-            executor = ProcessPoolExecutor(max_workers=options.jobs)
-        else:
-            executor = _InlineExecutor()
-
-        active: Dict[Future, int] = {}
-        queue = list(enumerate(shard_payloads))
-        try:
-            while queue or active:
-                while queue and len(active) < max(1, options.jobs):
-                    shard_id, payload = queue.pop(0)
-                    LOGGER.info("submitting sweep shard %d/%d (%d point(s))",
-                                shard_id + 1, len(shard_payloads),
-                                len(payload["points"]))
-                    try:
-                        future = executor.submit(_execute_job, payload)
-                    except Exception as exc:
-                        shard_errors.append(f"submission failed: {exc}")
-                        continue
-                    active[future] = shard_id
-                if not active:
-                    break
-                done, _ = wait(list(active), timeout=0.25,
-                               return_when=FIRST_COMPLETED)
-                for future in done:
-                    shard_id = active.pop(future)
-                    try:
-                        outcome = future.result()
-                    except Exception as exc:
-                        shard_errors.append(f"{type(exc).__name__}: {exc}")
-                        continue
-                    if outcome.get("status") != "ok":
-                        shard_errors.append(str(outcome.get("detail")))
-                        continue
-                    data = outcome.get("data", {})
-                    for point in data.get("points", []):
-                        completed[int(point["index"])] = point
-                    for relaxation, stats in data.get("structures", {}).items():
-                        entry = structures.setdefault(relaxation, {
-                            "mode": stats.get("mode"),
-                            "sampling": stats.get("sampling")})
-                        for path in ("mode", "sampling"):
-                            if entry[path] != stats.get(path):
-                                entry[path] = "mixed"
-                        _merge_counts(entry, stats)
-                    _merge_counts(counters, outcome.get("counters", {}))
-                    _merge_counts(cache_totals, outcome.get("cache_stats", {}))
-                    progress.save(completed)
-        finally:
-            if isinstance(executor, ProcessPoolExecutor):
-                executor.shutdown(wait=False, cancel_futures=True)
-            else:
-                executor.shutdown(wait=False)
-
-
-def run_sweep(family: object, options: Optional[SweepOptions] = None,
-              **overrides) -> SweepReport:
-    """Convenience wrapper: build options from kwargs and run one family."""
-    if options is None:
-        options = SweepOptions(**overrides)
-    elif overrides:
-        raise TypeError("pass either options or keyword overrides, not both")
-    return SweepRunner(options).run(family)

@@ -2,6 +2,7 @@
 report-rendering and falsification-reproducibility satellites."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -25,7 +26,14 @@ from repro.engine import (
     polynomial_from_data,
     polynomial_to_data,
 )
-from repro.engine.engine import _ScenarioDriver, _prepared_problem
+from repro.engine import engine as engine_module
+from repro.engine.engine import (
+    _JobDriver,
+    _ScenarioDriver,
+    _prepared_problem,
+    _run_jobs,
+)
+from repro.engine.jobs import JobSpec
 from repro.polynomial import Polynomial
 from repro.scenarios import ScenarioProblem, build_problem, register_scenario
 from repro.scenarios.registry import _REGISTRY
@@ -114,6 +122,54 @@ class TestExecution:
         assert driver.take_ready() == []
         assert driver.done
         assert driver.results["vanderpol/levelset:flow"].status is JobStatus.SKIPPED
+
+
+class _SleepDriver(_JobDriver):
+    """Two independent jobs whose payload is a sleep length in seconds."""
+
+    def __init__(self):
+        super().__init__([JobSpec(job_id=f"nap/{index}", scenario="nap",
+                                  step="sleep") for index in range(2)])
+
+    def _payload_for(self, spec):
+        return 30.0
+
+
+class TestJobLoop:
+    def test_interrupt_settles_pool_jobs_and_reaps_workers(self, monkeypatch):
+        """Ctrl-C while pool jobs run: each is settled as interrupted and
+        every worker is terminated instead of being joined at exit."""
+        workers = []
+
+        def interrupted_wait(futures, timeout, return_when):
+            deadline = time.monotonic() + 10.0
+            while not all(future.running() for future in futures) \
+                    and time.monotonic() < deadline:
+                time.sleep(0.01)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(engine_module, "wait", interrupted_wait)
+        real_pool = engine_module.ProcessPoolExecutor
+
+        class RecordingPool(real_pool):
+            def submit(self, fn, *args, **kwargs):
+                future = super().submit(fn, *args, **kwargs)
+                workers[:] = list(self._processes.values())
+                return future
+
+        monkeypatch.setattr(engine_module, "ProcessPoolExecutor", RecordingPool)
+        driver = _SleepDriver()
+        _run_jobs([driver], 2, time.sleep)
+
+        assert driver.done
+        assert {result.status for result in driver.results.values()} == \
+            {JobStatus.ERROR}
+        assert {result.detail for result in driver.results.values()} == \
+            {"interrupted (Ctrl-C)"}
+        assert workers
+        for process in workers:
+            process.join(timeout=10.0)
+            assert not process.is_alive()
 
 
 class TestInProcessVerifier:

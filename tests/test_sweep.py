@@ -267,6 +267,68 @@ class TestSweepRunner:
 
 
 # ----------------------------------------------------------------------
+# Failure paths of the engine's job loop, as the sweep sees them
+# ----------------------------------------------------------------------
+def _spy_shards(monkeypatch, fail_with=None):
+    """Record each shard job's point indices; the second one raises
+    ``fail_with`` when given."""
+    import repro.sweep.probe as probe
+
+    real = probe.run_sweep_shard
+    calls = []
+
+    def shard(payload, context):
+        calls.append([point["index"] for point in payload["points"]])
+        if fail_with is not None and len(calls) == 2:
+            raise fail_with
+        return real(payload, context)
+
+    monkeypatch.setattr(probe, "run_sweep_shard", shard)
+    return calls
+
+
+class TestSweepFailures:
+    @pytest.mark.parametrize("fail_with, detail", [
+        (RuntimeError("shard exploded"), "RuntimeError: shard exploded"),
+        (KeyboardInterrupt(), r"interrupted \(Ctrl-C\)"),
+    ], ids=["error", "interrupt"])
+    def test_failed_shard_keeps_progress_and_resumes(self, tmp_path,
+                                                     monkeypatch, fail_with,
+                                                     detail):
+        family = _small_family()
+        calls = _spy_shards(monkeypatch, fail_with)
+        with pytest.raises(SweepError,
+                           match=rf"(?s)1 sweep shard\(s\) failed .*{detail}"):
+            SweepRunner(SweepOptions(jobs=1, shard_size=2,
+                                     cache_dir=str(tmp_path))).run(family)
+        assert calls == [[0, 1], [2, 3]]
+        progress = SweepProgress(tmp_path / "sweeps", family.name,
+                                 family.fingerprint())
+        assert sorted(progress.load()) == [0, 1]
+
+        calls = _spy_shards(monkeypatch)
+        resumed = SweepRunner(SweepOptions(
+            jobs=1, shard_size=2, cache_dir=str(tmp_path),
+            resume=True)).run(family)
+        assert calls == [[2, 3]]
+        assert resumed.run["resumed_points"] == 2
+        assert resumed.frontier["summary"]["points"] == 4
+
+    def test_failed_anchor_runs_no_shard(self, tmp_path, monkeypatch):
+        import repro.engine.engine as engine
+
+        monkeypatch.setattr(
+            engine, "_step_lyapunov",
+            lambda problem, context=None: ("failed", "no certificate", {}))
+        calls = _spy_shards(monkeypatch)
+        with pytest.raises(SweepError,
+                           match="anchor synthesis .* failed: no certificate"):
+            SweepRunner(SweepOptions(jobs=1, shard_size=2,
+                                     cache_dir=str(tmp_path))).run(_small_family())
+        assert calls == []
+
+
+# ----------------------------------------------------------------------
 # Probe batches: one solve_many per solver configuration
 # ----------------------------------------------------------------------
 #: A 2x2 grid on the edge of the certified region: one point fails sampling,
