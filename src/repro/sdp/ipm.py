@@ -14,21 +14,29 @@ column or one whole PSD block.  A unit that no row touches is a block of
 its own with no rows; it ends ``FEASIBLE`` at once when its cost is zero.
 Blocks with byte-identical ``A``, ``b`` and ``c`` anywhere in the batch are
 solved once.  A problem of one block is solved as it is, and its result is
-exactly what the unsplit method returns.  A problem of several blocks gets
-back the concatenation of the block iterates as ``x``, with the status
+exactly what the unsplit method returns.  A problem of several blocks has
+the status
 
 * ``INFEASIBLE`` when some block's Farkas ``y``, zero-padded to every row,
   passes :func:`farkas_margin` on the *whole* problem: ``info["farkas_y"]``
-  is that padded ``y`` and ``info["refuted_component"]`` the block's index;
+  is that padded ``y`` and ``info["refuted_component"]`` the index of the
+  first such block;
 * else ``NUMERICAL_ERROR`` when a block's certificate fails that check or a
   block ended ``NUMERICAL_ERROR``;
 * else ``MAX_ITERATIONS`` when a block did;
 * else ``OPTIMAL`` (``FEASIBLE`` when ``c = 0``).
 
+Its blocks are solved only up to the refuting one (:class:`_Plan`): a
+problem is settled at block ``k`` once blocks ``0..k`` are solved and ``k``
+is the first of them whose certificate passes that check, and no block after
+``k`` is solved for it.  ``x`` is the concatenation of the iterates of the
+blocks read, and zero on the columns of the blocks after ``k``.
 ``iterations`` and the relative residuals are the largest over the blocks,
 except on ``INFEASIBLE``, where they are the refuting block's: the verdict
 rests on its certificate alone.  Every result carries ``info["components"]``,
-the number of blocks.
+the number of blocks, and ``info["solved_components"]``, the number of
+blocks whose iterates ``x`` holds (``k + 1`` on a refuted problem, else
+``components``).
 
 Before the loop, each distinct block ``A`` is reduced once
 (:class:`_Reduction`): its rows are scaled to unit infinity norm, a pivoted
@@ -655,34 +663,76 @@ class _Split:
                           ConicProblem(c=c, A=block, b=b, dims=dims)))
         return parts
 
-    def assemble(self, problem: ConicProblem,
-                 results: List[SolverResult]) -> SolverResult:
-        """The result of ``problem`` from the results of its blocks."""
-        if len(self.blocks) == 1:
+
+class _Plan:
+    """One problem's block results, taken up to the block that refutes it.
+
+    ``refuted`` is the lowest index of a block whose Farkas ``y``,
+    zero-padded to every row, passes :func:`farkas_margin` on the whole
+    problem; each ``INFEASIBLE`` block is checked once, when its result is
+    taken.  Blocks after ``refuted`` are never read, so the problem is
+    settled once blocks ``0..refuted`` are solved, or every block when none
+    refutes it.
+    """
+
+    def __init__(self, problem: ConicProblem, split: _Split, refs: List[tuple]):
+        self.problem = problem
+        self.split = split
+        self.refs = refs
+        self.results: List[Optional[SolverResult]] = [None] * len(refs)
+        self.checks: Dict[int, Tuple[np.ndarray, float]] = {}
+        self.refuted: Optional[int] = None
+
+    def _read(self) -> int:
+        """How many leading blocks the result reads."""
+        return len(self.refs) if self.refuted is None else self.refuted + 1
+
+    def wanted(self) -> List[tuple]:
+        """The refs of the blocks still to be solved; none once settled."""
+        read = self._read()
+        return [ref for ref, result in zip(self.refs[:read], self.results[:read])
+                if result is None]
+
+    def take(self, solved: Dict[tuple, SolverResult]) -> None:
+        """Take the results of this problem's blocks that ``solved`` holds."""
+        for index, ref in enumerate(self.refs[:self._read()]):
+            if self.results[index] is not None or ref not in solved:
+                continue
+            result = self.results[index] = solved[ref]
+            if len(self.refs) == 1 or result.status is not SolverStatus.INFEASIBLE:
+                continue
+            y = np.zeros(self.problem.num_constraints)
+            y[self.split.blocks[index][0]] = result.info["farkas_y"]
+            delta = farkas_margin(self.problem, y)
+            self.checks[index] = (y, delta)
+            if delta <= FARKAS_TOLERANCE:
+                self.refuted = index
+                break
+
+    def assemble(self) -> SolverResult:
+        """The problem's result from the blocks it read."""
+        problem, refuted = self.problem, self.refuted
+        results = self.results[:self._read()]
+        blocks = self.split.blocks
+        if len(blocks) == 1:
             (result,) = results
-            info = dict(result.info, components=1)
+            info = dict(result.info, components=1, solved_components=1)
             if result.status is SolverStatus.INFEASIBLE:
                 info["refuted_component"] = 0
             return replace(result, x=result.x.copy(), info=info)
 
         x = np.zeros(problem.dims.total)
-        for (_, columns, *_), result in zip(self.blocks, results):
+        for (_, columns, *_), result in zip(blocks, results):
             x[columns] = result.x
-        info: Dict[str, object] = {"components": len(self.blocks)}
+        info: Dict[str, object] = {"components": len(blocks),
+                                   "solved_components": len(results)}
         statuses = [result.status for result in results]
-        decided = None
-        for index, ((rows, *_), result) in enumerate(zip(self.blocks, results)):
-            if result.status is not SolverStatus.INFEASIBLE:
-                continue
-            y = np.zeros(problem.num_constraints)
-            y[rows] = result.info["farkas_y"]
-            delta = farkas_margin(problem, y)
-            if delta <= FARKAS_TOLERANCE:
-                info.update(farkas_y=y, farkas_margin=delta, refuted_component=index)
-                decided = result
-                break
-        if decided is not None:
+        counted = results
+        if refuted is not None:
             status = SolverStatus.INFEASIBLE
+            y, delta = self.checks[refuted]
+            info.update(farkas_y=y, farkas_margin=delta, refuted_component=refuted)
+            counted = [results[refuted]]
         elif SolverStatus.INFEASIBLE in statuses:
             status = SolverStatus.NUMERICAL_ERROR
             info["reason"] = "a block's Farkas certificate fails on the whole problem"
@@ -693,7 +743,6 @@ class _Split:
             status = SolverStatus.MAX_ITERATIONS
         else:
             status = SolverStatus.OPTIMAL if problem.c.any() else SolverStatus.FEASIBLE
-        counted = [decided] if decided is not None else results
         return SolverResult(
             status=status,
             x=x,
@@ -713,14 +762,20 @@ def solve_batch(problems: Sequence[ConicProblem]) -> List[SolverResult]:
     Each problem is split into its blocks (:class:`_Split`, once per
     distinct ``A``); blocks with equal ``A``, ``b`` and ``c`` anywhere in
     the batch are solved once, and blocks whose ``A`` and cone dimensions
-    are equal share one reduction and one batched loop.
+    are equal share one reduction and one batched loop.  The groups run in
+    the order their first block appears.  Before each group's loop, blocks
+    that no unsettled problem still reads (:class:`_Plan`) are dropped, and
+    a group left empty is skipped: a problem refuted by its block ``k``
+    reads no block after ``k``, and its ``x`` is zero there even when
+    another problem of the batch had that block solved.  So a problem's
+    result does not depend on the batch it is solved in.
     """
     start = time.perf_counter()
     problems = list(problems)
     results: List[Optional[SolverResult]] = [None] * len(problems)
     splits: Dict[tuple, _Split] = {}
     parts: Dict[tuple, ConicProblem] = {}
-    plans = []
+    plans: List[Tuple[int, _Plan]] = []
     for i, problem in enumerate(problems):
         if not has_finite_data(problem):
             results[i] = SolverResult(status=SolverStatus.NUMERICAL_ERROR,
@@ -734,18 +789,23 @@ def solve_batch(problems: Sequence[ConicProblem]) -> List[SolverResult]:
         for ref, part in split.parts(problem):
             parts.setdefault(ref, part)
             refs.append(ref)
-        plans.append((i, split, refs))
+        plans.append((i, _Plan(problem, split, refs)))
 
     groups: Dict[tuple, List[tuple]] = {}
     for ref in parts:
         groups.setdefault(ref[0], []).append(ref)
-    solved: Dict[tuple, SolverResult] = {}
     for refs in groups.values():
+        wanted = {ref for _, plan in plans for ref in plan.wanted()}
+        refs = [ref for ref in refs if ref in wanted]
+        if not refs:
+            continue
         reduction = _Reduction(parts[refs[0]])
         members = [(parts[ref], reduction.reduce_cost(parts[ref].c)) for ref in refs]
-        solved.update(zip(refs, _Group(reduction).solve(members)))
-    for i, split, refs in plans:
-        results[i] = split.assemble(problems[i], [solved[ref] for ref in refs])
+        solved = dict(zip(refs, _Group(reduction).solve(members)))
+        for _, plan in plans:
+            plan.take(solved)
+    for i, plan in plans:
+        results[i] = plan.assemble()
     elapsed = time.perf_counter() - start
     for result in results:
         result.solve_time = elapsed

@@ -34,7 +34,11 @@ multipliers, so it is one independent block per mode, and the
 interior-point method solves each block on its own.  A block whose data
 does not move with the sweep axes is solved once for all points of the
 batch: on the Ip ladder that is pll3's mode1, where the charge pump is off
-and ``i_p`` does not enter the dynamics.
+and ``i_p`` does not enter the dynamics.  A probe's blocks are solved only
+up to the first one, in mode order, whose Farkas certificate refutes the
+whole probe: on the Ip ladder mode2's block refutes every probe, so mode3's
+is never solved, the probe's ``x`` is zero on mode3's columns and its
+``info["solved_components"]`` is 2 of 3.
 
 The shard validates every point first, then solves the probes of all
 points that passed as one :meth:`~repro.sdp.SolveContext.solve_many` batch

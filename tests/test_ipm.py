@@ -277,6 +277,53 @@ def test_ladder_probes_in_the_certified_range_are_refuted(pll3_run, tmp_path):
         assert isinstance(conic.A, sp.csr_matrix)
 
 
+def _record_group_members(monkeypatch, measure=len):
+    """A list that gets ``measure(members)`` of every ``_Group.solve`` call."""
+    from repro.sdp import ipm
+
+    seen = []
+    solve = ipm._Group.solve
+
+    def recording(self, members):
+        seen.append(measure(members))
+        return solve(self, members)
+
+    monkeypatch.setattr(ipm._Group, "solve", recording)
+    return seen
+
+
+def test_ladder_probes_stop_at_the_refuting_mode2_block(pll3_run, tmp_path, monkeypatch):
+    """Each Ip-ladder probe is refuted by mode2's block; mode3's is not solved."""
+    from repro.sdp import ipm
+
+    family = get_sweep_family("pll3_ip_ladder").reconfigure(
+        grid={"i_p": (0.95, 1.0, 3)})
+    cache_dir = tmp_path / "cache"
+    shutil.copytree(pll3_run.cache_dir, cache_dir)
+    members = _record_group_members(monkeypatch)
+    probes = []
+    solve_many = SolveContext.solve_many
+
+    def recording(self, problems, warm_starts=None, **kwargs):
+        results = solve_many(self, problems, warm_starts, **kwargs)
+        probes.extend(zip(problems, results))
+        return results
+
+    monkeypatch.setattr(SolveContext, "solve_many", recording)
+    SweepRunner(SweepOptions(jobs=1, cache_dir=str(cache_dir))).run(family)
+
+    assert members == [1, 3]
+    assert len(probes) == 3
+    for conic, result in probes:
+        assert result.status is SolverStatus.INFEASIBLE
+        assert result.info["components"] == 3
+        assert result.info["refuted_component"] == 1
+        assert result.info["solved_components"] == 2
+        split = ipm._Split(conic.dims, conic.A, None)
+        mode3_columns = split.blocks[2][1]
+        assert not result.x[mode3_columns].any()
+
+
 def _stacked(*problems):
     """The block-diagonal problem of PSD-only ``problems``, in order."""
     return ConicProblem(
@@ -390,3 +437,64 @@ class TestBlockSplit:
         assert result.info["components"] == 1
         assert result.status is SolverStatus.INFEASIBLE
         assert result.iterations == 15
+
+    def test_refuting_block_first_skips_the_later_block(self, monkeypatch):
+        problem = _stacked(_infeasible_sdp(), _feasible_block(9))
+        alone = solve_batch([_infeasible_sdp()])[0]
+        members = _record_group_members(
+            monkeypatch, lambda group: [member.num_constraints for member, _ in group])
+        result = solve_batch([problem])[0]
+        # Only the infeasible block (three rows) is solved.
+        assert members == [[3]]
+        assert result.status is SolverStatus.INFEASIBLE
+        assert result.info["refuted_component"] == 0
+        assert result.info["components"] == 2
+        assert result.info["solved_components"] == 1
+        assert not result.x[3:].any()
+        assert np.array_equal(result.x[:3], alone.x)
+        assert result.iterations == alone.iterations
+        assert result.primal_residual == alone.primal_residual
+        padded = np.concatenate([alone.info["farkas_y"], [0.0]])
+        assert np.array_equal(result.info["farkas_y"], padded)
+        assert farkas_margin(problem, result.info["farkas_y"]) <= FARKAS_TOLERANCE
+
+    def test_refuted_problem_does_not_depend_on_its_batch(self, monkeypatch):
+        problem = _stacked(_infeasible_sdp(), _feasible_block(9))
+        later_block = _feasible_block(9)
+        alone = solve_batch([problem])[0]
+        members = _record_group_members(monkeypatch)
+        first, batched = solve_batch([later_block, problem])
+        # later_block's group comes first and solves the problem's second
+        # block with it (one member); the problem still reads only its first.
+        assert members == [1, 1]
+        assert first.status is SolverStatus.OPTIMAL
+        assert batched.status is alone.status is SolverStatus.INFEASIBLE
+        assert np.array_equal(batched.x, alone.x)
+        assert not batched.x[3:].any()
+        assert batched.iterations == alone.iterations
+        assert batched.primal_residual == alone.primal_residual
+        assert batched.dual_residual == alone.dual_residual
+        assert batched.objective == alone.objective
+        assert batched.equality_residual == alone.equality_residual
+        assert np.array_equal(batched.info["farkas_y"], alone.info["farkas_y"])
+        assert batched.info["farkas_margin"] == alone.info["farkas_margin"]
+        assert batched.info["solved_components"] == alone.info["solved_components"] == 1
+
+    def test_rejected_block_certificate_solves_the_later_block(self, monkeypatch):
+        from repro.sdp import ipm
+
+        later_block = _feasible_block(10)
+        problem = _stacked(_infeasible_sdp(), later_block)
+        check = ipm.farkas_margin
+
+        def whole_problem_rejects(candidate, y):
+            return float("inf") if candidate is problem else check(candidate, y)
+
+        monkeypatch.setattr(ipm, "farkas_margin", whole_problem_rejects)
+        members = _record_group_members(monkeypatch)
+        result = solve_batch([problem])[0]
+        assert members == [1, 1]
+        assert result.status is SolverStatus.NUMERICAL_ERROR
+        assert "refuted_component" not in result.info
+        assert result.info["solved_components"] == 2
+        assert np.array_equal(result.x[3:], solve_batch([later_block])[0].x)
