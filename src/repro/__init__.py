@@ -2,15 +2,16 @@
 
 Reproduction of: Ul Asad, H. & Jones, K. D., "Verifying inevitability of
 phase-locking in a charge pump phase lock loop using sum of squares
-programming", GLSVLSI 2015.
+programming", DAC 2015.
 
 Subpackages
 -----------
 ``repro.polynomial``
     Multivariate polynomial algebra (variables, monomials, calculus, Gram forms).
 ``repro.sdp``
-    Pure numpy/scipy ADMM conic solver and the ``SolveContext`` that owns its
-    cache and counters.
+    Pure numpy/scipy conic solvers (ADMM, and an interior-point method that
+    proves infeasibility with a checked Farkas certificate) and the
+    ``SolveContext`` that owns their cache and counters.
 ``repro.sos``
     SOS programming layer: constraints, S-procedure, certificate validation.
 ``repro.hybrid``

@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import Mapping, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from ..exceptions import ModelError
 from ..polynomial import Variable
@@ -56,6 +55,10 @@ def find_equilibrium(system: HybridSystem,
     state where the flow map vanishes, using a least-squares root find seeded
     by the affine solution.
     """
+    # Imported on first use: scipy.optimize is about 16 MB, and only
+    # callers that locate an equilibrium numerically need it.
+    from scipy.optimize import least_squares
+
     parameters = parameters or system.nominal_parameters()
     candidates = [system.mode(mode_name)] if mode_name else list(system.equilibrium_modes())
     if not candidates:

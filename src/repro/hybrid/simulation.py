@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from ..exceptions import ModelError
 from ..polynomial import PolynomialStack, Variable
@@ -118,6 +117,10 @@ class HybridSimulator:
         parameters: Optional[Mapping[Variable, float]] = None,
         max_flow_time: Optional[float] = None,
     ) -> SimulationResult:
+        # Imported on first use: scipy.integrate brings scipy.optimize and
+        # about 19 MB with it, and no engine job or sweep shard simulates.
+        from scipy.integrate import solve_ivp
+
         settings = self.settings
         horizon = max_flow_time if max_flow_time is not None else settings.max_flow_time
         state = np.asarray(initial_state, dtype=float)

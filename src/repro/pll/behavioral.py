@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from ..exceptions import ModelError
 from .components import (
@@ -122,6 +121,9 @@ class BehavioralPLLSimulator:
         ``initial_phase_error`` (cycles) is applied by offsetting the divider
         phase; ``initial_voltages`` are the physical filter voltages.
         """
+        # Imported on first use, as in HybridSimulator.simulate.
+        from scipy.integrate import solve_ivp
+
         order = self.loop_filter.order
         initial_voltages = np.asarray(initial_voltages, dtype=float)
         if initial_voltages.shape[0] != order:

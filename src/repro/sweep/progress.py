@@ -65,9 +65,3 @@ class SweepProgress:
             except OSError:
                 pass
             raise
-
-    def discard(self) -> None:
-        try:
-            os.unlink(self.path)
-        except OSError:
-            pass

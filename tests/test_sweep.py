@@ -327,6 +327,25 @@ class TestSweepFailures:
                                      cache_dir=str(tmp_path))).run(_small_family())
         assert calls == []
 
+    def test_failed_anchor_keeps_previous_progress(self, tmp_path,
+                                                   monkeypatch):
+        import repro.engine.engine as engine
+
+        family = _small_family()
+        _spy_shards(monkeypatch, RuntimeError("shard exploded"))
+        with pytest.raises(SweepError):
+            SweepRunner(SweepOptions(jobs=1, shard_size=2,
+                                     cache_dir=str(tmp_path))).run(family)
+        monkeypatch.setattr(
+            engine, "_step_lyapunov",
+            lambda problem, context=None: ("failed", "no certificate", {}))
+        with pytest.raises(SweepError, match="anchor synthesis"):
+            SweepRunner(SweepOptions(jobs=1, shard_size=2,
+                                     cache_dir=str(tmp_path))).run(family)
+        progress = SweepProgress(tmp_path / "sweeps", family.name,
+                                 family.fingerprint())
+        assert sorted(progress.load()) == [0, 1]
+
 
 # ----------------------------------------------------------------------
 # Probe batches: one solve_many per solver configuration
